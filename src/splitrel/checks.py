@@ -220,10 +220,10 @@ def _prop2_kind(n: int, m: int) -> Optional[int]:
     return None  # n_skel == 3, i.e. m == n: settled by earlier work
 
 
-def check_prop2(n: int, m: int, guard_bits: int = 28) -> Report:
+def check_prop2(n: int, m: int) -> Report:
     """Near-zero advantage of the perturbed graph: N_{n-2}(H) > N_{n-2}(G),
-    with both routes (subset sweep and bipartition tree products) agreeing,
-    and the counting bound (b-1)t(G'-e) - t(G') < difference checked."""
+    with both routes (subset classification and bipartition tree products)
+    agreeing, and the counting bound (b-1)t(G'-e) - t(G') < difference checked."""
     if not (7 <= n <= 9 and n <= m <= comb(n - 3, 2) + 3):
         raise ValueError("claim range is 7 <= n <= 9, n <= m <= C(n-3,2)+3")
     kind = _prop2_kind(n, m)
@@ -242,8 +242,8 @@ def check_prop2(n: int, m: int, guard_bits: int = 28) -> Report:
     ctx = variant_with_context(kind, n, m)
     prof = balloon_profile(n, m)
     g, h = ctx.balloon, ctx.result
-    ng_sweep = split_coefficients(g, guard_bits).counts[n - 2]
-    nh_sweep = split_coefficients(h, guard_bits).counts[n - 2]
+    ng_sweep = split_coefficients(g).counts[n - 2]
+    nh_sweep = split_coefficients(h).counts[n - 2]
     ng_tree = two_tree_count(g)
     nh_tree = two_tree_count(h)
     skel, _ = skeleton(g.graph)
@@ -473,9 +473,9 @@ def check_remark4(max_n: int = 12) -> Report:
     )
 
 
-def check_composition(max_n: int = 8, max_m: int = 24, guard_bits: int = 28) -> Report:
+def check_composition(max_n: int = 8, max_m: int = 24) -> Report:
     """Bridge/skeleton factorization of the balloon's polynomial equals the
-    directly swept polynomial on every bridged class in range."""
+    directly computed polynomial on every bridged class in range."""
     failures = []
     checked = 0
     for n, m in _classes(max_n, in_I1):
@@ -483,9 +483,7 @@ def check_composition(max_n: int = 8, max_m: int = 24, guard_bits: int = 28) -> 
             continue
         checked += 1
         g = two_terminal_balloon(n, m)
-        direct = sr_polynomial(
-            SplitSignature.from_vector(n, split_coefficients(g, guard_bits))
-        )
+        direct = sr_polynomial(SplitSignature.from_vector(n, split_coefficients(g)))
         if sr_composition(n, m) != direct:
             failures.append({"n": n, "m": m})
     return Report(
@@ -493,8 +491,8 @@ def check_composition(max_n: int = 8, max_m: int = 24, guard_bits: int = 28) -> 
     )
 
 
-def check_closed_forms(max_n: int = 8, max_m: int = 24, guard_bits: int = 28) -> Report:
-    """Structured failed-edge counts of the balloon match the swept signature
+def check_closed_forms(max_n: int = 8, max_m: int = 24) -> Report:
+    """Structured failed-edge counts of the balloon match the computed signature
     at every index they cover."""
     failures = []
     checked = 0
@@ -502,9 +500,7 @@ def check_closed_forms(max_n: int = 8, max_m: int = 24, guard_bits: int = 28) ->
         if m > max_m:
             continue
         prof = balloon_profile(n, m)
-        sig = SplitSignature.from_vector(
-            n, split_coefficients(two_terminal_balloon(n, m), guard_bits)
-        )
+        sig = SplitSignature.from_vector(n, split_coefficients(two_terminal_balloon(n, m)))
         for i in range(1, prof.n_skel - 1):
             checked += 1
             if closed_form_F(n, m, i) != sig.f_value(i):

@@ -67,7 +67,7 @@ def _cmd_construct(args) -> int:
 
 def _cmd_sr_coeffs(args) -> int:
     g = _require_two_terminal(_load_graph(args.graph))
-    vec = counting.split_coefficients(g, args.guard_bits)
+    vec = counting.split_coefficients(g)
     if args.format == "csv":
         _emit(_coeff_csv(vec), args.out)
     else:
@@ -77,7 +77,7 @@ def _cmd_sr_coeffs(args) -> int:
 
 def _cmd_sr_eval(args) -> int:
     g = _require_two_terminal(_load_graph(args.graph))
-    vec = counting.split_coefficients(g, args.guard_bits)
+    vec = counting.split_coefficients(g)
     sig = signature.SplitSignature.from_vector(g.graph.n, vec)
     value = signature.evaluate(signature.sr_polynomial(sig), Fraction(args.p))
     _emit(json.dumps({"p": args.p, "value": str(value)}), args.out)
@@ -107,7 +107,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_refine(args) -> int:
-    ledger = enumeration.refine_chain(args.n, args.m, args.cache, args.guard_bits)
+    ledger = enumeration.refine_chain(args.n, args.m, args.cache)
     if args.format == "csv":
         _emit(ledger.to_csv(), args.out)
     else:
@@ -116,7 +116,7 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_locally_most(args) -> int:
-    ledger = enumeration.refine_chain(args.n, args.m, args.cache, args.guard_bits)
+    ledger = enumeration.refine_chain(args.n, args.m, args.cache)
     docs = [graphs.to_json_dict(ledger.members[i]) for i in ledger.locally_most]
     sig = ledger.signatures[ledger.locally_most[0]]
     _emit(
@@ -137,8 +137,8 @@ def _cmd_locally_most(args) -> int:
 
 
 def _cmd_uniform_check(args) -> int:
-    verdict = enumeration.uniform_check(args.n, args.m, args.cache, args.guard_bits)
-    ledger = enumeration.refine_chain(args.n, args.m, args.cache, args.guard_bits)
+    verdict = enumeration.uniform_check(args.n, args.m, args.cache)
+    ledger = enumeration.refine_chain(args.n, args.m, args.cache)
     doc = verdict.to_json_dict()
     if verdict.winner is not None:
         doc["winner"] = graphs.to_json_dict(ledger.members[verdict.winner])
@@ -180,19 +180,10 @@ def _cmd_mc(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, cache: bool = False, guard: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser, cache: bool = False) -> None:
     p.add_argument("--out", help="write the result to this path instead of stdout")
-    if cache or guard:
-        p.add_argument("--guard-bits", type=int, default=28, help="raise the 2^m sweep guard")
     if cache:
         p.add_argument("--cache", help="results cache directory (versioned JSON ledgers)")
-        p.add_argument(
-            "--jobs",
-            type=int,
-            default=1,
-            help="worker-count hint; computation is vectorized and outputs are "
-            "identical for any value",
-        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -226,13 +217,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sr-coeffs", help="exact split coefficient vectors of a graph file")
     p.add_argument("graph")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
-    _add_common(p, guard=True)
+    _add_common(p)
     p.set_defaults(func=_cmd_sr_coeffs)
 
     p = sub.add_parser("sr-eval", help="evaluate the split reliability at a rational point")
     p.add_argument("graph")
     p.add_argument("p", help="rational like 1/2 or 0.25")
-    _add_common(p, guard=True)
+    _add_common(p)
     p.set_defaults(func=_cmd_sr_eval)
 
     p = sub.add_parser("trees", help="exact spanning tree count")

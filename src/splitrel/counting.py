@@ -1,11 +1,11 @@
-"""Exact counting machinery: exhaustive edge-subset classification (split and
-connected coefficient vectors), spanning-tree counts via integer-exact
+"""Exact counting machinery: split and connected coefficient vectors by a
+recurrence over vertex subsets, spanning-tree counts via integer-exact
 Laplacian determinants, the two-disjoint-trees count through an independent
 vertex-bipartition formula, and a seed-stable Monte Carlo estimator.
 
-Everything on the exact side is integer/rational arithmetic only; the subset
-sweep has a pure-Python route and a numpy-vectorized route (same exhaustive
-classification, cross-checked in tests).
+Everything on the exact side is integer/rational arithmetic only.  The
+coefficient vectors have one route, guarded to n <= 16; the tests check it
+against an exhaustive sweep of all 2^m edge subsets.
 """
 
 from __future__ import annotations
@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .graphs import Edge, GuardError, SimpleGraph, TwoTerminalGraph
-
-DEFAULT_GUARD_BITS = 28
-_NUMPY_MIN_BITS = 11  # below this the pure loop wins on constant factors
-_CHUNK_BITS = 20
 
 
 @dataclass(frozen=True)
@@ -51,7 +45,7 @@ class SubsetClassification:
     `connected[i]` counts subsets of size i whose spanning subgraph is
     connected.  `split_sides[S][i]` counts subsets of size i with exactly two
     components where S is the vertex bitmask of the component containing
-    vertex 0.
+    vertex 0; a side no subset splits off is absent.
     """
 
     n: int
@@ -69,143 +63,81 @@ class SubsetClassification:
         return tuple(out)
 
 
-def _classify_pure(n: int, edges: Sequence[Edge]) -> SubsetClassification:
-    m = len(edges)
-    conn = [0] * (m + 1)
-    sides: dict[int, list[int]] = {}
-    edge_list = list(edges)
-    for mask in range(1 << m):
-        parent = list(range(n))
-        merges = 0
-        mm = mask
-        while mm:
-            low = mm & -mm
-            mm ^= low
-            u, v = edge_list[low.bit_length() - 1]
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            if u != v:
-                if u < v:
-                    parent[v] = u
-                else:
-                    parent[u] = v
-                merges += 1
-        ncomp = n - merges
-        if ncomp > 2:
-            continue
-        pop = mask.bit_count()
-        if ncomp == 1:
-            conn[pop] += 1
-        else:
-            side = 0
-            r0 = 0
-            while parent[r0] != r0:
-                r0 = parent[r0]
-            for v in range(n):
-                r = v
-                while parent[r] != r:
-                    r = parent[r]
-                if r == r0:
-                    side |= 1 << v
-            bucket = sides.get(side)
-            if bucket is None:
-                bucket = [0] * (m + 1)
-                sides[side] = bucket
-            bucket[pop] += 1
-    return SubsetClassification(
-        n, m, tuple(conn), {k: tuple(v) for k, v in sides.items()}
-    )
+def classify_subsets(g: SimpleGraph) -> SubsetClassification:
+    """Classify every edge subset of g by component structure.
 
+    Buzacott's recurrence over vertex subsets, exponential in n rather than
+    in m.  For a vertex set S with e(S) induced edges, all[S][k] = C(e(S), k)
+    counts the k-edge subsets of G[S], and conn[S] counts the connected
+    spanning ones.  Every other subset of G[S] has a component T that holds
+    min(S), is a proper subset of S, is connected on its own, fails every
+    edge between T and S - T, and leaves S - T arbitrary, so
 
-def _propagate_labels(masks: np.ndarray, n: int, edges: Sequence[Edge]) -> np.ndarray:
-    """Component label per vertex for every mask, by min-label flooding.
+        conn[S] = all[S] - sum over such T of conn[T] * all[S - T]
 
-    n-1 full edge passes suffice: the minimum label advances at least one
-    vertex along any path per pass.
+    where * convolves over surviving-edge counts.  A split with side S (the
+    component of vertex 0) is conn[S] * conn[V - S].
+
+    A vector of counts is packed into one integer, `width` bits per
+    coefficient, so that * is integer multiplication.  Every packed
+    coefficient counts distinct edge subsets of size k, at most
+    C(m, k) < 2^width, so no product, sum or difference carries between
+    coefficients.
     """
-    labels = np.tile(np.arange(n, dtype=np.int8), (len(masks), 1))
-    for _ in range(n - 1):
-        for j, (u, v) in enumerate(edges):
-            sel = ((masks >> j) & 1).astype(bool)
-            lu = labels[sel, u]
-            lv = labels[sel, v]
-            mn = np.minimum(lu, lv)
-            labels[sel, u] = mn
-            labels[sel, v] = mn
-    return labels
-
-
-def _classify_numpy(n: int, edges: Sequence[Edge]) -> SubsetClassification:
-    m = len(edges)
-    total = 1 << m
-    conn = np.zeros(m + 1, dtype=np.int64)
-    side_flat = np.zeros((1 << n) * (m + 1), dtype=np.int64)
-    vidx = np.arange(n, dtype=np.int8)
-    weights = (1 << np.arange(n, dtype=np.int64))
-    step = 1 << min(_CHUNK_BITS, m)
-    for lo in range(0, total, step):
-        masks = np.arange(lo, min(lo + step, total), dtype=np.int64)
-        labels = _propagate_labels(masks, n, edges)
-        ncomp = (labels == vidx).sum(axis=1)
-        pops = np.bitwise_count(masks).astype(np.int64)
-        sel1 = ncomp == 1
-        if sel1.any():
-            conn += np.bincount(pops[sel1], minlength=m + 1)
-        sel2 = ncomp == 2
-        if sel2.any():
-            lab2 = labels[sel2]
-            eq0 = lab2 == lab2[:, 0:1]
-            side = (eq0 * weights).sum(axis=1)
-            keys = side * (m + 1) + pops[sel2]
-            side_flat += np.bincount(keys, minlength=len(side_flat))
-    sides: dict[int, tuple[int, ...]] = {}
-    nz = np.nonzero(side_flat)[0]
-    for S in sorted(set(int(k) // (m + 1) for k in nz)):
-        row = side_flat[S * (m + 1) : (S + 1) * (m + 1)]
-        sides[S] = tuple(int(x) for x in row)
-    return SubsetClassification(
-        n, m, tuple(int(x) for x in conn), sides
-    )
-
-
-def classify_subsets(
-    g: SimpleGraph,
-    guard_bits: int = DEFAULT_GUARD_BITS,
-    force_pure: bool = False,
-) -> SubsetClassification:
-    """Classify every edge subset of g by component structure (exhaustive sweep)."""
-    if g.m > guard_bits:
+    n, m = g.n, g.m
+    if n > 16:
         raise GuardError(
-            f"2^{g.m} subset sweep exceeds guard of 2^{guard_bits}; "
-            "raise the guard explicitly to proceed"
+            f"subset classification is meant for desk-scale graphs (n <= 16), got n={n}"
         )
-    if g.n > 16:
-        raise GuardError("subset classification is meant for desk-scale graphs (n <= 16)")
-    if force_pure or g.m < _NUMPY_MIN_BITS:
-        return _classify_pure(g.n, g.edges)
-    return _classify_numpy(g.n, g.edges)
+    width = m + 1
+    digit = (1 << width) - 1
+    binomial = [1]  # binomial[e] packs C(e, 0..e), that is (1 + x)^e at x = 2^width
+    for _ in range(m):
+        binomial.append(binomial[-1] * ((1 << width) + 1))
+
+    adj = [0] * n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    full = (1 << n) - 1
+    induced = [0] * (full + 1)
+    conn = [0] * (full + 1)
+    for S in range(1, full + 1):
+        low = S & -S
+        rest = S ^ low
+        induced[S] = induced[rest] + (adj[low.bit_length() - 1] & rest).bit_count()
+        split = 0
+        sub = rest
+        while sub:  # T = low | sub for every proper subset sub of rest, 0 last
+            sub = (sub - 1) & rest
+            c = conn[low | sub]
+            if c:
+                split += c * binomial[induced[rest ^ sub]]
+        conn[S] = binomial[induced[S]] - split
+
+    def unpack(packed: int) -> tuple[int, ...]:
+        return tuple((packed >> (width * k)) & digit for k in range(m + 1))
+
+    sides = {
+        S: unpack(conn[S] * conn[full ^ S])
+        for S in range(1, full, 2)
+        if conn[S] and conn[full ^ S]
+    }
+    return SubsetClassification(n, m, unpack(conn[full]), sides)
 
 
-def split_coefficients(
-    g: TwoTerminalGraph, guard_bits: int = DEFAULT_GUARD_BITS
-) -> CoefficientVector:
-    """N_i(g): split subgraphs with i surviving edges, by exhaustive classification.
+def split_coefficients(g: TwoTerminalGraph) -> CoefficientVector:
+    """N_i(g): split subgraphs with i surviving edges, by subset classification.
 
     Precondition: g valid and connected.
     """
-    cls = classify_subsets(g.graph, guard_bits)
+    cls = classify_subsets(g.graph)
     return CoefficientVector(g.graph.m, cls.split_counts(g.s, g.t))
 
 
-def connected_coefficients(
-    g: SimpleGraph, guard_bits: int = DEFAULT_GUARD_BITS
-) -> CoefficientVector:
+def connected_coefficients(g: SimpleGraph) -> CoefficientVector:
     """Connected spanning subgraph counts by surviving-edge count."""
-    cls = classify_subsets(g, guard_bits)
+    cls = classify_subsets(g)
     return CoefficientVector(g.m, cls.connected)
 
 
@@ -277,7 +209,7 @@ def _induced_tree_count(g: SimpleGraph, verts: Sequence[int]) -> int:
 
 def two_tree_count(g: TwoTerminalGraph) -> int:
     """Split subgraphs consisting of two disjoint trees, via the bipartition sum
-    of induced spanning-tree products (independent of the subset sweep).
+    of induced spanning-tree products (independent of subset classification).
 
     Equals split_coefficients(g).counts[n-2].
     """

@@ -32,9 +32,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import canon
-from .counting import classify_subsets, _propagate_labels
+from .counting import classify_subsets
 from .families import two_terminal_balloon
-from .graphs import GuardError, SimpleGraph, TwoTerminalGraph, from_json_dict, to_json_dict
+from .graphs import Edge, GuardError, SimpleGraph, TwoTerminalGraph, from_json_dict, to_json_dict
 from .signature import (
     Ordering,
     SplitSignature,
@@ -45,6 +45,24 @@ from .signature import (
 
 ENUM_GUARD_N = 7
 FORMAT_VERSION = 2
+
+
+def _propagate_labels(masks: np.ndarray, n: int, edges: Sequence[Edge]) -> np.ndarray:
+    """Component label per vertex for every mask, by min-label flooding.
+
+    n-1 full edge passes suffice: the minimum label advances at least one
+    vertex along any path per pass.
+    """
+    labels = np.tile(np.arange(n, dtype=np.int8), (len(masks), 1))
+    for _ in range(n - 1):
+        for j, (u, v) in enumerate(edges):
+            sel = ((masks >> j) & 1).astype(bool)
+            lu = labels[sel, u]
+            lv = labels[sel, v]
+            mn = np.minimum(lu, lv)
+            labels[sel, u] = mn
+            labels[sel, v] = mn
+    return labels
 
 
 @lru_cache(maxsize=None)
@@ -284,9 +302,8 @@ def refine_chain(
     n: int,
     m: int,
     cache_dir: Optional[Path | str] = None,
-    guard_bits: int = 28,
 ) -> ClassLedger:
-    """Full class ledger for (n, m): enumerate, sweep signatures, refine."""
+    """Full class ledger for (n, m): enumerate, classify signatures, refine."""
     cached = _load_ledger(cache_dir, n, m)
     if cached is not None:
         return cached
@@ -296,7 +313,7 @@ def refine_chain(
     signatures: list[SplitSignature] = []
     for mask in reps:
         g = canon.mask_to_graph(n, mask)
-        cls = classify_subsets(g, guard_bits)
+        cls = classify_subsets(g)
         for s, t in _pair_orbits(n, mask):
             members.append(TwoTerminalGraph(g, s, t))
             signatures.append(SplitSignature(n, m, cls.split_counts(s, t)))
@@ -325,7 +342,6 @@ def uniform_check(
     n: int,
     m: int,
     cache_dir: Optional[Path | str] = None,
-    guard_bits: int = 28,
 ) -> UniformVerdict:
     """Decide whether the class has a uniformly most split reliable graph.
 
@@ -334,7 +350,7 @@ def uniform_check(
     rival signature, most promising first (lexicographically largest
     N-vector, the likely near-0 refuter).
     """
-    ledger = refine_chain(n, m, cache_dir, guard_bits)
+    ledger = refine_chain(n, m, cache_dir)
     if ledger.uniform is not None:
         return ledger.uniform
     candidate_idx = ledger.locally_most[0]

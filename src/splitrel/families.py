@@ -442,8 +442,3 @@ def sr_composition(n: int, m: int) -> ExactPolynomial:
     term2 = sr_skel.shift_up(b)
     return term1 + term2
 
-
-def balloon_signature(n: int, m: int, guard_bits: int = 28) -> SplitSignature:
-    """Exhaustively swept signature of the two-terminal balloon."""
-    g = two_terminal_balloon(n, m)
-    return SplitSignature.from_vector(n, split_coefficients(g, guard_bits))

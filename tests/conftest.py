@@ -2,10 +2,19 @@ import os
 import random
 from itertools import combinations
 from pathlib import Path
+from typing import Sequence
 
 import pytest
+from hypothesis import settings, strategies as st
 
-from splitrel.graphs import SimpleGraph, TwoTerminalGraph, is_connected
+from splitrel.counting import SubsetClassification
+from splitrel.graphs import Edge, SimpleGraph, TwoTerminalGraph, is_connected
+
+# Property tests replay the same examples on every run.
+settings.register_profile(
+    "deterministic", derandomize=True, max_examples=40, deadline=None, database=None
+)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")
@@ -43,3 +52,68 @@ def path_n(n: int) -> SimpleGraph:
 
 def cycle_n(n: int) -> SimpleGraph:
     return SimpleGraph(n, tuple((i, (i + 1) % n) for i in range(n)))
+
+
+@st.composite
+def connected_graphs(draw, min_n: int = 1, max_n: int = 7, max_m: int = 14) -> SimpleGraph:
+    """A random spanning tree on n vertices plus up to max_m - (n - 1) extra edges."""
+    n = draw(st.integers(min_n, max_n))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    rest = [p for p in combinations(range(n), 2) if p not in tree]
+    extra = []
+    if rest:
+        extra = draw(st.lists(st.sampled_from(rest), unique=True, max_size=max_m - len(tree)))
+    return SimpleGraph(n, tuple(tree + extra))
+
+
+def classify_by_sweep(n: int, edges: Sequence[Edge]) -> SubsetClassification:
+    """Reference classification: union-find over every one of the 2^m edge subsets."""
+    m = len(edges)
+    conn = [0] * (m + 1)
+    sides: dict[int, list[int]] = {}
+    edge_list = list(edges)
+    for mask in range(1 << m):
+        parent = list(range(n))
+        merges = 0
+        mm = mask
+        while mm:
+            low = mm & -mm
+            mm ^= low
+            u, v = edge_list[low.bit_length() - 1]
+            while parent[u] != u:
+                parent[u] = parent[parent[u]]
+                u = parent[u]
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            if u != v:
+                if u < v:
+                    parent[v] = u
+                else:
+                    parent[u] = v
+                merges += 1
+        ncomp = n - merges
+        if ncomp > 2:
+            continue
+        pop = mask.bit_count()
+        if ncomp == 1:
+            conn[pop] += 1
+        else:
+            side = 0
+            r0 = 0
+            while parent[r0] != r0:
+                r0 = parent[r0]
+            for v in range(n):
+                r = v
+                while parent[r] != r:
+                    r = parent[r]
+                if r == r0:
+                    side |= 1 << v
+            bucket = sides.get(side)
+            if bucket is None:
+                bucket = [0] * (m + 1)
+                sides[side] = bucket
+            bucket[pop] += 1
+    return SubsetClassification(
+        n, m, tuple(conn), {k: tuple(v) for k, v in sides.items()}
+    )

@@ -115,7 +115,7 @@ def test_uniform_check_winner_and_none(capsys, tmp_path):
 
 def test_uniform_check_deterministic_output(capsys, tmp_path):
     _, out1 = run(capsys, "uniform-check", "4", "5", "--cache", str(tmp_path))
-    _, out2 = run(capsys, "uniform-check", "4", "5", "--cache", str(tmp_path), "--jobs", "4")
+    _, out2 = run(capsys, "uniform-check", "4", "5", "--cache", str(tmp_path))
     assert out1 == out2
 
 
@@ -134,9 +134,12 @@ def test_verify_report_shape(capsys):
     assert set(doc) == {"claim", "status", "details"}
 
 
-def test_guard_exit_code(capsys, k3_file):
-    code = main(["sr-coeffs", k3_file, "--guard-bits", "2"])
-    assert code == 2
+def test_guard_exit_code(capsys, tmp_path):
+    path = tmp_path / "p17.json"
+    edges = [[i, i + 1] for i in range(16)]
+    path.write_text(json.dumps({"n": 17, "edges": edges, "terminals": [0, 16]}))
+    assert main(["sr-coeffs", str(path)]) == 2
+    assert "n=17" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exit_code(capsys):

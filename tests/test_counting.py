@@ -1,18 +1,26 @@
-"""Exact engine: subset classification routes, coefficient vectors, tree
-counts, the bipartition oracle, deletion/contraction, Monte Carlo."""
+"""Exact engine: subset classification against the 2^m sweep, coefficient
+vectors, tree counts, the bipartition oracle, deletion/contraction, Monte
+Carlo."""
 
 import random
 from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import cycle_n, k_n, path_n, random_connected_graph, random_two_terminal
+from conftest import (
+    classify_by_sweep,
+    connected_graphs,
+    cycle_n,
+    k_n,
+    path_n,
+    random_connected_graph,
+    random_two_terminal,
+)
 from splitrel.counting import (
     CoefficientVector,
     RandomSource,
-    _classify_numpy,
-    _classify_pure,
     classify_subsets,
     connected_coefficients,
     deletion_contraction_check,
@@ -50,16 +58,52 @@ def test_split_coefficients_paw():
     assert split_coefficients(g).counts == (0, 0, 5, 1, 0)
 
 
+def _assert_matches_sweep(g: SimpleGraph) -> None:
+    got = classify_subsets(g)
+    want = classify_by_sweep(g.n, g.edges)
+    assert (got.n, got.m) == (want.n, want.m)
+    assert got.connected == want.connected
+    assert got.split_sides == want.split_sides
+
+
 def test_classifier_routes_agree():
     rng = random.Random(23)
     for _ in range(15):
         n = rng.randint(3, 7)
-        m = rng.randint(n - 1, min(comb(n, 2), 13))
-        g = random_connected_graph(rng, n, m)
-        pure = _classify_pure(g.n, g.edges)
-        vec = _classify_numpy(g.n, g.edges)
-        assert pure.connected == vec.connected
-        assert pure.split_sides == vec.split_sides
+        m = rng.randint(n - 1, min(comb(n, 2), 14))
+        _assert_matches_sweep(random_connected_graph(rng, n, m))
+    for g in (SimpleGraph(1), SimpleGraph(2), SimpleGraph(2, ((0, 1),))):
+        _assert_matches_sweep(g)
+    assert classify_subsets(SimpleGraph(1)).connected == (1,)
+    assert classify_subsets(SimpleGraph(2, ((0, 1),))).split_sides == {1: (1, 0)}
+
+
+@given(connected_graphs())
+def test_classifier_matches_sweep_property(g):
+    _assert_matches_sweep(g)
+
+
+@st.composite
+def two_terminal_graphs(draw):
+    g = draw(connected_graphs(min_n=2))
+    s, t = draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
+    return TwoTerminalGraph(g, s, t)
+
+
+@given(two_terminal_graphs(), st.data())
+def test_split_counts_relabeling_property(g, data):
+    perm = data.draw(st.permutations(range(g.graph.n)))
+    cls = classify_subsets(g.graph)
+    h = relabel_two_terminal(g, perm)
+    assert classify_subsets(h.graph).split_counts(h.s, h.t) == cls.split_counts(g.s, g.t)
+
+
+@given(two_terminal_graphs())
+def test_tree_counts_property(g):
+    n = g.graph.n
+    cls = classify_subsets(g.graph)
+    assert cls.split_counts(g.s, g.t)[n - 2] == two_tree_count(g)
+    assert cls.connected[n - 1] == spanning_tree_count(g.graph)
 
 
 def test_connected_coefficients():
@@ -71,8 +115,8 @@ def test_connected_coefficients():
 
 
 def test_sweep_guard():
-    with pytest.raises(GuardError):
-        split_coefficients(TwoTerminalGraph(k_n(4), 0, 1), guard_bits=5)
+    with pytest.raises(GuardError, match="n=17"):
+        split_coefficients(TwoTerminalGraph(path_n(17), 0, 16))
 
 
 def test_spanning_tree_cayley():
@@ -217,5 +261,5 @@ def test_monte_carlo_close_to_exact():
 
 
 def test_classify_rejects_oversized():
-    with pytest.raises(GuardError):
-        classify_subsets(k_n(8), guard_bits=20)
+    with pytest.raises(GuardError, match="n=17"):
+        classify_subsets(path_n(17))
