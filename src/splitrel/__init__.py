@@ -54,7 +54,6 @@ from .signature import (
 )
 from .families import (
     BalloonProfile,
-    ClassIndex,
     ThresholdSpec,
     balloon,
     balloon_profile,

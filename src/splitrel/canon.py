@@ -103,22 +103,6 @@ def isomorphic_two_terminal(a: TwoTerminalGraph, b: TwoTerminalGraph) -> bool:
     return canonical_form(a) == canonical_form(b)
 
 
-def automorphisms(g: SimpleGraph) -> list[tuple[int, ...]]:
-    """All vertex permutations fixing the edge set."""
-    _check_guard(g.n)
-    mask = graph_mask(g)
-    out = []
-    idx = pair_index_map(g.n)
-    for perm in vertex_permutations(g.n):
-        img = 0
-        for u, v in g.edges:
-            x, y = perm[u], perm[v]
-            img |= 1 << idx[(x, y) if x < y else (y, x)]
-        if img == mask:
-            out.append(perm)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # vectorized orbit machinery (used by the class enumerator, n <= 7)
 

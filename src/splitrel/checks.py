@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import comb
-from pathlib import Path
 from typing import Optional
 
 from . import canon
@@ -165,14 +164,13 @@ def check_thm1(
     n: Optional[int] = None,
     m: Optional[int] = None,
     max_n: int = 7,
-    cache_dir: Optional[Path | str] = None,
 ) -> Report:
     """Locally-most set equals the balloon's split-equivalence class."""
     targets = [(n, m)] if n is not None and m is not None else _classes(max_n)
     results = {}
     failures = []
     for nn, mm in targets:
-        res = verify_balloon_characterization(nn, mm, cache_dir)
+        res = verify_balloon_characterization(nn, mm)
         results[f"{nn},{mm}"] = res
         if not res["ok"]:
             failures.append({"n": nn, "m": mm, **res})
@@ -183,14 +181,14 @@ def check_thm1(
     )
 
 
-def check_thm3(cache_dir: Optional[Path | str] = None) -> Report:
+def check_thm3() -> Report:
     """No uniform winner for n = 7 and m in {7, 8, 9}: explicit rational
     crossing witness, and the refuter already wins at index n-2 = 5."""
     failures = []
     details = {}
     for m in (7, 8, 9):
-        verdict = uniform_check(7, m, cache_dir)
-        ledger = refine_chain(7, m, cache_dir)
+        verdict = uniform_check(7, m)
+        ledger = refine_chain(7, m)
         entry: dict = {}
         if verdict.winner is not None:
             failures.append({"m": m, "unexpected_winner": verdict.winner})
@@ -544,7 +542,6 @@ def run_target(target: str, args: dict) -> Report:
     n = args.get("n")
     m = args.get("m")
     max_n = args.get("max_n")
-    cache_dir = args.get("cache_dir")
     if target == "prop1":
         return check_prop1(max_n or 7)
     if target == "prop2":
@@ -554,11 +551,11 @@ def run_target(target: str, args: dict) -> Report:
     if target == "prop3":
         return check_prop3(max_n or 7)
     if target == "thm1":
-        return check_thm1(n, m, max_n or 7, cache_dir)
+        return check_thm1(n, m, max_n or 7)
     if target == "thm2":
         return check_thm2(max_n or 7)
     if target == "thm3":
-        return check_thm3(cache_dir)
+        return check_thm3()
     if target == "lemma13":
         return check_lemma13(n or 8, m or 10)
     if target == "lemma14":

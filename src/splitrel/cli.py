@@ -37,6 +37,13 @@ def _load_graph(path: str):
     return g
 
 
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"p: expected a rational like 1/2 or 0.25, got {text!r}") from None
+
+
 def _require_two_terminal(g) -> graphs.TwoTerminalGraph:
     if not isinstance(g, graphs.TwoTerminalGraph):
         raise ValueError("this command needs a two-terminal graph (terminals field)")
@@ -79,7 +86,7 @@ def _cmd_sr_eval(args) -> int:
     g = _require_two_terminal(_load_graph(args.graph))
     vec = counting.split_coefficients(g)
     sig = signature.SplitSignature.from_vector(g.graph.n, vec)
-    value = signature.evaluate(signature.sr_polynomial(sig), Fraction(args.p))
+    value = signature.evaluate(signature.sr_polynomial(sig), _rational(args.p))
     _emit(json.dumps({"p": args.p, "value": str(value)}), args.out)
     return 0
 
@@ -107,7 +114,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_refine(args) -> int:
-    ledger = enumeration.refine_chain(args.n, args.m, args.cache)
+    ledger = enumeration.refine_chain(args.n, args.m)
     if args.format == "csv":
         _emit(ledger.to_csv(), args.out)
     else:
@@ -116,7 +123,7 @@ def _cmd_refine(args) -> int:
 
 
 def _cmd_locally_most(args) -> int:
-    ledger = enumeration.refine_chain(args.n, args.m, args.cache)
+    ledger = enumeration.refine_chain(args.n, args.m)
     docs = [graphs.to_json_dict(ledger.members[i]) for i in ledger.locally_most]
     sig = ledger.signatures[ledger.locally_most[0]]
     _emit(
@@ -137,8 +144,8 @@ def _cmd_locally_most(args) -> int:
 
 
 def _cmd_uniform_check(args) -> int:
-    verdict = enumeration.uniform_check(args.n, args.m, args.cache)
-    ledger = enumeration.refine_chain(args.n, args.m, args.cache)
+    verdict = enumeration.uniform_check(args.n, args.m)
+    ledger = enumeration.refine_chain(args.n, args.m)
     doc = verdict.to_json_dict()
     if verdict.winner is not None:
         doc["winner"] = graphs.to_json_dict(ledger.members[verdict.winner])
@@ -154,7 +161,7 @@ def _cmd_uniform_check(args) -> int:
 def _cmd_verify(args) -> int:
     report = checks.run_target(
         args.target,
-        {"n": args.n, "m": args.m, "max_n": args.max_n, "cache_dir": args.cache},
+        {"n": args.n, "m": args.m, "max_n": args.max_n},
     )
     _emit(json.dumps(report.to_json_dict(), indent=2), args.out)
     return 3 if report.failed else 0
@@ -163,7 +170,7 @@ def _cmd_verify(args) -> int:
 def _cmd_mc(args) -> int:
     g = _require_two_terminal(_load_graph(args.graph))
     est, err = counting.monte_carlo_sr(
-        g, Fraction(args.p), args.trials, counting.RandomSource(args.seed), args.jobs
+        g, _rational(args.p), args.trials, counting.RandomSource(args.seed), args.jobs
     )
     _emit(
         json.dumps(
@@ -180,10 +187,8 @@ def _cmd_mc(args) -> int:
     return 0
 
 
-def _add_common(p: argparse.ArgumentParser, cache: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write the result to this path instead of stdout")
-    if cache:
-        p.add_argument("--cache", help="results cache directory (versioned JSON ledgers)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -247,19 +252,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common(p, cache=True)
+    _add_common(p)
     p.set_defaults(func=_cmd_refine)
 
     p = sub.add_parser("locally-most", help="the locally most split reliable class")
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
-    _add_common(p, cache=True)
+    _add_common(p)
     p.set_defaults(func=_cmd_locally_most)
 
     p = sub.add_parser("uniform-check", help="decide existence of a uniform winner")
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
-    _add_common(p, cache=True)
+    _add_common(p)
     p.set_defaults(func=_cmd_uniform_check)
 
     p = sub.add_parser("verify", help="run a named claim verification, JSON report out")
@@ -267,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--max-n", type=int, dest="max_n")
-    _add_common(p, cache=True)
+    _add_common(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("mc-estimate", help="seeded Monte Carlo split-reliability estimate")

@@ -11,6 +11,7 @@ against an exhaustive sweep of all 2^m edge subsets.
 from __future__ import annotations
 
 import math
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -338,7 +339,7 @@ def monte_carlo_sr(
     """Bernoulli estimate of the split reliability at survival probability p.
 
     Returns (estimate, standard error).  Deterministic given the seed, for any
-    jobs value.
+    jobs value; at most min(jobs, blocks, CPU count) worker processes start.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -358,10 +359,11 @@ def monte_carlo_sr(
         (g.graph.n, g.graph.edges, g.s, g.t, num, den, seed, count)
         for seed, count in blocks
     ]
-    if jobs > 1 and len(args) > 1:
+    workers = min(jobs, len(args), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             hits = sum(pool.map(_sample_block_star, args))
     else:
         hits = sum(_sample_block(*a) for a in args)

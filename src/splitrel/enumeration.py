@@ -2,13 +2,13 @@
 desk scale, the lexicographic refinement chain over failed-edge counts, and
 the uniform-winner decision.
 
-Generation sweeps every labeled edge set, filters the connected ones, and
-deduplicates by isomorphism orbit; the canonical representative of each orbit
-is its minimum edge-mask labeling.  Terminal pairs are deduplicated by the
-orbits of the automorphism group, so each two-terminal representative is
-unique up to terminal-respecting isomorphism.  Signatures are computed once
-per underlying graph (the subset classification is shared by all its terminal
-pairs) and everything is cached as versioned JSON keyed by (n, m).
+Generation descends from K_n by deleting one non-bridge edge at a time and
+keeps one graph per isomorphism orbit at each edge count; the canonical
+representative of each orbit is its minimum edge-mask labeling.  Terminal
+pairs are deduplicated by the orbits of the automorphism group, so each
+two-terminal representative is unique up to terminal-respecting isomorphism.
+Signatures are computed once per underlying graph (the subset classification
+is shared by all its terminal pairs); nothing is stored between runs.
 
 Conventions: "locally most split reliable" is the per-competitor form (for
 each rival there is a neighborhood of p = 1 where the candidate is at least
@@ -21,20 +21,16 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from pathlib import Path
 from typing import Optional, Sequence
-
-import numpy as np
 
 from . import canon
 from .counting import classify_subsets
 from .families import two_terminal_balloon
-from .graphs import Edge, GuardError, SimpleGraph, TwoTerminalGraph, from_json_dict, to_json_dict
+from .graphs import GuardError, SimpleGraph, TwoTerminalGraph, bridges, to_json_dict
 from .signature import (
     Ordering,
     SplitSignature,
@@ -44,40 +40,6 @@ from .signature import (
 )
 
 ENUM_GUARD_N = 7
-FORMAT_VERSION = 2
-
-
-def _propagate_labels(masks: np.ndarray, n: int, edges: Sequence[Edge]) -> np.ndarray:
-    """Component label per vertex for every mask, by min-label flooding.
-
-    n-1 full edge passes suffice: the minimum label advances at least one
-    vertex along any path per pass.
-    """
-    labels = np.tile(np.arange(n, dtype=np.int8), (len(masks), 1))
-    for _ in range(n - 1):
-        for j, (u, v) in enumerate(edges):
-            sel = ((masks >> j) & 1).astype(bool)
-            lu = labels[sel, u]
-            lv = labels[sel, v]
-            mn = np.minimum(lu, lv)
-            labels[sel, u] = mn
-            labels[sel, v] = mn
-    return labels
-
-
-@lru_cache(maxsize=None)
-def _connectivity_table(n: int) -> np.ndarray:
-    """Component count of every labeled edge subset of the complete graph."""
-    pairs = canon.pair_list(n)
-    m = len(pairs)
-    out = np.empty(1 << m, dtype=np.uint8)
-    step = 1 << min(20, m)
-    vidx = np.arange(n, dtype=np.int8)
-    for lo in range(0, 1 << m, step):
-        masks = np.arange(lo, min(lo + step, 1 << m), dtype=np.int64)
-        labels = _propagate_labels(masks, n, pairs)
-        out[lo : lo + len(masks)] = (labels == vidx).sum(axis=1).astype(np.uint8)
-    return out
 
 
 def _check_enum_guard(n: int) -> None:
@@ -88,37 +50,45 @@ def _check_enum_guard(n: int) -> None:
 
 
 @lru_cache(maxsize=None)
+def _descent(n: int) -> tuple[dict[int, int], ...]:
+    """Per edge count m, {canonical mask: automorphism group size} over the
+    connected graphs on n vertices, by edge-deletion descent from K_n.
+
+    Each representative at level m loses, in turn, every edge that is not a
+    bridge; the child's canonical key is its minimum orbit image and |Aut| is
+    the number of images equal to that key.  The levels are complete: adding
+    any missing edge to a connected graph gives a connected graph in which
+    that edge is not a bridge, so every class at level m - 1 is a child of
+    some representative at level m.
+    """
+    top = comb(n, 2)
+    levels: list[dict[int, int]] = [{} for _ in range(top + 1)]
+    levels[top] = {(1 << top) - 1: factorial(n)}
+    for m in range(top, 0, -1):
+        below = levels[m - 1]
+        for mask in levels[m]:
+            bits = [k for k in range(top) if (mask >> k) & 1]
+            cut = set(bridges(canon.mask_to_graph(n, mask)))
+            for i, k in enumerate(bits):
+                if i in cut:
+                    continue
+                images = canon.orbit_images(n, mask & ~(1 << k))
+                key = int(images.min())
+                if key not in below:
+                    below[key] = int((images == key).sum())
+    return tuple(levels)
+
+
 def _graph_orbits(n: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """(canonical masks, automorphism group sizes, labeled connected count)."""
+    """(canonical masks, automorphism group sizes, labeled connected count);
+    the labeled count is the sum of n!/|Aut| by orbit-stabilizer."""
     _check_enum_guard(n)
-    num_pairs = comb(n, 2)
-    if not 0 <= m <= num_pairs:
+    if not 0 <= m <= comb(n, 2):
         raise ValueError(f"no graphs with n={n}, m={m}")
-    table = _connectivity_table(n)
-    all_masks = np.nonzero(table == 1)[0]
-    pops = np.bitwise_count(all_masks.astype(np.int64))
-    cand = all_masks[pops == m]
-    labeled = int(len(cand))
-    seen: set[int] = set()
-    reps: list[int] = []
-    auts: list[int] = []
-    for mask in cand:
-        mask = int(mask)
-        if mask in seen:
-            continue
-        images = canon.orbit_images(n, mask)
-        uniq = np.unique(images)
-        stab = int((images == mask).sum())
-        assert len(uniq) * stab == factorial(n)
-        seen.update(int(x) for x in uniq)
-        reps.append(int(uniq[0]))
-        auts.append(stab)
-    order = sorted(range(len(reps)), key=lambda i: reps[i])
-    return (
-        tuple(reps[i] for i in order),
-        tuple(auts[i] for i in order),
-        labeled,
-    )
+    level = _descent(n)[m]
+    reps = tuple(sorted(level))
+    auts = tuple(level[mask] for mask in reps)
+    return reps, auts, sum(factorial(n) // a for a in auts)
 
 
 def enumerate_graphs(n: int, m: int) -> list[SimpleGraph]:
@@ -129,7 +99,8 @@ def enumerate_graphs(n: int, m: int) -> list[SimpleGraph]:
 
 
 def labeled_connected_count(n: int, m: int) -> int:
-    """Number of labeled connected graphs (direct sweep; completeness oracle)."""
+    """Number of labeled connected graphs: the sum of n!/|Aut| over the class
+    representatives (orbit-stabilizer)."""
     return _graph_orbits(n, m)[2]
 
 
@@ -189,19 +160,12 @@ class UniformVerdict:
             "witness": str(self.witness),
         }
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "UniformVerdict":
-        if doc["verdict"] == "winner":
-            return cls(winner=int(doc["winner_index"]))
-        return cls(winner=None, rival=int(doc["rival_index"]), witness=Fraction(doc["witness"]))
-
 
 @dataclass
 class ClassLedger:
     """Everything computed for one (n, m) class: representatives with exact
     signatures, the split-equivalence partition, the failed-edge refinement
-    chain with its early-stop level, the locally-most set, and (once decided)
-    the uniform verdict."""
+    chain with its early-stop level and the locally-most set."""
 
     n: int
     m: int
@@ -212,11 +176,9 @@ class ClassLedger:
     early_stop_level: int
     locally_most: list[int]
     labeled_connected: int
-    uniform: Optional[UniformVerdict] = None
 
     def to_json_dict(self) -> dict:
         return {
-            "format_version": FORMAT_VERSION,
             "n": self.n,
             "m": self.m,
             "members": [to_json_dict(g) for g in self.members],
@@ -226,30 +188,7 @@ class ClassLedger:
             "early_stop_level": self.early_stop_level,
             "locally_most": self.locally_most,
             "labeled_connected": self.labeled_connected,
-            "uniform": None if self.uniform is None else self.uniform.to_json_dict(),
         }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "ClassLedger":
-        members = [from_json_dict(d) for d in doc["members"]]
-        n, m = int(doc["n"]), int(doc["m"])
-        sigs = [
-            SplitSignature(n, m, tuple(int(c) for c in row)) for row in doc["signatures"]
-        ]
-        return cls(
-            n=n,
-            m=m,
-            members=members,
-            signatures=sigs,
-            equivalence_classes=[list(map(int, c)) for c in doc["equivalence_classes"]],
-            chain_levels=[list(map(int, c)) for c in doc["chain_levels"]],
-            early_stop_level=int(doc["early_stop_level"]),
-            locally_most=list(map(int, doc["locally_most"])),
-            labeled_connected=int(doc["labeled_connected"]),
-            uniform=None
-            if doc.get("uniform") is None
-            else UniformVerdict.from_json_dict(doc["uniform"]),
-        )
 
     def to_csv(self) -> str:
         """One row per representative for spreadsheet inspection."""
@@ -298,15 +237,8 @@ def refine_members(
     return levels, stop
 
 
-def refine_chain(
-    n: int,
-    m: int,
-    cache_dir: Optional[Path | str] = None,
-) -> ClassLedger:
+def refine_chain(n: int, m: int) -> ClassLedger:
     """Full class ledger for (n, m): enumerate, classify signatures, refine."""
-    cached = _load_ledger(cache_dir, n, m)
-    if cached is not None:
-        return cached
     _check_enum_guard(n)
     reps, _, labeled = _graph_orbits(n, m)
     members: list[TwoTerminalGraph] = []
@@ -322,7 +254,7 @@ def refine_chain(
     for i, sig in enumerate(signatures):
         by_sig.setdefault(sig.counts, []).append(i)
     eq_classes = sorted(by_sig.values(), key=lambda c: c[0])
-    ledger = ClassLedger(
+    return ClassLedger(
         n=n,
         m=m,
         members=members,
@@ -332,17 +264,10 @@ def refine_chain(
         early_stop_level=stop,
         locally_most=levels[-1],
         labeled_connected=labeled,
-        uniform=None,
     )
-    _store_ledger(cache_dir, ledger)
-    return ledger
 
 
-def uniform_check(
-    n: int,
-    m: int,
-    cache_dir: Optional[Path | str] = None,
-) -> UniformVerdict:
+def uniform_check(n: int, m: int) -> UniformVerdict:
     """Decide whether the class has a uniformly most split reliable graph.
 
     Any winner must be locally most (dominance near p=1 is necessary), so the
@@ -350,9 +275,7 @@ def uniform_check(
     rival signature, most promising first (lexicographically largest
     N-vector, the likely near-0 refuter).
     """
-    ledger = refine_chain(n, m, cache_dir)
-    if ledger.uniform is not None:
-        return ledger.uniform
+    ledger = refine_chain(n, m)
     candidate_idx = ledger.locally_most[0]
     cand_sig = ledger.signatures[candidate_idx]
     cand_poly = sr_polynomial(cand_sig)
@@ -361,18 +284,14 @@ def uniform_check(
         key=lambda cls: ledger.signatures[cls[0]].counts,
         reverse=True,
     )
-    verdict = UniformVerdict(winner=candidate_idx)
     for cls in rivals:
         sig = ledger.signatures[cls[0]]
         if sig.counts == cand_sig.counts:
             continue
         res = dominates_on_unit_interval(cand_poly, sr_polynomial(sig))
         if not res.dominates:
-            verdict = UniformVerdict(winner=None, rival=cls[0], witness=res.witness)
-            break
-    ledger.uniform = verdict
-    _store_ledger(cache_dir, ledger)
-    return verdict
+            return UniformVerdict(winner=None, rival=cls[0], witness=res.witness)
+    return UniformVerdict(winner=candidate_idx)
 
 
 def balloon_member_index(ledger: ClassLedger) -> int:
@@ -388,13 +307,11 @@ def balloon_member_index(ledger: ClassLedger) -> int:
     raise AssertionError("two-terminal balloon not found among representatives")
 
 
-def verify_balloon_characterization(
-    n: int, m: int, cache_dir: Optional[Path | str] = None
-) -> dict:
+def verify_balloon_characterization(n: int, m: int) -> dict:
     """Check that the locally-most set is exactly the split-equivalence class
     of the two-terminal balloon, and that the refinement's early stop was a
     genuine all-equivalent level."""
-    ledger = refine_chain(n, m, cache_dir)
+    ledger = refine_chain(n, m)
     bidx = balloon_member_index(ledger)
     balloon_sig = ledger.signatures[bidx]
     direct = [
@@ -432,34 +349,3 @@ def near_zero_refuter(
     )
     return best, order, idx
 
-
-# ---------------------------------------------------------------------------
-# cache
-
-def _ledger_path(cache_dir: Path | str, n: int, m: int) -> Path:
-    return Path(cache_dir) / f"ledger_v{FORMAT_VERSION}_n{n}_m{m}.json"
-
-
-def _load_ledger(cache_dir: Optional[Path | str], n: int, m: int) -> Optional[ClassLedger]:
-    if cache_dir is None:
-        return None
-    path = _ledger_path(cache_dir, n, m)
-    if not path.exists():
-        return None
-    try:
-        doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    if doc.get("format_version") != FORMAT_VERSION:
-        return None  # stale versions are ignored, never migrated
-    return ClassLedger.from_json_dict(doc)
-
-
-def _store_ledger(cache_dir: Optional[Path | str], ledger: ClassLedger) -> None:
-    if cache_dir is None:
-        return
-    path = _ledger_path(cache_dir, ledger.n, ledger.m)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(json.dumps(ledger.to_json_dict()))
-    tmp.replace(path)

@@ -55,24 +55,6 @@ def in_dense_extended(n: int, m: int) -> bool:
     return n >= 3 and comb(n - 1, 2) + 2 <= m <= comb(n, 2)
 
 
-@dataclass(frozen=True)
-class ClassIndex:
-    n: int
-    m: int
-
-    @property
-    def in_I(self) -> bool:
-        return in_I(self.n, self.m)
-
-    @property
-    def in_I0(self) -> bool:
-        return in_I0(self.n, self.m)
-
-    @property
-    def in_I1(self) -> bool:
-        return in_I1(self.n, self.m)
-
-
 def _require_in_I(n: int, m: int) -> None:
     if not in_I(n, m):
         raise ValueError(f"(n, m)=({n},{m}) is outside the index set I")

@@ -423,11 +423,33 @@ def to_json_dict(g: SimpleGraph | TwoTerminalGraph) -> dict:
     return {"n": g.n, "edges": [[u, v] for u, v in g.edges]}
 
 
+def _parse_int(value, field: str) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{field}: expected an integer, got {value!r}") from None
+
+
+def _parse_pair(value, field: str) -> tuple[int, int]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"{field}: expected a pair of vertices, got {value!r}")
+    return _parse_int(value[0], field), _parse_int(value[1], field)
+
+
 def from_json_dict(doc: dict) -> SimpleGraph | TwoTerminalGraph:
-    g = SimpleGraph(int(doc["n"]), tuple((int(u), int(v)) for u, v in doc["edges"]))
+    """Parse a graph document; a missing or malformed field raises ValueError
+    naming it."""
+    if not isinstance(doc, dict):
+        raise ValueError("graph document: expected a JSON object")
+    for key in ("n", "edges"):
+        if key not in doc:
+            raise ValueError(f"graph document: missing field {key!r}")
+    if not isinstance(doc["edges"], list):
+        raise ValueError("edges: expected a list of vertex pairs")
+    edges = tuple(_parse_pair(e, f"edges[{i}]") for i, e in enumerate(doc["edges"]))
+    g = SimpleGraph(_parse_int(doc["n"], "n"), edges)
     if doc.get("terminals") is not None:
-        s, t = doc["terminals"]
-        return TwoTerminalGraph(g, int(s), int(t))
+        return TwoTerminalGraph(g, *_parse_pair(doc["terminals"], "terminals"))
     return g
 
 
@@ -441,14 +463,22 @@ def to_text(g: SimpleGraph | TwoTerminalGraph) -> str:
 
 
 def from_text(text: str) -> SimpleGraph | TwoTerminalGraph:
+    """Parse the compact form: a header "n m", exactly m edge lines, and an
+    optional last line "T s t"; a malformed line raises ValueError naming it."""
     rows = [ln.split() for ln in text.strip().splitlines() if ln.strip()]
-    n, m = int(rows[0][0]), int(rows[0][1])
-    edges = tuple((int(r[0]), int(r[1])) for r in rows[1 : 1 + m])
-    g = SimpleGraph(n, edges)
-    rest = rows[1 + m :]
-    if rest and rest[0][0].upper() == "T":
-        return TwoTerminalGraph(g, int(rest[0][1]), int(rest[0][2]))
-    return g
+    if not rows:
+        raise ValueError("text graph: empty document")
+    if len(rows[0]) != 2:
+        raise ValueError(f"header: expected 'n m', got {' '.join(rows[0])!r}")
+    n, m = (_parse_int(x, "header") for x in rows[0])
+    body = rows[1:]
+    terminals = None
+    if body and body[-1][0].upper() == "T":
+        terminals = _parse_pair(body.pop()[1:], "terminal line")
+    if len(body) != m:
+        raise ValueError(f"header: declares m={m} edges but {len(body)} edge lines follow")
+    g = SimpleGraph(n, tuple(_parse_pair(r, f"edge line {i + 1}") for i, r in enumerate(body)))
+    return g if terminals is None else TwoTerminalGraph(g, *terminals)
 
 
 def loads(text: str) -> SimpleGraph | TwoTerminalGraph:

@@ -1,12 +1,11 @@
-import os
 import random
+from functools import lru_cache
 from itertools import combinations
-from pathlib import Path
 from typing import Sequence
 
-import pytest
 from hypothesis import settings, strategies as st
 
+from splitrel import canon
 from splitrel.counting import SubsetClassification
 from splitrel.graphs import Edge, SimpleGraph, TwoTerminalGraph, is_connected
 
@@ -15,16 +14,6 @@ settings.register_profile(
     "deterministic", derandomize=True, max_examples=40, deadline=None, database=None
 )
 settings.load_profile("deterministic")
-
-
-@pytest.fixture(scope="session")
-def cache_dir():
-    """Ledger cache shared across the suite (and across runs)."""
-    root = os.environ.get("SPLITREL_CACHE") or str(
-        Path(__file__).resolve().parent.parent / ".splitrel-cache"
-    )
-    Path(root).mkdir(parents=True, exist_ok=True)
-    return root
 
 
 def random_connected_graph(rng: random.Random, n: int, m: int) -> SimpleGraph:
@@ -117,3 +106,42 @@ def classify_by_sweep(n: int, edges: Sequence[Edge]) -> SubsetClassification:
     return SubsetClassification(
         n, m, tuple(conn), {k: tuple(v) for k, v in sides.items()}
     )
+
+
+@lru_cache(maxsize=None)
+def orbits_by_sweep(n: int) -> dict[int, tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """Reference class enumeration: a connectivity test on every labeled edge
+    mask over the C(n,2) vertex pairs, deduplicated by orbit images.  Per edge
+    count m: (sorted canonical masks, automorphism group sizes, labeled count)."""
+    pairs = canon.pair_list(n)
+    full = (1 << n) - 1
+    seen: set[int] = set()
+    auts: list[dict[int, int]] = [{} for _ in range(len(pairs) + 1)]
+    labeled = [0] * (len(pairs) + 1)
+    for mask in range(1 << len(pairs)):
+        adj = [0] * n
+        for k, (u, v) in enumerate(pairs):
+            if (mask >> k) & 1:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        reached = frontier = 1
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            new = adj[low.bit_length() - 1] & ~reached
+            reached |= new
+            frontier |= new
+        if reached != full:
+            continue
+        m = mask.bit_count()
+        labeled[m] += 1
+        if mask in seen:
+            continue
+        images = [int(x) for x in canon.orbit_images(n, mask)]
+        seen.update(images)
+        key = min(images)
+        auts[m][key] = images.count(key)
+    return {
+        m: (tuple(sorted(a)), tuple(a[k] for k in sorted(a)), labeled[m])
+        for m, a in enumerate(auts)
+    }

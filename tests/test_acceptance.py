@@ -2,8 +2,8 @@
 documented statistical tolerance of the Monte Carlo check.  Each test prints
 one pass/fail line; run with `pytest tests/test_acceptance.py -v -s`.
 
-The expensive artifact is the n = 7 table; ledgers are cached on disk (see
-conftest.cache_dir), so reruns are fast.
+The expensive artifact is the n = 7 table; every verdict is recomputed in the
+run that checks it (nothing is read from disk).
 """
 
 import random
@@ -64,10 +64,8 @@ def _line(criterion: int, ok: bool, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def verdict_table(cache_dir):
-    return {
-        (n, m): uniform_check(n, m, cache_dir) for n, m in I_CLASSES
-    }
+def verdict_table():
+    return {(n, m): uniform_check(n, m) for n, m in I_CLASSES}
 
 
 def test_criterion_01_existence_table(verdict_table):
@@ -89,18 +87,18 @@ def test_criterion_01_existence_table(verdict_table):
     )
 
 
-def test_criterion_02_locally_most_is_balloon_class(cache_dir, verdict_table):
+def test_criterion_02_locally_most_is_balloon_class(verdict_table):
     bad = []
     for n, m in I_CLASSES:
-        res = verify_balloon_characterization(n, m, cache_dir)
+        res = verify_balloon_characterization(n, m)
         if not res["ok"]:
             bad.append((n, m, res))
     _line(2, not bad, f"locally-most class equals the balloon class for all "
                       f"{len(I_CLASSES)} classes; failures={bad}")
 
 
-def test_criterion_03_nonexistence_witnesses(cache_dir, verdict_table):
-    rep = check_thm3(cache_dir)
+def test_criterion_03_nonexistence_witnesses(verdict_table):
+    rep = check_thm3()
     detail = {m: rep.details.get(str(m), {}) for m in (7, 8, 9)}
     _line(3, rep.status == "pass", f"n=7, m in 7..9: crossing witnesses with "
                                    f"near-zero index 5: {detail}")

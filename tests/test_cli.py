@@ -91,31 +91,31 @@ def test_enumerate_command(capsys):
     assert json.loads(out)["count"] == 6
 
 
-def test_refine_csv(capsys, tmp_path):
-    code, out = run(capsys, "refine", "4", "4", "--format", "csv", "--cache", str(tmp_path))
+def test_refine_csv(capsys):
+    code, out = run(capsys, "refine", "4", "4", "--format", "csv")
     assert code == 0
     assert out.splitlines()[0].startswith("index,")
 
 
-def test_locally_most(capsys, tmp_path):
-    code, out = run(capsys, "locally-most", "4", "4", "--cache", str(tmp_path))
+def test_locally_most(capsys):
+    code, out = run(capsys, "locally-most", "4", "4")
     assert code == 0
     doc = json.loads(out)
     assert doc["class_size"] == 1
 
 
-def test_uniform_check_winner_and_none(capsys, tmp_path):
-    code, out = run(capsys, "uniform-check", "5", "7", "--cache", str(tmp_path))
+def test_uniform_check_winner_and_none(capsys):
+    code, out = run(capsys, "uniform-check", "5", "7")
     assert code == 0 and out.startswith("WINNER")
-    code, out = run(capsys, "uniform-check", "6", "8", "--cache", str(tmp_path))
+    code, out = run(capsys, "uniform-check", "6", "8")
     assert code == 0 and out.startswith("NONE")
     doc = json.loads(out.split("\n", 1)[1])
     assert doc["verdict"] == "none" and "witness" in doc
 
 
-def test_uniform_check_deterministic_output(capsys, tmp_path):
-    _, out1 = run(capsys, "uniform-check", "4", "5", "--cache", str(tmp_path))
-    _, out2 = run(capsys, "uniform-check", "4", "5", "--cache", str(tmp_path))
+def test_uniform_check_deterministic_output(capsys):
+    _, out1 = run(capsys, "uniform-check", "4", "5")
+    _, out2 = run(capsys, "uniform-check", "4", "5")
     assert out1 == out2
 
 
@@ -156,6 +156,27 @@ def test_validation_exit_code(capsys, tmp_path):
     plain = tmp_path / "plain.json"
     plain.write_text(json.dumps({"n": 3, "edges": [[0, 1], [0, 2], [1, 2]]}))
     assert main(["t2", str(plain)]) == 1
+
+
+K3 = '{"n": 3, "edges": [[0, 1], [0, 2], [1, 2]], "terminals": [0, 1]}'
+
+
+@pytest.mark.parametrize(
+    "content, argv, field",
+    [
+        ('{"n": 3}', ["trees", "{path}"], "'edges'"),
+        (K3, ["sr-eval", "{path}", "1/0"], "p:"),
+        (K3.replace("[0, 1]}", "[0]}"), ["t2", "{path}"], "terminals:"),
+        ("3 5\n0 1\n", ["trees", "{path}"], "header:"),
+    ],
+)
+def test_malformed_input_exit_code(capsys, tmp_path, content, argv, field):
+    path = tmp_path / "graph"
+    path.write_text(content)
+    assert main([a.format(path=path) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1 and field in err
 
 
 def test_mc_estimate_deterministic(capsys, k3_file):

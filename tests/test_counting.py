@@ -2,6 +2,7 @@
 vectors, tree counts, the bipartition oracle, deletion/contraction, Monte
 Carlo."""
 
+import os
 import random
 from itertools import combinations
 from math import comb
@@ -263,3 +264,36 @@ def test_monte_carlo_close_to_exact():
 def test_classify_rejects_oversized():
     with pytest.raises(GuardError, match="n=17"):
         classify_subsets(path_n(17))
+
+
+def test_monte_carlo_worker_count_is_capped(monkeypatch):
+    # a stand-in pool records its size and runs the blocks in this process
+    import concurrent.futures
+
+    from splitrel import counting
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(counting, "_MC_BLOCK", 100)
+    g = TwoTerminalGraph(k_n(3), 0, 1)
+    want = monte_carlo_sr(g, "1/3", 300, RandomSource(7))  # three blocks
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert monte_carlo_sr(g, "1/3", 300, RandomSource(7), jobs=64) == want
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert monte_carlo_sr(g, "1/3", 300, RandomSource(7), jobs=64) == want
+    monte_carlo_sr(g, "1/3", 100, RandomSource(7), jobs=64)  # one block: no pool
+    assert sizes == [2, 3]

@@ -205,7 +205,7 @@ def test_polynomial_json_round_trip():
     assert ExactPolynomial.from_json_list(poly.to_json_list()) == poly
 
 
-def test_comparators_match_exact_evaluation_on_all_small_classes(cache_dir):
+def test_comparators_match_exact_evaluation_on_all_small_classes():
     """Lexicographic comparators agree with exact evaluation at 10^-12 from
     either endpoint, on every pair of every class with n <= 6."""
     from math import comb
@@ -216,7 +216,7 @@ def test_comparators_match_exact_evaluation_on_all_small_classes(cache_dir):
     for n in range(3, 7):
         lo = max(n - 1, 2)
         for m in range(lo, comb(n, 2) + 1):
-            ledger = refine_chain(n, m, cache_dir)
+            ledger = refine_chain(n, m)
             polys = [sr_polynomial(s) for s in ledger.signatures]
             near0 = [evaluate(p, eps) for p in polys]
             near1 = [evaluate(p, 1 - eps) for p in polys]
@@ -250,7 +250,7 @@ def _grid_refutes(d, denom=10**4) -> bool:
     return False
 
 
-def test_dominance_agrees_with_dense_sampling(cache_dir):
+def test_dominance_agrees_with_dense_sampling():
     """Sampling can only refute: wherever the grid finds a negative value the
     decision must be a crossing, and a dominance verdict admits no negative
     sample.  All pairs for n <= 4; candidate-vs-rival plus a seeded sample for
@@ -263,12 +263,12 @@ def test_dominance_agrees_with_dense_sampling(cache_dir):
     pairs = []
     for n in (3, 4):
         for m in range(n, comb(n, 2) + 1):
-            ledger = refine_chain(n, m, cache_dir)
+            ledger = refine_chain(n, m)
             polys = [sr_polynomial(s) for s in ledger.signatures]
             pairs += [(a, b) for a in polys for b in polys]
     for n in (5, 6):
         for m in range(n, comb(n, 2) + 1):
-            ledger = refine_chain(n, m, cache_dir)
+            ledger = refine_chain(n, m)
             polys = [sr_polynomial(s) for s in ledger.signatures]
             cand = polys[ledger.locally_most[0]]
             rivals = polys if n == 5 else rng.sample(polys, min(4, len(polys)))
