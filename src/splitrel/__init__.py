@@ -42,8 +42,6 @@ from .signature import (
     ExactPolynomial,
     Ordering,
     SplitSignature,
-    bernstein_coefficients,
-    bernstein_to_power,
     compare_near_one,
     compare_near_zero,
     dominates_on_unit_interval,

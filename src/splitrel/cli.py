@@ -38,10 +38,14 @@ def _load_graph(path: str):
 
 
 def _rational(text: str) -> Fraction:
+    """Parse an edge survival probability p, a rational in [0, 1]."""
     try:
-        return Fraction(text)
+        p = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"p: expected a rational like 1/2 or 0.25, got {text!r}") from None
+    if not 0 <= p <= 1:
+        raise ValueError(f"p: must lie in [0, 1], got {text!r}")
+    return p
 
 
 def _require_two_terminal(g) -> graphs.TwoTerminalGraph:

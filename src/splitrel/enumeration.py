@@ -36,7 +36,6 @@ from .signature import (
     SplitSignature,
     compare_near_zero_index,
     dominates_on_unit_interval,
-    sr_polynomial,
 )
 
 ENUM_GUARD_N = 7
@@ -278,7 +277,6 @@ def uniform_check(n: int, m: int) -> UniformVerdict:
     ledger = refine_chain(n, m)
     candidate_idx = ledger.locally_most[0]
     cand_sig = ledger.signatures[candidate_idx]
-    cand_poly = sr_polynomial(cand_sig)
     rivals = sorted(
         ledger.equivalence_classes,
         key=lambda cls: ledger.signatures[cls[0]].counts,
@@ -288,7 +286,7 @@ def uniform_check(n: int, m: int) -> UniformVerdict:
         sig = ledger.signatures[cls[0]]
         if sig.counts == cand_sig.counts:
             continue
-        res = dominates_on_unit_interval(cand_poly, sr_polynomial(sig))
+        res = dominates_on_unit_interval(cand_sig.counts, sig.counts)
         if not res.dominates:
             return UniformVerdict(winner=None, rival=cls[0], witness=res.witness)
     return UniformVerdict(winner=candidate_idx)

@@ -1,11 +1,11 @@
 """Split-reliability signatures and exact polynomial algebra.
 
 A signature holds the exact split-subgraph counts N_0..N_m of a two-terminal
-graph; F_i = N_{m-i} is the failed-edge view.  Polynomials carry exact
-rational coefficients in the power basis, with lossless conversion to any
-sufficiently high-degree Bernstein basis.  The dominance decision on [0,1] is
-fully exact: a Bernstein nonnegativity fast path, then Sturm-sequence root
-isolation with rational sign evaluations.  No floating point anywhere.
+graph; F_i = N_{m-i} is the failed-edge view.  Since
+SR(p) = sum_i N_i p^i (1-p)^(m-i), the counts are an unnormalised Bernstein
+vector, and the dominance decision on [0, 1] runs on integer count vectors;
+only its Sturm fallback and `evaluate` use rational power-basis polynomials.
+No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -58,9 +58,6 @@ class ExactPolynomial:
             ]
         )
 
-    def __sub__(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        return self + other.scale(-1)
-
     def __mul__(self, other: "ExactPolynomial") -> "ExactPolynomial":
         if self.is_zero() or other.is_zero():
             return ExactPolynomial.zero()
@@ -80,13 +77,6 @@ class ExactPolynomial:
         if self.is_zero():
             return self
         return ExactPolynomial((Fraction(0),) * k + self.coefficients)
-
-    def to_json_list(self) -> list[str]:
-        return [str(c) for c in self.coefficients]
-
-    @classmethod
-    def from_json_list(cls, items: Sequence[str]) -> "ExactPolynomial":
-        return cls.make([Fraction(s) for s in items])
 
 
 def evaluate(poly: ExactPolynomial, p) -> Fraction:
@@ -191,38 +181,6 @@ def split_equivalent(a: SplitSignature, b: SplitSignature) -> bool:
 def sr_polynomial(sig: SplitSignature) -> ExactPolynomial:
     """The split reliability polynomial of a signature, in the power basis."""
     return survival_polynomial(sig.counts, sig.m)
-
-
-# ---------------------------------------------------------------------------
-# Bernstein basis
-
-def bernstein_coefficients(poly: ExactPolynomial, degree: int) -> list[Fraction]:
-    """Coefficients of poly in the Bernstein basis of the given degree.
-
-    Lossless for degree >= poly.degree; raises otherwise.
-    """
-    if degree < poly.degree:
-        raise ValueError("Bernstein degree must be at least the polynomial degree")
-    a = poly.coefficients
-    out = []
-    for j in range(degree + 1):
-        c = Fraction(0)
-        for i in range(min(j, len(a) - 1) + 1):
-            if a and a[i]:
-                c += a[i] * Fraction(comb(j, i), comb(degree, i))
-        out.append(c)
-    return out
-
-
-def bernstein_to_power(coeffs: Sequence[Fraction], degree: int) -> ExactPolynomial:
-    """Inverse of bernstein_coefficients (exact round trip)."""
-    total = ExactPolynomial.zero()
-    for j, c in enumerate(coeffs):
-        if c:
-            basis = [comb(degree - j, k) * (-1) ** k for k in range(degree - j + 1)]
-            term = ExactPolynomial.make(basis).shift_up(j).scale(Fraction(c) * comb(degree, j))
-            total = total + term
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -435,38 +393,62 @@ def _deflate_endpoints(d: ExactPolynomial) -> tuple[ExactPolynomial, int, int]:
     return ExactPolynomial.make(coeffs), v0, v1
 
 
-_PRESAMPLE = [Fraction(k, 64) for k in range(1, 64)] + [
-    Fraction(1, 1024),
-    Fraction(1023, 1024),
-]
+# Refutation points k/q, in the order their witnesses are reported.
+_PRESAMPLE = [(k, 64) for k in range(1, 64)] + [(1, 1024), (1023, 1024)]
 
 _BERNSTEIN_LIFT = 10
+_LIFT_BINOMIALS = [comb(_BERNSTEIN_LIFT, k) for k in range(_BERNSTEIN_LIFT + 1)]
 
 
-def dominates_on_unit_interval(
-    a: ExactPolynomial, b: ExactPolynomial, use_fast_paths: bool = True
-) -> DominanceVerdict:
-    """Decide exactly whether a(p) >= b(p) for all p in [0, 1].
+def _scaled_value(d: Sequence[int], k: int, q: int) -> int:
+    """q^m times sum_i d_i x^i (1-x)^(m-i) at x = k/q (homogeneous Horner)."""
+    acc, rest, rest_pow = 0, q - k, 1
+    for c in reversed(d):
+        acc = acc * k + c * rest_pow
+        rest_pow *= rest
+    return acc
 
-    Fast paths: rational sampling for quick refutation, then Bernstein
-    coefficient nonnegativity after degree elevation.  Complete path: Sturm
-    isolation of the real roots of the difference in (0,1), with exact sign
-    evaluations between consecutive roots.  `use_fast_paths=False` forces the
-    complete path (the two must agree; tested).
+
+def _lifted(d: Sequence[int]) -> list[int]:
+    """The count vector of the same polynomial over m + _BERNSTEIN_LIFT edges:
+    c_j = sum_i d_i * C(lift, j - i)."""
+    out = [0] * (len(d) + _BERNSTEIN_LIFT)
+    for i, c in enumerate(d):
+        if c:
+            for k, w in enumerate(_LIFT_BINOMIALS):
+                out[i + k] += c * w
+    return out
+
+
+def dominates_on_unit_interval(a: Sequence[int], b: Sequence[int]) -> DominanceVerdict:
+    """Decide exactly whether SR_a(p) >= SR_b(p) for all p in [0, 1], where
+    a and b are count vectors N_0..N_m of one class.
+
+    On the integer difference d = a - b: d_0 and d_m are the endpoint
+    values, the presample refutes, and nonnegative coefficients after degree
+    elevation certify.  What is left goes to Sturm root isolation.
     """
-    d = a - b
-    if d.is_zero():
+    if len(a) != len(b):
+        raise ValueError(f"count vectors of different lengths: {len(a)} vs {len(b)}")
+    d = [x - y for x, y in zip(a, b)]
+    if not any(d):
         return DominanceVerdict(True, None)
-    if evaluate(d, 0) < 0:
+    if d[0] < 0:
         return DominanceVerdict(False, Fraction(0))
-    if evaluate(d, 1) < 0:
+    if d[-1] < 0:
         return DominanceVerdict(False, Fraction(1))
-    if use_fast_paths:
-        for x in _PRESAMPLE:
-            if evaluate(d, x) < 0:
-                return DominanceVerdict(False, x)
-        if all(c >= 0 for c in bernstein_coefficients(d, d.degree + _BERNSTEIN_LIFT)):
-            return DominanceVerdict(True, None)
+    for k, q in _PRESAMPLE:
+        if _scaled_value(d, k, q) < 0:
+            return DominanceVerdict(False, Fraction(k, q))
+    if all(c >= 0 for c in _lifted(d)):
+        return DominanceVerdict(True, None)
+    return _sturm_dominance(survival_polynomial(d, len(d) - 1))
+
+
+def _sturm_dominance(d: ExactPolynomial) -> DominanceVerdict:
+    """Complete decision of d(p) >= 0 on [0, 1]: Sturm isolation of the real
+    roots of d in (0, 1), with exact sign evaluations between consecutive
+    roots."""
     e, _, _ = _deflate_endpoints(d)
     if e.degree <= 0:
         val = e.coefficients[0] if e.coefficients else Fraction(0)

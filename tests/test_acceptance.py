@@ -68,12 +68,34 @@ def verdict_table():
     return {(n, m): uniform_check(n, m) for n, m in I_CLASSES}
 
 
+# (rival index, witness) of every no-winner class, as the dominance decision
+# reports them: each refutation is the first presample point, 1/64
+NO_WINNER_WITNESSES = {
+    (6, 6): (30, "1/64"),
+    (6, 8): (116, "1/64"),
+    (7, 7): (246, "1/64"),
+    (7, 8): (506, "1/64"),
+    (7, 9): (678, "1/64"),
+    (7, 10): (526, "1/64"),
+    (7, 11): (1190, "1/64"),
+    (7, 12): (1156, "1/64"),
+    (7, 13): (629, "1/64"),
+}
+
+
 def test_criterion_01_existence_table(verdict_table):
     mismatches = []
     for (n, m), verdict in verdict_table.items():
         got = verdict.winner is not None
         if got != _expected_winner(n, m):
             mismatches.append((n, m, got))
+    witnesses = {
+        key: (verdict.rival, str(verdict.witness))
+        for key, verdict in verdict_table.items()
+        if verdict.winner is None
+    }
+    if witnesses != NO_WINNER_WITNESSES:
+        mismatches.append(("witnesses", witnesses))
     # tree classes are settled separately (the path with endpoint terminals
     # is the unique winner); recorded by citation, spot-confirmed in the
     # enumeration tests rather than recomputed here

@@ -168,6 +168,7 @@ K3 = '{"n": 3, "edges": [[0, 1], [0, 2], [1, 2]], "terminals": [0, 1]}'
         (K3, ["sr-eval", "{path}", "1/0"], "p:"),
         (K3.replace("[0, 1]}", "[0]}"), ["t2", "{path}"], "terminals:"),
         ("3 5\n0 1\n", ["trees", "{path}"], "header:"),
+        (K3, ["sr-eval", "{path}", "2"], "p: must lie in [0, 1], got '2'"),
     ],
 )
 def test_malformed_input_exit_code(capsys, tmp_path, content, argv, field):
