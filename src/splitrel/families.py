@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb, isqrt
-from typing import Optional
 
-from . import canon
 from .counting import (
     connected_coefficients,
     split_coefficients,
@@ -85,18 +83,11 @@ def balloon(n: int, m: int) -> SimpleGraph:
 def two_terminal_balloon(n: int, m: int) -> TwoTerminalGraph:
     """The balloon equipped with a diametral terminal pair.
 
-    All diametral pairs give isomorphic two-terminal graphs; ties are broken
-    by minimal canonical form, then lowest pair, so serialization is fixed.
+    All diametral pairs give isomorphic two-terminal graphs, so the lowest
+    pair is taken; no canonical search runs and serialization is fixed.
     """
     g = balloon(n, m)
-    best: Optional[tuple] = None
-    for u, v in eccentric_pairs(g):
-        cand = TwoTerminalGraph(g, u, v)
-        key = (canon.canonical_form(cand), (u, v))
-        if best is None or key < best[0]:
-            best = (key, cand)
-    assert best is not None
-    return best[1]
+    return TwoTerminalGraph(g, *eccentric_pairs(g)[0])
 
 
 def max_bridges(n: int, m: int) -> int:

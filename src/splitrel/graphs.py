@@ -237,48 +237,42 @@ def bridges(g: SimpleGraph) -> list[int]:
     return sorted(out)
 
 
-def edge_connectivity(g: SimpleGraph) -> int:
-    """Exact edge connectivity, as the minimum crossing-edge count over all
-    vertex bipartitions (exhaustive; meant for the desk scale n <= ~14).
-
-    Precondition: g connected, n >= 2.
-    """
+def _min_cuts(g: SimpleGraph) -> tuple[int, int]:
+    """(lambda, number of vertex bipartitions whose cut has lambda edges): a
+    Gray-code sweep with vertex 0 fixed, one vertex moved per step."""
     if g.n < 2:
         raise ValueError("edge connectivity needs n >= 2")
     if not is_connected(g):
         raise ValueError("edge connectivity requires a connected graph")
-    n, m = g.n, g.m
-    best = m
-    # fix vertex 0 on one side; sweep the other n-1 memberships
-    for side in range(1, 1 << (n - 1)):
-        mask = side << 1  # vertex 0 always on the 0-side
-        cut = 0
-        for u, v in g.edges:
-            if ((mask >> u) & 1) != ((mask >> v) & 1):
-                cut += 1
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    side = cut = 0
+    best, count = g.m + 1, 0
+    for i in range(1, 1 << (g.n - 1)):
+        v = (i & -i).bit_length()  # Gray code flips vertex v; vertex 0 never moves
+        delta = adj[v].bit_count() - 2 * (adj[v] & side).bit_count()
+        cut += -delta if side >> v & 1 else delta
+        side ^= 1 << v
         if cut < best:
-            best = cut
-    return best
-
-
-def count_min_separators(g: SimpleGraph, guard: int = 10**7) -> int:
-    """Number of edge sets of size lambda(G) whose removal disconnects g.
-
-    Exhaustive over C(m, lambda) subsets; refuses when that exceeds `guard`.
-    """
-    from itertools import combinations
-    from math import comb
-
-    lam = edge_connectivity(g)
-    if comb(g.m, lam) > guard:
-        raise GuardError(f"C({g.m},{lam}) exceeds separator search guard {guard}")
-    all_idx = set(range(g.m))
-    count = 0
-    for removed in combinations(range(g.m), lam):
-        kept = all_idx.difference(removed)
-        if len(components(g, tuple(kept))) > 1:
+            best, count = cut, 1
+        elif cut == best:
             count += 1
-    return count
+    return best, count
+
+
+def edge_connectivity(g: SimpleGraph) -> int:
+    """Exact edge connectivity, the minimum cut over all 2^(n-1) vertex
+    bipartitions.  Precondition: g connected, n >= 2."""
+    return _min_cuts(g)[0]
+
+
+def count_min_separators(g: SimpleGraph) -> int:
+    """Number of edge sets of size lambda(G) whose removal disconnects g.  A
+    minimum disconnecting set leaves exactly two components, so it is the cut
+    of exactly one vertex bipartition."""
+    return _min_cuts(g)[1]
 
 
 def contract_edge(g: SimpleGraph, e: int) -> SimpleGraph:

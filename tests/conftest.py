@@ -1,13 +1,19 @@
 import random
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from typing import Sequence
 
 from hypothesis import settings, strategies as st
 
 from splitrel import canon
 from splitrel.counting import SubsetClassification
-from splitrel.graphs import Edge, SimpleGraph, TwoTerminalGraph, is_connected
+from splitrel.graphs import (
+    Edge,
+    SimpleGraph,
+    TwoTerminalGraph,
+    components,
+    is_connected,
+)
 
 # Property tests replay the same examples on every run.
 settings.register_profile(
@@ -108,12 +114,65 @@ def classify_by_sweep(n: int, edges: Sequence[Edge]) -> SubsetClassification:
     )
 
 
+def _relabeled_masks(n: int, edges: Sequence[Edge], perms) -> list[int]:
+    """Edge mask of the graph under each vertex relabeling in `perms`."""
+    idx = canon.pair_index_map(n)
+    out = []
+    for perm in perms:
+        mask = 0
+        for u, v in edges:
+            x, y = perm[u], perm[v]
+            mask |= 1 << idx[(x, y) if x < y else (y, x)]
+        out.append(mask)
+    return out
+
+
+def canonical_form_by_search(g: SimpleGraph | TwoTerminalGraph) -> canon.CanonicalForm:
+    """Reference canonical form by factorial search: the minimum mask over all
+    n! relabelings of a plain graph, or over the 2 (n-2)! relabelings that map
+    the terminal pair onto {0, 1} (both orders) of a two-terminal graph."""
+    if isinstance(g, TwoTerminalGraph):
+        graph = g.graph
+        n = graph.n
+        others = [v for v in range(n) if v not in (g.s, g.t)]
+        perms = []
+        for a, b in ((g.s, g.t), (g.t, g.s)):
+            for rest in permutations(range(2, n)):
+                perm = [0] * n
+                perm[a] = 0
+                perm[b] = 1
+                for v, img in zip(others, rest):
+                    perm[v] = img
+                perms.append(perm)
+    else:
+        graph = g
+        perms = permutations(range(g.n))
+    return (graph.n, graph.m, min(_relabeled_masks(graph.n, graph.edges, perms)))
+
+
+def min_separators_by_search(g: SimpleGraph) -> tuple[int, int]:
+    """Reference (lambda, minimum-separator count) of a connected graph: test
+    every edge set of size 1, 2, ... until some size disconnects g."""
+    all_idx = set(range(g.m))
+    for lam in range(1, g.m + 1):
+        count = 0
+        for removed in combinations(range(g.m), lam):
+            kept = all_idx.difference(removed)
+            if len(components(g, tuple(kept))) > 1:
+                count += 1
+        if count:
+            return lam, count
+    raise ValueError("removing every edge leaves g connected")
+
+
 @lru_cache(maxsize=None)
 def orbits_by_sweep(n: int) -> dict[int, tuple[tuple[int, ...], tuple[int, ...], int]]:
     """Reference class enumeration: a connectivity test on every labeled edge
-    mask over the C(n,2) vertex pairs, deduplicated by orbit images.  Per edge
-    count m: (sorted canonical masks, automorphism group sizes, labeled count)."""
+    mask over the C(n,2) vertex pairs, deduplicated by orbit images found by
+    factorial search.  Per edge count m: (sorted canonical masks,
+    automorphism group sizes, labeled count)."""
     pairs = canon.pair_list(n)
+    perms = list(permutations(range(n)))
     full = (1 << n) - 1
     seen: set[int] = set()
     auts: list[dict[int, int]] = [{} for _ in range(len(pairs) + 1)]
@@ -137,7 +196,8 @@ def orbits_by_sweep(n: int) -> dict[int, tuple[tuple[int, ...], tuple[int, ...],
         labeled[m] += 1
         if mask in seen:
             continue
-        images = [int(x) for x in canon.orbit_images(n, mask)]
+        edges = [p for k, p in enumerate(pairs) if (mask >> k) & 1]
+        images = _relabeled_masks(n, edges, perms)
         seen.update(images)
         key = min(images)
         auts[m][key] = images.count(key)

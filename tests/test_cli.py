@@ -142,6 +142,14 @@ def test_guard_exit_code(capsys, tmp_path):
     assert "n=17" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [("two-terminal-balloon", "10", "20"), ("variant", "1", "10", "20")])
+def test_construction_needs_no_canonical_search(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["n"] == 10 and len(doc["edges"]) == 20
+
+
 def test_unknown_subcommand_exit_code(capsys):
     assert main(["no-such-command"]) == 1
     assert main(["balloon", "not-a-number", "4"]) == 1

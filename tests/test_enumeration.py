@@ -6,8 +6,9 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import cycle_n, orbits_by_sweep
+from conftest import canonical_form_by_search, connected_graphs, cycle_n, orbits_by_sweep
 from splitrel import canon
 from splitrel.counting import split_coefficients
 from splitrel.enumeration import (
@@ -99,6 +100,14 @@ def test_canonical_form_merges_automorphic_pairs():
     assert canon.canonical_form(TwoTerminalGraph(paw, 3, 1)) == canon.canonical_form(
         TwoTerminalGraph(paw, 3, 2)
     )
+
+
+@given(connected_graphs(min_n=2, max_n=8), st.data())
+def test_canonical_forms_match_search(g, data):
+    s, t = data.draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
+    h = TwoTerminalGraph(g, s, t)
+    assert canon.canonical_form(h) == canonical_form_by_search(h)
+    assert canon.canonical_form_graph(g) == canonical_form_by_search(g)
 
 
 def test_enumerate_two_terminal_counts():

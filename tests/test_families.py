@@ -30,9 +30,11 @@ from splitrel.families import (
 )
 from splitrel.graphs import (
     SimpleGraph,
+    TwoTerminalGraph,
     bridges,
     diameter,
     distance,
+    eccentric_pairs,
     edge_connectivity,
     min_degree,
     is_connected,
@@ -71,6 +73,14 @@ def test_balloon_recursive_case():
 
 
 def test_two_terminal_balloon_diametral():
+    # every diametral pair gives one two-terminal class, so the lowest is taken
+    for n in range(4, 10):
+        for m in range(n, comb(n, 2) + 1):
+            g = balloon(n, m)
+            pairs = eccentric_pairs(g)
+            keys = {canon.canonical_form(TwoTerminalGraph(g, u, v)) for u, v in pairs}
+            assert len(keys) == 1, (n, m)
+            assert two_terminal_balloon(n, m) == TwoTerminalGraph(g, *pairs[0]), (n, m)
     g = two_terminal_balloon(9, 15)
     assert distance(g.graph, g.s, g.t) == diameter(g.graph) == 5
     g44 = two_terminal_balloon(4, 4)

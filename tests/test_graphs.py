@@ -6,11 +6,10 @@ from math import comb
 
 import pytest
 
-from conftest import cycle_n, k_n, path_n, random_connected_graph
+from conftest import cycle_n, k_n, min_separators_by_search, path_n, random_connected_graph
 from splitrel.canon import canonical_form_graph, isomorphic
 from splitrel.families import balloon, two_terminal_balloon
 from splitrel.graphs import (
-    GuardError,
     SimpleGraph,
     TwoTerminalGraph,
     bridges,
@@ -157,9 +156,14 @@ def test_count_min_separators():
     assert count_min_separators(balloon(6, 12)) == 1
 
 
-def test_count_min_separators_guard():
-    with pytest.raises(GuardError):
-        count_min_separators(k_n(5), guard=3)
+def test_min_cuts_match_search():
+    from splitrel.enumeration import enumerate_graphs
+
+    for n in range(2, 7):
+        for m in range(n - 1, comb(n, 2) + 1):
+            for g in enumerate_graphs(n, m):
+                got = (edge_connectivity(g), count_min_separators(g))
+                assert got == min_separators_by_search(g), (n, m, g.edges)
 
 
 def test_contract_edge():
