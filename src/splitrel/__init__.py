@@ -39,7 +39,6 @@ from .counting import (
 )
 from .signature import (
     DominanceVerdict,
-    ExactPolynomial,
     Ordering,
     SplitSignature,
     compare_near_one,
@@ -48,7 +47,6 @@ from .signature import (
     evaluate,
     split_equivalent,
     sr_polynomial,
-    survival_polynomial,
 )
 from .families import (
     BalloonProfile,

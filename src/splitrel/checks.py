@@ -58,11 +58,7 @@ from .graphs import (
     edge_connectivity,
     skeleton,
 )
-from .signature import (
-    SplitSignature,
-    evaluate,
-    sr_polynomial,
-)
+from .signature import SplitSignature, evaluate
 
 
 @dataclass
@@ -194,9 +190,9 @@ def check_thm3() -> Report:
             failures.append({"m": m, "unexpected_winner": verdict.winner})
             continue
         cand = ledger.locally_most[0]
-        diff = evaluate(
-            sr_polynomial(ledger.signatures[verdict.rival]), verdict.witness
-        ) - evaluate(sr_polynomial(ledger.signatures[cand]), verdict.witness)
+        diff = evaluate(ledger.signatures[verdict.rival].counts, verdict.witness) - evaluate(
+            ledger.signatures[cand].counts, verdict.witness
+        )
         entry["witness"] = str(verdict.witness)
         entry["rival_margin_at_witness"] = str(diff)
         _, order, idx = near_zero_refuter(ledger)
@@ -323,7 +319,7 @@ def _counting_identities(vals: dict, n: int, m: int) -> list[str]:
     return errors
 
 
-def check_lemma13(n: int, m: int) -> Report:
+def check_lemma13(n: int = 8, m: int = 10) -> Report:
     """Kind-0 chain (skeleton minimum degree >= 3): product-formula tree
     counts, the (lambda'-1)/lambda' * (n'-1)/n' ratio bound, and the strict
     coefficient increase."""
@@ -350,7 +346,7 @@ def check_lemma13(n: int, m: int) -> Report:
     )
 
 
-def check_lemma14(n: int, m: int) -> Report:
+def check_lemma14(n: int = 9, m: int = 15) -> Report:
     """Kind-1 chain (n' >= 5, lambda' <= n'-3): two-spur threshold form of the
     deleted-edge skeleton and the (n'-3)/(n'-1) ratio bound."""
     prof = balloon_profile(n, m)
@@ -377,7 +373,7 @@ def check_lemma14(n: int, m: int) -> Report:
 PRINTED_KIND2_TREES = {"t_skeleton": 4, "t_h_skeleton": 8}  # as printed; oracle disagrees
 
 
-def check_lemma15(n: int, m: int) -> Report:
+def check_lemma15(n: int = 7, m: int = 8) -> Report:
     """Kind-2 chain (skeleton is the 4-vertex diamond): all four tree/two-tree
     oracle values, the printed-value discrepancy, and the strict increase."""
     prof = balloon_profile(n, m)
@@ -472,8 +468,8 @@ def check_remark4(max_n: int = 12) -> Report:
 
 
 def check_composition(max_n: int = 8, max_m: int = 24) -> Report:
-    """Bridge/skeleton factorization of the balloon's polynomial equals the
-    directly computed polynomial on every bridged class in range."""
+    """Bridge/skeleton factorization of the balloon's count vector equals the
+    directly computed one on every bridged class in range."""
     failures = []
     checked = 0
     for n, m in _classes(max_n, in_I1):
@@ -481,8 +477,7 @@ def check_composition(max_n: int = 8, max_m: int = 24) -> Report:
             continue
         checked += 1
         g = two_terminal_balloon(n, m)
-        direct = sr_polynomial(SplitSignature.from_vector(n, split_coefficients(g)))
-        if sr_composition(n, m) != direct:
+        if sr_composition(n, m) != split_coefficients(g).counts:
             failures.append({"n": n, "m": m})
     return Report(
         "composition", "fail" if failures else "pass", {"failures": failures, "checked": checked}
@@ -537,57 +532,40 @@ def check_bogdanowicz(max_n: int = 10, max_k: int = 4, cayley_max_n: int = 12) -
     )
 
 
+# target -> (check, the argument sets it accepts); each argument set is
+# passed as keywords, and the check's own defaults fill the rest
+VERIFY_TARGETS = {
+    "prop1": (check_prop1, [(), ("max_n",)]),
+    "prop2": (check_prop2, [("n", "m")]),
+    "prop3": (check_prop3, [(), ("max_n",)]),
+    "thm1": (check_thm1, [(), ("n", "m"), ("max_n",)]),
+    "thm2": (check_thm2, [(), ("max_n",)]),
+    "thm3": (check_thm3, [()]),
+    "lemma13": (check_lemma13, [(), ("n", "m")]),
+    "lemma14": (check_lemma14, [(), ("n", "m")]),
+    "lemma15": (check_lemma15, [(), ("n", "m")]),
+    "remark2": (check_remark2, [(), ("max_n",)]),
+    "remark3": (check_remark3, [(), ("max_n",)]),
+    "remark4": (check_remark4, [(), ("max_n",)]),
+    "composition": (check_composition, [(), ("max_n",)]),
+    "bogdanowicz": (check_bogdanowicz, [(), ("max_n",)]),
+}
+
+
+def _flags(names) -> str:
+    return " ".join("--" + name.replace("_", "-") for name in names) or "no arguments"
+
+
 def run_target(target: str, args: dict) -> Report:
-    """Dispatch a named verification target with optional n/m/max-n arguments."""
-    n = args.get("n")
-    m = args.get("m")
-    max_n = args.get("max_n")
-    if target == "prop1":
-        return check_prop1(max_n or 7)
-    if target == "prop2":
-        if n is None or m is None:
-            raise ValueError("verify prop2 needs n and m")
-        return check_prop2(n, m)
-    if target == "prop3":
-        return check_prop3(max_n or 7)
-    if target == "thm1":
-        return check_thm1(n, m, max_n or 7)
-    if target == "thm2":
-        return check_thm2(max_n or 7)
-    if target == "thm3":
-        return check_thm3()
-    if target == "lemma13":
-        return check_lemma13(n or 8, m or 10)
-    if target == "lemma14":
-        return check_lemma14(n or 9, m or 15)
-    if target == "lemma15":
-        return check_lemma15(n or 7, m or 8)
-    if target == "remark2":
-        return check_remark2(max_n or 7)
-    if target == "remark3":
-        return check_remark3(max_n or 8)
-    if target == "remark4":
-        return check_remark4(max_n or 12)
-    if target == "composition":
-        return check_composition(max_n or 8)
-    if target == "bogdanowicz":
-        return check_bogdanowicz(max_n or 10)
-    raise ValueError(f"unknown verification target {target!r}")
-
-
-VERIFY_TARGETS = [
-    "prop1",
-    "prop2",
-    "prop3",
-    "thm1",
-    "thm2",
-    "thm3",
-    "lemma13",
-    "lemma14",
-    "lemma15",
-    "remark2",
-    "remark3",
-    "remark4",
-    "composition",
-    "bogdanowicz",
-]
+    """Run a named verification target; `args` maps n, m and max_n to a value
+    or None.  Arguments the target does not take are refused, not ignored."""
+    if target not in VERIFY_TARGETS:
+        raise ValueError(f"unknown verification target {target!r}")
+    check, accepted = VERIFY_TARGETS[target]
+    given = {k: v for k, v in args.items() if v is not None}
+    if not any(set(given) == set(form) for form in accepted):
+        raise ValueError(
+            f"verify {target} accepts {' | '.join(_flags(f) for f in accepted)}; "
+            f"got {_flags(given)}"
+        )
+    return check(**given)

@@ -88,9 +88,8 @@ def _cmd_sr_coeffs(args) -> int:
 
 def _cmd_sr_eval(args) -> int:
     g = _require_two_terminal(_load_graph(args.graph))
-    vec = counting.split_coefficients(g)
-    sig = signature.SplitSignature.from_vector(g.graph.n, vec)
-    value = signature.evaluate(signature.sr_polynomial(sig), _rational(args.p))
+    counts = counting.split_coefficients(g).counts
+    value = signature.evaluate(counts, _rational(args.p))
     _emit(json.dumps({"p": args.p, "value": str(value)}), args.out)
     return 0
 

@@ -3,7 +3,7 @@ balloons, the three contraction/subdivision perturbations, threshold graphs
 with the product formula for their spanning trees, and the extremal closed
 forms (maximum bridge count, minimum edge connectivity, structured
 failed-edge counts, and the bridge/skeleton factorization of the split
-reliability polynomial).
+count vector).
 """
 
 from __future__ import annotations
@@ -24,12 +24,6 @@ from .graphs import (
     eccentric_pairs,
     skeleton,
     subdivide_edge,
-)
-from .signature import (
-    ExactPolynomial,
-    SplitSignature,
-    sr_polynomial,
-    survival_polynomial,
 )
 
 
@@ -395,23 +389,19 @@ def skeleton_two_terminal(n: int, m: int) -> TwoTerminalGraph:
     return TwoTerminalGraph(skel, s2, t2)
 
 
-def sr_composition(n: int, m: int) -> ExactPolynomial:
-    """Split reliability of the two-terminal balloon assembled from its
-    skeleton: b*(1-p)*p^(b-1)*R'(p) + p^b*SR'(p), where R' and SR' are the
-    skeleton's connectedness and split polynomials."""
+def sr_composition(n: int, m: int) -> tuple[int, ...]:
+    """Split count vector of the two-terminal balloon assembled from its
+    skeleton.  With b bridges, SR(p) = b(1-p)p^(b-1) R'(p) + p^b SR'(p), where
+    R' and SR' are the skeleton's connectedness and split polynomials; in
+    count vectors, N_i = b*C_{i-b+1} + S'_{i-b} with C and S' the skeleton's
+    connected and split counts."""
     if not in_I1(n, m):
         raise ValueError(f"({n},{m}) is bridgeless; compute the polynomial directly")
-    prof = balloon_profile(n, m)
+    b = balloon_profile(n, m).b
     skel_tt = skeleton_two_terminal(n, m)
-    rel = survival_polynomial(connected_coefficients(skel_tt.graph).counts, prof.m_skel)
-    split_sig = SplitSignature.from_vector(
-        skel_tt.graph.n, split_coefficients(skel_tt)
-    )
-    sr_skel = sr_polynomial(split_sig)
-    b = prof.b
-    one_minus_p = ExactPolynomial.make([1, -1])
-    term1 = rel * one_minus_p.scale(b)
-    term1 = term1.shift_up(b - 1)
-    term2 = sr_skel.shift_up(b)
-    return term1 + term2
-
+    counts = [0] * (m + 1)
+    for j, c in enumerate(connected_coefficients(skel_tt.graph).counts):
+        counts[j + b - 1] += b * c
+    for j, s in enumerate(split_coefficients(skel_tt).counts):
+        counts[j + b] += s
+    return tuple(counts)

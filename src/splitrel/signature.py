@@ -1,11 +1,12 @@
-"""Split-reliability signatures and exact polynomial algebra.
+"""Split-reliability signatures, evaluation and exact dominance.
 
 A signature holds the exact split-subgraph counts N_0..N_m of a two-terminal
 graph; F_i = N_{m-i} is the failed-edge view.  Since
-SR(p) = sum_i N_i p^i (1-p)^(m-i), the counts are an unnormalised Bernstein
-vector, and the dominance decision on [0, 1] runs on integer count vectors;
-only its Sturm fallback and `evaluate` use rational power-basis polynomials.
-No floating point anywhere.
+SR(p) = sum_i N_i p^i (1-p)^(m-i), the count vector is the polynomial (an
+unnormalised Bernstein vector), and it is the only representation used:
+evaluation at k/q is an integer sum over q^m, and the dominance decision on
+[0, 1] runs on integer difference vectors down to its Sturm fallback.
+`Fraction` appears only for rational points.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -17,86 +18,6 @@ from math import comb, gcd
 from typing import Optional, Sequence
 
 from .counting import CoefficientVector
-
-
-def _strip(coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    cs = list(coeffs)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return tuple(cs)
-
-
-@dataclass(frozen=True)
-class ExactPolynomial:
-    """Univariate polynomial with exact rational coefficients (power basis,
-    lowest degree first, no trailing zeros; the zero polynomial is empty)."""
-
-    coefficients: tuple[Fraction, ...]
-
-    @classmethod
-    def make(cls, coeffs: Sequence) -> "ExactPolynomial":
-        return cls(_strip([Fraction(c) for c in coeffs]))
-
-    @classmethod
-    def zero(cls) -> "ExactPolynomial":
-        return cls(())
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    def __add__(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        a, b = self.coefficients, other.coefficients
-        size = max(len(a), len(b))
-        return ExactPolynomial.make(
-            [
-                (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                for i in range(size)
-            ]
-        )
-
-    def __mul__(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        if self.is_zero() or other.is_zero():
-            return ExactPolynomial.zero()
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a:
-                for j, b in enumerate(other.coefficients):
-                    out[i + j] += a * b
-        return ExactPolynomial.make(out)
-
-    def scale(self, c) -> "ExactPolynomial":
-        c = Fraction(c)
-        return ExactPolynomial.make([c * a for a in self.coefficients])
-
-    def shift_up(self, k: int) -> "ExactPolynomial":
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return ExactPolynomial((Fraction(0),) * k + self.coefficients)
-
-
-def evaluate(poly: ExactPolynomial, p) -> Fraction:
-    """Exact Horner evaluation at a rational point."""
-    x = Fraction(p)
-    acc = Fraction(0)
-    for c in reversed(poly.coefficients):
-        acc = acc * x + c
-    return acc
-
-
-def survival_polynomial(counts: Sequence[int], m: int) -> ExactPolynomial:
-    """Sum of counts[i] * p^i * (1-p)^(m-i), expanded into the power basis."""
-    out = [0] * (m + 1)
-    for i, c in enumerate(counts):
-        if c:
-            rest = m - i
-            for k in range(rest + 1):
-                out[i + k] += c * comb(rest, k) * (-1) ** k
-    return ExactPolynomial.make(out)
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +99,18 @@ def split_equivalent(a: SplitSignature, b: SplitSignature) -> bool:
     return a.counts == b.counts
 
 
-def sr_polynomial(sig: SplitSignature) -> ExactPolynomial:
-    """The split reliability polynomial of a signature, in the power basis."""
-    return survival_polynomial(sig.counts, sig.m)
+def sr_polynomial(sig: SplitSignature) -> tuple[int, ...]:
+    """The split reliability polynomial of a signature: its count vector, the
+    coefficients of SR in the basis p^i (1-p)^(m-i)."""
+    return sig.counts
+
+
+def evaluate(counts: Sequence[int], p) -> Fraction:
+    """SR(p) = sum_i counts[i] p^i (1-p)^(m-i), exactly, at a rational p
+    (a Fraction, an int, or a string such as "1/2")."""
+    x = Fraction(p)
+    q = x.denominator
+    return Fraction(_scaled_value(counts, x.numerator, q), q ** (len(counts) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -196,22 +126,6 @@ class DominanceVerdict:
             "verdict": "dominates" if self.dominates else "crossing",
             "witness": None if self.witness is None else str(self.witness),
         }
-
-
-def _int_coeffs(coeffs: Sequence[Fraction]) -> list[int]:
-    """Clear denominators and strip content, preserving sign."""
-    if not coeffs:
-        return []
-    den = 1
-    for c in coeffs:
-        den = den * c.denominator // gcd(den, c.denominator)
-    ints = [int(c * den) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
 
 
 def _ideg(p: list[int]) -> int:
@@ -330,67 +244,63 @@ def _refine_interior(
     return lo, hi
 
 
-def _squarefree_int(coeffs: Sequence[Fraction]) -> list[int]:
-    """Integer squarefree part (same root set, multiplicity one)."""
-    f = _int_coeffs(list(coeffs))
-    fp = _ideriv(f)
-    g = _int_gcd_poly(f, fp)
-    if _ideg(g) < 1:
-        return _iprimitive(f)
-    q, r = _int_poly_div(f, g)
-    if r:
+def _power_basis(d: Sequence[int]) -> list[int]:
+    """sum_i d_i x^i (1-x)^(m-i) expanded into the power basis, as integers
+    (lowest degree first, no trailing zeros)."""
+    m = len(d) - 1
+    out = [0] * (m + 1)
+    for i, c in enumerate(d):
+        if c:
+            rest = m - i
+            for k in range(rest + 1):
+                out[i + k] += c * comb(rest, k) * (-1) ** k
+    return _istrip(out)
+
+
+def _exact_div(f: list[int], g: list[int]) -> list[int]:
+    """f / g for integer polynomials whose quotient is integral."""
+    f = f[:]
+    q = [0] * (len(f) - len(g) + 1)
+    for shift in reversed(range(len(q))):
+        c, r = divmod(f[shift + _ideg(g)], g[-1])
+        if r:
+            raise AssertionError("gcd does not divide the polynomial")
+        q[shift] = c
+        for i, gc in enumerate(g):
+            f[i + shift] -= c * gc
+    if any(f):
         raise AssertionError("gcd does not divide the polynomial")
-    return _iprimitive(q)
+    return q
 
 
-def _int_poly_div(f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
-    """Exact division over the rationals, returned as integer-primitive parts."""
-    fq = [Fraction(c) for c in f]
-    gq = [Fraction(c) for c in g]
-    q = [Fraction(0)] * max(len(fq) - len(gq) + 1, 1)
-    while len(fq) >= len(gq) and any(fq):
-        while fq and fq[-1] == 0:
-            fq.pop()
-        if len(fq) < len(gq):
-            break
-        shift = len(fq) - len(gq)
-        coef = fq[-1] / gq[-1]
-        q[shift] += coef
-        for i, gc in enumerate(gq):
-            fq[i + shift] -= coef * gc
-        fq.pop()
-    rem = _int_coeffs(_strip(fq)) if any(fq) else []
-    quo = _int_coeffs(_strip(q)) if any(q) else []
-    return quo, rem
-
-
-def _int_gcd_poly(f: list[int], g: list[int]) -> list[int]:
-    a, b = _istrip(f), _istrip(g)
+def _squarefree(e: list[int]) -> list[int]:
+    """Integer squarefree part (same root set, multiplicity one): f / gcd(f, f')
+    with the gcd from a primitive pseudo-remainder sequence.  The gcd is
+    primitive, so by Gauss's lemma the quotient is integral."""
+    f = _iprimitive(e)
+    a, b = f, _iprimitive(_ideriv(f))
     while b:
-        _, r = _int_poly_div(a, b)
-        a, b = b, r
-    return _iprimitive(a) if a else []
+        a, b = b, _iprimitive(_pseudo_rem(a, b)[0])
+    if _ideg(a) < 1:
+        return f
+    return _iprimitive(_exact_div(f, a))
 
 
-def _deflate_endpoints(d: ExactPolynomial) -> tuple[ExactPolynomial, int, int]:
+def _deflate_endpoints(e: list[int]) -> list[int]:
     """Divide out all roots at 0 and 1; sign on (0,1) is unchanged."""
-    coeffs = list(d.coefficients)
-    v0 = 0
-    while coeffs and coeffs[0] == 0:
-        coeffs.pop(0)
-        v0 += 1
-    v1 = 0
-    while coeffs and sum(coeffs) == 0:
+    e = list(e)
+    while e and e[0] == 0:
+        e.pop(0)
+    while e and sum(e) == 0:
         # synthetic division by (x - 1), then flip sign for the (1 - x) factor
         out = []
-        acc = Fraction(0)
-        for c in reversed(coeffs):
+        acc = 0
+        for c in reversed(e):
             acc += c
             out.append(acc)
         out.pop()  # remainder (zero)
-        coeffs = [-c for c in reversed(out)]
-        v1 += 1
-    return ExactPolynomial.make(coeffs), v0, v1
+        e = [-c for c in reversed(out)]
+    return e
 
 
 # Refutation points k/q, in the order their witnesses are reported.
@@ -442,20 +352,19 @@ def dominates_on_unit_interval(a: Sequence[int], b: Sequence[int]) -> DominanceV
             return DominanceVerdict(False, Fraction(k, q))
     if all(c >= 0 for c in _lifted(d)):
         return DominanceVerdict(True, None)
-    return _sturm_dominance(survival_polynomial(d, len(d) - 1))
+    return _sturm_dominance(d)
 
 
-def _sturm_dominance(d: ExactPolynomial) -> DominanceVerdict:
-    """Complete decision of d(p) >= 0 on [0, 1]: Sturm isolation of the real
-    roots of d in (0, 1), with exact sign evaluations between consecutive
-    roots."""
-    e, _, _ = _deflate_endpoints(d)
-    if e.degree <= 0:
-        val = e.coefficients[0] if e.coefficients else Fraction(0)
-        if val >= 0:
+def _sturm_dominance(d: Sequence[int]) -> DominanceVerdict:
+    """Complete decision of SR_d(p) >= 0 on [0, 1] for an integer difference
+    vector d: Sturm isolation of the real roots in (0, 1) of its power-basis
+    expansion, with exact sign evaluations between consecutive roots."""
+    e = _deflate_endpoints(_power_basis(d))
+    if _ideg(e) <= 0:
+        if not e or e[0] >= 0:
             return DominanceVerdict(True, None)
         return DominanceVerdict(False, Fraction(1, 2))
-    f = _squarefree_int(e.coefficients)
+    f = _squarefree(e)
     chain = _sturm_chain(f)
     zero, one = Fraction(0), Fraction(1)
     total = _count_roots(chain, zero, one)
@@ -474,6 +383,6 @@ def _sturm_dominance(d: ExactPolynomial) -> DominanceVerdict:
             samples.append(hi if hi == lo2 else (hi + lo2) / 2)
         samples.append(refined[-1][1])
     for x in samples:
-        if evaluate(e, x) < 0:
+        if _sign_at(e, x) < 0:
             return DominanceVerdict(False, x)
     return DominanceVerdict(True, None)

@@ -1,6 +1,8 @@
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
+from math import comb
 from typing import Sequence
 
 from hypothesis import settings, strategies as st
@@ -59,6 +61,21 @@ def connected_graphs(draw, min_n: int = 1, max_n: int = 7, max_m: int = 14) -> S
     if rest:
         extra = draw(st.lists(st.sampled_from(rest), unique=True, max_size=max_m - len(tree)))
     return SimpleGraph(n, tuple(tree + extra))
+
+
+def sr_value_by_power_basis(counts: Sequence[int], p) -> Fraction:
+    """Reference evaluation: expand sum_i N_i p^i (1-p)^(m-i) into rational
+    power-basis coefficients, then Horner at the rational point p."""
+    m = len(counts) - 1
+    coeffs = [Fraction(0)] * (m + 1)
+    for i, c in enumerate(counts):
+        for k in range(m - i + 1):
+            coeffs[i + k] += c * comb(m - i, k) * (-1) ** k
+    x = Fraction(p)
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def classify_by_sweep(n: int, edges: Sequence[Edge]) -> SubsetClassification:

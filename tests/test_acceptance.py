@@ -122,8 +122,12 @@ def test_criterion_02_locally_most_is_balloon_class(verdict_table):
 def test_criterion_03_nonexistence_witnesses(verdict_table):
     rep = check_thm3()
     detail = {m: rep.details.get(str(m), {}) for m in (7, 8, 9)}
-    _line(3, rep.status == "pass", f"n=7, m in 7..9: crossing witnesses with "
-                                   f"near-zero index 5: {detail}")
+    margins = {7: "7875/4398046511104", 8: "494109/140737488355328",
+               9: "49067739/2251799813685248"}
+    pinned = {m: {"witness": "1/64", "rival_margin_at_witness": margin, "near_zero_index": 5}
+              for m, margin in margins.items()}
+    _line(3, rep.status == "pass" and detail == pinned,
+          f"n=7, m in 7..9: crossing witnesses with near-zero index 5: {detail}")
 
 
 def test_criterion_04_extremal_brute_force():

@@ -71,6 +71,18 @@ def test_sr_eval(capsys, k3_file):
     assert json.loads(out)["value"] == "1/4"
 
 
+@pytest.mark.parametrize(
+    "p, value",
+    [("0", "0"), ("1", "0"), ("1/3", "84946/1594323"), ("0.25", "1769967/134217728")],
+)
+def test_sr_eval_balloon_values(capsys, tmp_path, p, value):
+    path = tmp_path / "g.json"
+    assert main(["two-terminal-balloon", "9", "15", "--out", str(path)]) == 0
+    code, out = run(capsys, "sr-eval", str(path), p)
+    assert code == 0
+    assert out == json.dumps({"p": p, "value": value}) + "\n"
+
+
 def test_trees_and_t2(capsys, k3_file, tmp_path):
     code, out = run(capsys, "trees", k3_file)
     assert code == 0 and json.loads(out)["spanning_trees"] == "3"
@@ -177,6 +189,11 @@ K3 = '{"n": 3, "edges": [[0, 1], [0, 2], [1, 2]], "terminals": [0, 1]}'
         (K3.replace("[0, 1]}", "[0]}"), ["t2", "{path}"], "terminals:"),
         ("3 5\n0 1\n", ["trees", "{path}"], "header:"),
         (K3, ["sr-eval", "{path}", "2"], "p: must lie in [0, 1], got '2'"),
+        (K3, ["verify", "thm3", "--n", "8"], "verify thm3 accepts no arguments; got --n"),
+        (K3, ["verify", "thm1", "--n", "5"], "verify thm1 accepts no arguments | --n --m | --max-n; got --n"),
+        (K3, ["verify", "remark2", "--n", "9", "--m", "3"], "got --n --m"),
+        (K3, ["verify", "prop2", "--m", "8"], "verify prop2 accepts --n --m; got --m"),
+        (K3, ["verify", "thm1", "--n", "5", "--m", "6", "--max-n", "7"], "got --n --m --max-n"),
     ],
 )
 def test_malformed_input_exit_code(capsys, tmp_path, content, argv, field):

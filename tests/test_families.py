@@ -1,5 +1,5 @@
 """Constructions and closed forms: balloons, thresholds, perturbations,
-extremal values, failed-edge formulas, polynomial factorization."""
+extremal values, failed-edge formulas, count-vector factorization."""
 
 from math import comb
 
@@ -216,11 +216,13 @@ def test_closed_form_F_matches_sweep_small():
 
 
 def test_sr_composition_matches_direct():
-    for n, m in [(4, 4), (5, 6), (6, 8), (9, 15)]:
+    bridged = [(n, m) for n in range(4, 10) for m in range(n, comb(n, 2) + 1) if in_I1(n, m)]
+    assert len(bridged) == 56
+    for n, m in bridged:
         g = two_terminal_balloon(n, m)
         direct = sr_polynomial(SplitSignature.from_vector(n, split_coefficients(g)))
         composed = sr_composition(n, m)
-        assert composed == direct, (n, m)
+        assert type(composed) is tuple and composed == direct, (n, m)
         assert evaluate(composed, 1) == 0
         assert evaluate(composed, 0) == 0
 

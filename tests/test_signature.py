@@ -1,5 +1,5 @@
-"""Signature algebra: polynomials, comparators, exact dominance of count
-vectors on the unit interval."""
+"""Signatures: count vectors as polynomials, evaluation, comparators, exact
+dominance of count vectors on the unit interval."""
 
 import random
 from fractions import Fraction
@@ -8,15 +8,15 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import cycle_n
+from conftest import cycle_n, sr_value_by_power_basis as sr_value
 from splitrel import signature
 from splitrel.counting import split_coefficients
 from splitrel.families import two_terminal_balloon, variant
 from splitrel.graphs import SimpleGraph, TwoTerminalGraph, relabel_two_terminal
 from splitrel.signature import (
-    ExactPolynomial,
     Ordering,
     SplitSignature,
+    _power_basis,
     _sturm_dominance,
     compare_near_one,
     compare_near_one_index,
@@ -26,7 +26,6 @@ from splitrel.signature import (
     evaluate,
     split_equivalent,
     sr_polynomial,
-    survival_polynomial,
 )
 
 
@@ -43,26 +42,40 @@ def test_f_view():
 
 def test_sr_polynomial_triangle():
     sig = SplitSignature(3, 3, (0, 2, 0, 0))
-    assert sr_polynomial(sig) == ExactPolynomial.make([0, 2, -4, 2])
+    assert sr_polynomial(sig) == (0, 2, 0, 0)
+    assert _power_basis(sig.counts) == [0, 2, -4, 2]
 
 
 def test_sr_polynomial_square():
     sig = SplitSignature(4, 4, (0, 0, 4, 0, 0))
     # 4 p^2 (1-p)^2
-    assert sr_polynomial(sig) == ExactPolynomial.make([0, 0, 4, -8, 4])
+    assert sr_polynomial(sig) == (0, 0, 4, 0, 0)
+    assert _power_basis(sig.counts) == [0, 0, 4, -8, 4]
 
 
 def test_sr_polynomial_zero():
-    assert sr_polynomial(SplitSignature(3, 3, (0, 0, 0, 0))).is_zero()
+    assert _power_basis(SplitSignature(3, 3, (0, 0, 0, 0)).counts) == []
 
 
 def test_evaluate():
-    poly = ExactPolynomial.make([0, 2, -4, 2])
-    assert evaluate(poly, Fraction(1, 2)) == Fraction(1, 4)
+    # 2p(1-p)^2 = 2p - 4p^2 + 2p^3
+    assert evaluate((0, 2, 0, 0), Fraction(1, 2)) == Fraction(1, 4)
+    assert evaluate((0, 2, 0, 0), "1/2") == Fraction(1, 4)
     sig = sig_of(TwoTerminalGraph(cycle_n(4), 0, 2))
     sr = sr_polynomial(sig)
     assert evaluate(sr, 0) == 0
     assert evaluate(sr, 1) == 0
+
+
+@given(
+    st.integers(0, 12).flatmap(
+        lambda m: st.lists(st.integers(-10**6, 10**6), min_size=m + 1, max_size=m + 1)
+    ),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+)
+def test_evaluate_matches_power_basis(counts, p):
+    for x in (p, 0, 1):
+        assert evaluate(counts, x) == sr_value(counts, x)
 
 
 def test_compare_near_zero():
@@ -116,14 +129,9 @@ def test_class_mismatch_rejected():
         compare_near_zero(a, b)
 
 
-def sr_value(counts, x) -> Fraction:
-    return evaluate(survival_polynomial(counts, len(counts) - 1), x)
-
-
 def sturm_only(a, b):
-    """The complete path alone, on the power-basis difference."""
-    d = [x - y for x, y in zip(a, b)]
-    return _sturm_dominance(survival_polynomial(d, len(d) - 1))
+    """The complete path alone, on the integer difference vector."""
+    return _sturm_dominance([x - y for x, y in zip(a, b)])
 
 
 def test_dominance_rejects_mismatched_lengths():
@@ -182,6 +190,10 @@ def test_dominance_touching_interior_root(monkeypatch):
     assert len(calls) == 1  # no presample refutes it, no certificate holds
     v = dominates_on_unit_interval(zero, touch)
     assert not v.dominates
+    # -2(4 - 13x)^2: the Sturm path isolates the double root of the squarefree
+    # part, and its crossing witness is pinned
+    v = sturm_only((-32, 144, -162), zero)
+    assert (v.dominates, v.witness) == (False, Fraction(13, 49))
 
 
 def _convolve(xs, ys):
