@@ -27,7 +27,6 @@ from .counting import (
 from .enumeration import (
     near_zero_refuter,
     refine_chain,
-    uniform_check,
     verify_balloon_characterization,
     enumerate_graphs,
 )
@@ -183,8 +182,8 @@ def check_thm3() -> Report:
     failures = []
     details = {}
     for m in (7, 8, 9):
-        verdict = uniform_check(7, m)
         ledger = refine_chain(7, m)
+        verdict = ledger.uniform_verdict()
         entry: dict = {}
         if verdict.winner is not None:
             failures.append({"m": m, "unexpected_winner": verdict.winner})
@@ -216,8 +215,9 @@ def _prop2_kind(n: int, m: int) -> Optional[int]:
 
 def check_prop2(n: int, m: int) -> Report:
     """Near-zero advantage of the perturbed graph: N_{n-2}(H) > N_{n-2}(G),
-    with both routes (subset classification and bipartition tree products)
-    agreeing, and the counting bound (b-1)t(G'-e) - t(G') < difference checked."""
+    with both routes (subset classification and the two-terminal Laplacian
+    minor) agreeing, and the counting bound (b-1)t(G'-e) - t(G') < difference
+    checked."""
     if not (7 <= n <= 9 and n <= m <= comb(n - 3, 2) + 3):
         raise ValueError("claim range is 7 <= n <= 9, n <= m <= C(n-3,2)+3")
     kind = _prop2_kind(n, m)
@@ -233,19 +233,14 @@ def check_prop2(n: int, m: int) -> Report:
                 "nonexistence is reproduced by enumeration for n <= 7",
             },
         )
-    ctx = variant_with_context(kind, n, m)
-    prof = balloon_profile(n, m)
-    g, h = ctx.balloon, ctx.result
+    vals = _skeleton_tree_values(n, m, kind)
+    prof = vals["prof"]
+    g, h = vals["ctx"].balloon, vals["ctx"].result
     ng_sweep = split_coefficients(g).counts[n - 2]
     nh_sweep = split_coefficients(h).counts[n - 2]
     ng_tree = two_tree_count(g)
     nh_tree = two_tree_count(h)
-    skel, _ = skeleton(g.graph)
-    e_idx = skel.edge_index(*ctx.skeleton_edge)
-    skel_minus = SimpleGraph(
-        skel.n, tuple(p for i, p in enumerate(skel.edges) if i != e_idx)
-    )
-    bound = (prof.b - 1) * spanning_tree_count(skel_minus) - spanning_tree_count(skel)
+    bound = (prof.b - 1) * vals["t_skel_minus"] - vals["t_skel"]
     ok = (
         ng_sweep == ng_tree
         and nh_sweep == nh_tree

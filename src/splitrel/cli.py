@@ -147,8 +147,8 @@ def _cmd_locally_most(args) -> int:
 
 
 def _cmd_uniform_check(args) -> int:
-    verdict = enumeration.uniform_check(args.n, args.m)
     ledger = enumeration.refine_chain(args.n, args.m)
+    verdict = ledger.uniform_verdict()
     doc = verdict.to_json_dict()
     if verdict.winner is not None:
         doc["winner"] = graphs.to_json_dict(ledger.members[verdict.winner])

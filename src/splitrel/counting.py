@@ -1,7 +1,7 @@
 """Exact counting machinery: split and connected coefficient vectors by a
-recurrence over vertex subsets, spanning-tree counts via integer-exact
-Laplacian determinants, the two-disjoint-trees count through an independent
-vertex-bipartition formula, and a seed-stable Monte Carlo estimator.
+recurrence over vertex subsets, spanning-tree and two-disjoint-trees counts
+as integer-exact Laplacian minors (one determinant each, independent of the
+recurrence), and a seed-stable Monte Carlo estimator.
 
 Everything on the exact side is integer/rational arithmetic only.  The
 coefficient vectors have one route, guarded to n <= 16; the tests check it
@@ -15,9 +15,9 @@ import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .graphs import Edge, GuardError, SimpleGraph, TwoTerminalGraph
+from .graphs import Edge, GuardError, SimpleGraph, TwoTerminalGraph, adjacency_masks
 
 
 @dataclass(frozen=True)
@@ -96,10 +96,7 @@ def classify_subsets(g: SimpleGraph) -> SubsetClassification:
     for _ in range(m):
         binomial.append(binomial[-1] * ((1 << width) + 1))
 
-    adj = [0] * n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    adj = adjacency_masks(n, g.edges)
     full = (1 << n) - 1
     induced = [0] * (full + 1)
     conn = [0] * (full + 1)
@@ -173,60 +170,39 @@ def _bareiss_det(mat: list[list[int]]) -> int:
     return sign * m[size - 1][size - 1]
 
 
-def _tree_count_weighted(n: int, weight: dict[tuple[int, int], int]) -> int:
-    """Spanning trees of a multigraph given by edge multiplicities."""
-    if n <= 1:
-        return 1
+def _laplacian_minor(n: int, edges: Iterable[Edge], drop: Sequence[int]) -> int:
+    """Determinant of the Laplacian of the multigraph on 0..n-1 (a repeated
+    pair is a parallel edge) with the rows and columns of `drop` removed.
+
+    By the all-minors matrix-tree theorem this counts the spanning forests
+    with one tree per dropped vertex, each tree holding exactly one of them.
+    """
     lap = [[0] * n for _ in range(n)]
-    for (u, v), w in weight.items():
-        lap[u][u] += w
-        lap[v][v] += w
-        lap[u][v] -= w
-        lap[v][u] -= w
-    minor = [row[1:] for row in lap[1:]]
-    return _bareiss_det(minor)
+    for u, v in edges:
+        lap[u][u] += 1
+        lap[v][v] += 1
+        lap[u][v] -= 1
+        lap[v][u] -= 1
+    keep = [v for v in range(n) if v not in drop]
+    return _bareiss_det([[lap[i][j] for j in keep] for i in keep])
 
 
 def spanning_tree_count(g: SimpleGraph) -> int:
-    """t(G) via an integer-exact cofactor of the Laplacian.
+    """t(G), the Laplacian minor without vertex 0.
 
     Returns 0 for disconnected graphs and 1 for the single vertex.
     """
-    weight: dict[tuple[int, int], int] = {}
-    for u, v in g.edges:
-        weight[(u, v)] = weight.get((u, v), 0) + 1
-    return _tree_count_weighted(g.n, weight)
-
-
-def _induced_tree_count(g: SimpleGraph, verts: Sequence[int]) -> int:
-    idx = {v: i for i, v in enumerate(verts)}
-    weight: dict[tuple[int, int], int] = {}
-    for u, v in g.edges:
-        if u in idx and v in idx:
-            key = (idx[u], idx[v])
-            weight[key] = weight.get(key, 0) + 1
-    return _tree_count_weighted(len(verts), weight)
+    return _laplacian_minor(g.n, g.edges, (0,))
 
 
 def two_tree_count(g: TwoTerminalGraph) -> int:
-    """Split subgraphs consisting of two disjoint trees, via the bipartition sum
-    of induced spanning-tree products (independent of subset classification).
+    """Split subgraphs consisting of two disjoint trees: the spanning forests
+    with one tree at s and one at t, the Laplacian minor without s and t
+    (independent of subset classification).
 
     Equals split_coefficients(g).counts[n-2].
     """
-    n = g.graph.n
-    others = [v for v in range(n) if v not in (g.s, g.t)]
-    total = 0
-    for bits in range(1 << len(others)):
-        side_s = [g.s]
-        side_t = [g.t]
-        for i, v in enumerate(others):
-            (side_s if (bits >> i) & 1 else side_t).append(v)
-        ts = _induced_tree_count(g.graph, side_s)
-        if ts == 0:
-            continue
-        total += ts * _induced_tree_count(g.graph, side_t)
-    return total
+    return _laplacian_minor(g.graph.n, g.graph.edges, (g.s, g.t))
 
 
 def deletion_contraction_check(g: SimpleGraph, e: int) -> bool:
@@ -240,8 +216,8 @@ def deletion_contraction_check(g: SimpleGraph, e: int) -> bool:
         raise IndexError(f"edge index {e} out of range")
     a, b = g.edges[e]
     deleted = SimpleGraph(g.n, tuple(p for i, p in enumerate(g.edges) if i != e))
-    # contract: b folds into a, vertices above b shift down, multiplicities kept
-    weight: dict[tuple[int, int], int] = {}
+    # contract: b folds into a, vertices above b shift down, parallel edges kept
+    merged = []
     for i, (u, v) in enumerate(g.edges):
         if i == e:
             continue
@@ -249,11 +225,9 @@ def deletion_contraction_check(g: SimpleGraph, e: int) -> bool:
         y = a if v == b else v
         x = x - 1 if x > b else x
         y = y - 1 if y > b else y
-        if x == y:
-            continue
-        key = (min(x, y), max(x, y))
-        weight[key] = weight.get(key, 0) + 1
-    t_contracted = _tree_count_weighted(g.n - 1, weight)
+        if x != y:
+            merged.append((x, y))
+    t_contracted = _laplacian_minor(g.n - 1, merged, (0,))
     return spanning_tree_count(g) == spanning_tree_count(deleted) + t_contracted
 
 

@@ -208,6 +208,30 @@ class ClassLedger:
             w.writerow([i, key, prefix, eq_of[i], survives[i]])
         return buf.getvalue()
 
+    def uniform_verdict(self) -> UniformVerdict:
+        """Decide whether the class has a uniformly most split reliable graph.
+
+        Any winner must be locally most (dominance near p=1 is necessary), so
+        the candidate is the locally-most class; it is tested against every
+        distinct rival signature, most promising first (lexicographically
+        largest N-vector, the likely near-0 refuter).
+        """
+        candidate_idx = self.locally_most[0]
+        cand_sig = self.signatures[candidate_idx]
+        rivals = sorted(
+            self.equivalence_classes,
+            key=lambda cls: self.signatures[cls[0]].counts,
+            reverse=True,
+        )
+        for cls in rivals:
+            sig = self.signatures[cls[0]]
+            if sig.counts == cand_sig.counts:
+                continue
+            res = dominates_on_unit_interval(cand_sig.counts, sig.counts)
+            if not res.dominates:
+                return UniformVerdict(winner=None, rival=cls[0], witness=res.witness)
+        return UniformVerdict(winner=candidate_idx)
+
 
 def refine_members(
     signatures: Sequence[SplitSignature],
@@ -267,29 +291,9 @@ def refine_chain(n: int, m: int) -> ClassLedger:
 
 
 def uniform_check(n: int, m: int) -> UniformVerdict:
-    """Decide whether the class has a uniformly most split reliable graph.
-
-    Any winner must be locally most (dominance near p=1 is necessary), so the
-    candidate is the locally-most class; it is tested against every distinct
-    rival signature, most promising first (lexicographically largest
-    N-vector, the likely near-0 refuter).
-    """
-    ledger = refine_chain(n, m)
-    candidate_idx = ledger.locally_most[0]
-    cand_sig = ledger.signatures[candidate_idx]
-    rivals = sorted(
-        ledger.equivalence_classes,
-        key=lambda cls: ledger.signatures[cls[0]].counts,
-        reverse=True,
-    )
-    for cls in rivals:
-        sig = ledger.signatures[cls[0]]
-        if sig.counts == cand_sig.counts:
-            continue
-        res = dominates_on_unit_interval(cand_sig.counts, sig.counts)
-        if not res.dominates:
-            return UniformVerdict(winner=None, rival=cls[0], witness=res.witness)
-    return UniformVerdict(winner=candidate_idx)
+    """Decide whether the class has a uniformly most split reliable graph
+    (see ClassLedger.uniform_verdict)."""
+    return refine_chain(n, m).uniform_verdict()
 
 
 def balloon_member_index(ledger: ClassLedger) -> int:

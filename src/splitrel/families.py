@@ -18,9 +18,10 @@ from .counting import (
 from .graphs import (
     SimpleGraph,
     TwoTerminalGraph,
+    adjacency_masks,
     bridges,
     contract_edge_with_map,
-    distance,
+    distances,
     eccentric_pairs,
     skeleton,
     subdivide_edge,
@@ -52,26 +53,33 @@ def _require_in_I(n: int, m: int) -> None:
         raise ValueError(f"(n, m)=({n},{m}) is outside the index set I")
 
 
-def balloon(n: int, m: int) -> SimpleGraph:
-    """The balloon graph: a near-complete core plus one low-degree vertex,
-    extended one pendant vertex at a time below the dense range.
+def _core_size(n: int, m: int) -> int:
+    """k*, the least k >= 3 with C(k,2) >= m - n + k: the balloon's bridgeless
+    core has k* vertices and m - n + k* edges."""
+    k = 3
+    while comb(k, 2) < m - n + k:
+        k += 1
+    return k
 
-    Deterministic labeling: the dense case attaches vertex n-1 to the
-    lowest-indexed core vertices; the recursive case hangs vertex n-1 on the
-    lowest-indexed minimum-degree vertex.
+
+def balloon(n: int, m: int) -> SimpleGraph:
+    """The balloon graph: a dense core on k = n - b vertices plus a pendant
+    path of b bridges.
+
+    Deterministic labeling: the core is K_{k-1} on 0..k-2 with vertex k-1
+    attached to the lowest-indexed of them (the triangle when k = 3); the
+    path k, k+1, ..., n-1 hangs from the core's lowest-indexed
+    minimum-degree vertex.  This is the graph that adding one pendant vertex
+    at a time at the lowest-indexed minimum-degree vertex builds.
     """
     _require_in_I(n, m)
-    if in_I0(n, m):
-        core = [(u, v) for u in range(n - 1) for v in range(u + 1, n - 1)]
-        extra = m - comb(n - 1, 2)
-        core += [(u, n - 1) for u in range(extra)]
-        return SimpleGraph(n, tuple(core))
-    if (n, m) == (4, 4):
-        return SimpleGraph(4, ((0, 1), (0, 2), (1, 2), (0, 3)))
-    prev = balloon(n - 1, m - 1)
-    degs = [prev.degree(v) for v in range(prev.n)]
-    anchor = degs.index(min(degs))
-    return SimpleGraph(n, prev.edges + ((anchor, n - 1),))
+    k = _core_size(n, m)
+    edges = [(u, v) for u in range(k - 1) for v in range(u + 1, k - 1)]
+    edges += [(u, k - 1) for u in range(m - n + k - comb(k - 1, 2))]
+    degs = [a.bit_count() for a in adjacency_masks(k, edges)]
+    path = [degs.index(min(degs)), *range(k, n)]
+    edges += zip(path, path[1:])
+    return SimpleGraph(n, tuple(edges))
 
 
 def two_terminal_balloon(n: int, m: int) -> TwoTerminalGraph:
@@ -91,10 +99,7 @@ def max_bridges(n: int, m: int) -> int:
     (the skeleton size of the balloon); asserted against the balloon itself.
     """
     _require_in_I(n, m)
-    k = 3
-    while comb(k, 2) < m - n + k:
-        k += 1
-    b = n - k
+    b = n - _core_size(n, m)
     assert b == len(bridges(balloon(n, m))), (n, m, b)
     return b
 
@@ -209,22 +214,13 @@ def bogdanowicz_tree_count(spec: ThresholdSpec) -> int:
 # perturbed graphs (bridge contraction + skeleton-edge subdivision)
 
 def _skeleton_context(g: TwoTerminalGraph):
-    """Skeleton, vertex map, the low-degree projected terminal s' (terminal
-    order is normalized, so pick by skeleton degree), and s' adjacency."""
+    """Vertex map onto the skeleton, the low-degree projected terminal s'
+    (terminal order is normalized, so pick by skeleton degree), the other
+    projected terminal t', and the neighbour mask of s'."""
     skel, vmap = skeleton(g.graph)
-    a, b = vmap[g.s], vmap[g.t]
-    degs = [0] * skel.n
-    for u, v in skel.edges:
-        degs[u] += 1
-        degs[v] += 1
-    s_cls, t_cls = sorted((a, b), key=lambda c: (degs[c], c))
-    neigh = set()
-    for u, v in skel.edges:
-        if u == s_cls:
-            neigh.add(v)
-        elif v == s_cls:
-            neigh.add(u)
-    return skel, vmap, s_cls, t_cls, neigh
+    adj = adjacency_masks(skel.n, skel.edges)
+    s_cls, t_cls = sorted((vmap[g.s], vmap[g.t]), key=lambda c: (adj[c].bit_count(), c))
+    return vmap, s_cls, t_cls, adj[s_cls]
 
 
 def _eligible_edges(kind: int, g: TwoTerminalGraph) -> list[int]:
@@ -237,19 +233,19 @@ def _eligible_edges(kind: int, g: TwoTerminalGraph) -> list[int]:
     satisfies the counting bound the perturbation exists for.
     """
     bridge_set = set(bridges(g.graph))
-    skel, vmap, s_cls, t_cls, neigh = _skeleton_context(g)
-    closed = neigh | {s_cls}
+    vmap, s_cls, t_cls, neigh = _skeleton_context(g)
+    closed = neigh | 1 << s_cls
     out = []
     for i, (u, v) in enumerate(g.graph.edges):
         if i in bridge_set:
             continue
-        cu, cv = vmap[u], vmap[v]
+        ends = 1 << vmap[u] | 1 << vmap[v]
         if kind == 0:
-            ok = s_cls in (cu, cv)
+            ok = ends >> s_cls & 1
         elif kind == 1:
-            ok = cu not in closed and cv not in closed
+            ok = not ends & closed
         elif kind == 2:
-            ok = cu in neigh and cv in neigh
+            ok = ends & neigh == ends
         else:
             raise ValueError("kind must be 0, 1 or 2")
         if ok:
@@ -265,17 +261,12 @@ def _eligible_edges(kind: int, g: TwoTerminalGraph) -> list[int]:
 def _farthest_bridge(g: SimpleGraph) -> int:
     """The bridge farthest from the bridgeless core (pendant-path tip)."""
     bridge_idx = bridges(g)
-    non_bridge_ends = set()
-    for i, (u, v) in enumerate(g.edges):
-        if i not in bridge_idx:
-            non_bridge_ends.update((u, v))
-    if not non_bridge_ends:
+    cut = set(bridge_idx)
+    core = {x for i, e in enumerate(g.edges) if i not in cut for x in e}
+    if not core:
         raise ValueError("graph has no bridgeless core")
-
-    def core_dist(v: int) -> int:
-        return min(distance(g, v, w) for w in non_bridge_ends)
-
-    return max(bridge_idx, key=lambda i: (min(core_dist(g.edges[i][0]), core_dist(g.edges[i][1])), -i))
+    core_dist = distances(g, core)
+    return max(bridge_idx, key=lambda i: (min(core_dist[x] for x in g.edges[i]), -i))
 
 
 def _apply_variant(g: TwoTerminalGraph, bridge_idx: int, edge_idx: int) -> TwoTerminalGraph:
@@ -290,12 +281,9 @@ def _apply_variant(g: TwoTerminalGraph, bridge_idx: int, edge_idx: int) -> TwoTe
 class VariantContext:
     """A perturbed graph together with the data its counting analysis needs."""
 
-    kind: int
     balloon: TwoTerminalGraph
     result: TwoTerminalGraph
-    bridge_index: int
-    subdivided_edge: tuple[int, int]  # in the balloon's labeling
-    skeleton_edge: tuple[int, int]  # same edge in skeleton labels
+    skeleton_edge: tuple[int, int]  # the subdivided edge in skeleton labels
 
 
 def variant_with_context(kind: int, n: int, m: int) -> VariantContext:
@@ -306,16 +294,12 @@ def variant_with_context(kind: int, n: int, m: int) -> VariantContext:
     if not eligible:
         raise ValueError(f"no eligible edge for kind {kind} at ({n},{m})")
     edge_idx = eligible[0]
-    bridge_idx = _farthest_bridge(g.graph)
     u, v = g.graph.edges[edge_idx]
     _, vmap = skeleton(g.graph)
     x, y = vmap[u], vmap[v]
     return VariantContext(
-        kind=kind,
         balloon=g,
-        result=_apply_variant(g, bridge_idx, edge_idx),
-        bridge_index=bridge_idx,
-        subdivided_edge=(u, v),
+        result=_apply_variant(g, _farthest_bridge(g.graph), edge_idx),
         skeleton_edge=(min(x, y), max(x, y)),
     )
 

@@ -6,6 +6,10 @@ Vertices are 0..n-1.  Edges are unordered pairs stored as (u, v) with u < v,
 sorted lexicographically; edge *indices* into that list are the stable handles
 used by subset operations.  All values are immutable and all functions are
 pure, so everything here is safe to share across workers.
+
+Connectivity, components, bridges, skeletons and distances all run on one
+representation, a neighbour bitmask per vertex (`adjacency_masks`), and one
+breadth-first closure over it.
 """
 
 from __future__ import annotations
@@ -45,13 +49,6 @@ class SimpleGraph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
 
     def degree(self, v: int) -> int:
         return sum(1 for a, b in self.edges if v in (a, b))
@@ -94,40 +91,59 @@ class GuardError(RuntimeError):
     """Raised when an exhaustive search would exceed its configured size guard."""
 
 
+def adjacency_masks(n: int, edges: Iterable[Edge]) -> list[int]:
+    """Neighbour bitmask per vertex of the graph on 0..n-1 with these edges."""
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def _bfs_layers(adj: Sequence[int], sources: int) -> list[int]:
+    """Breadth-first layers from the vertex mask `sources`: layer d is the
+    mask of the vertices at distance d.  The layers are disjoint and together
+    hold every vertex reachable from a source.
+
+    Each frontier is expanded one set bit at a time, so a level costs its own
+    size rather than n.
+    """
+    layers = []
+    reached = frontier = sources
+    while frontier:
+        layers.append(frontier)
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            nxt |= adj[low.bit_length() - 1]
+        frontier = nxt & ~reached
+        reached |= frontier
+    return layers
+
+
+def _reach(adj: Sequence[int], sources: int) -> int:
+    """Mask of the vertices reachable from `sources` (the layers are disjoint,
+    so their sum is their union)."""
+    return sum(_bfs_layers(adj, sources))
+
+
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def min_degree(g: SimpleGraph) -> int:
-    degs = [0] * g.n
-    for u, v in g.edges:
-        degs[u] += 1
-        degs[v] += 1
-    return min(degs) if degs else 0
+    return min((a.bit_count() for a in adjacency_masks(g.n, g.edges)), default=0)
 
 
 def degree(g: SimpleGraph, v: int) -> int:
     return g.degree(v)
-
-
-def _union_find_components(n: int, pairs: Iterable[Edge]) -> list[int]:
-    """Root label per vertex after merging all pairs (path-halving union-find)."""
-    parent = list(range(n))
-    for u, v in pairs:
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        if u != v:
-            if u < v:
-                parent[v] = u
-            else:
-                parent[u] = v
-    roots = [0] * n
-    for x in range(n):
-        r = x
-        while parent[r] != r:
-            r = parent[r]
-        roots[x] = r
-    return roots
 
 
 def components(g: SimpleGraph, kept: EdgeSubset) -> list[list[int]]:
@@ -142,18 +158,20 @@ def components(g: SimpleGraph, kept: EdgeSubset) -> list[list[int]]:
         if not 0 <= i < m:
             raise IndexError(f"edge index {i} out of range for m={m}")
         pairs.append(g.edges[i])
-    roots = _union_find_components(g.n, pairs)
-    groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(roots[v], []).append(v)
-    return [groups[r] for r in sorted(groups)]
+    adj = adjacency_masks(g.n, pairs)
+    out = []
+    rest = (1 << g.n) - 1
+    while rest:
+        comp = _reach(adj, rest & -rest)
+        out.append(_bits(comp))
+        rest ^= comp
+    return out
 
 
 def is_connected(g: SimpleGraph) -> bool:
     if g.n == 0:
         return False
-    roots = _union_find_components(g.n, g.edges)
-    return all(r == roots[0] for r in roots)
+    return _reach(adjacency_masks(g.n, g.edges), 1) == (1 << g.n) - 1
 
 
 def is_split_subgraph(g: TwoTerminalGraph, kept: EdgeSubset) -> bool:
@@ -169,7 +187,8 @@ def validate(g: TwoTerminalGraph | SimpleGraph) -> list[str]:
     """Diagnostics for a (two-terminal) graph payload; empty means valid.
 
     Checks simplicity, connectivity and, for two-terminal graphs, terminal
-    distinctness and range.
+    distinctness and range.  Fewer than n - 1 edges cannot connect n
+    vertices, so that case is reported before any n-sized state is built.
     """
     graph = g.graph if isinstance(g, TwoTerminalGraph) else g
     diags: list[str] = []
@@ -184,7 +203,7 @@ def validate(g: TwoTerminalGraph | SimpleGraph) -> list[str]:
         elif (u, v) in seen:
             diags.append(f"duplicate edge ({u},{v})")
         seen.add((u, v))
-    if not diags and graph.n >= 1 and not is_connected(graph):
+    if not diags and graph.n >= 1 and (graph.m < graph.n - 1 or not is_connected(graph)):
         diags.append("not connected")
     if isinstance(g, TwoTerminalGraph):
         for lbl, x in (("s", g.s), ("t", g.t)):
@@ -196,45 +215,23 @@ def validate(g: TwoTerminalGraph | SimpleGraph) -> list[str]:
 
 
 def bridges(g: SimpleGraph) -> list[int]:
-    """Indices of bridge edges (edges whose removal disconnects), via DFS low-links.
+    """Indices of bridge edges: edge (u, v) is a bridge iff v is unreachable
+    from u once the edge is removed.
 
     Precondition: g connected.
     """
     if not is_connected(g):
         raise ValueError("bridges requires a connected graph")
-    n = g.n
-    # adjacency with edge indices; iterative DFS
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for idx, (u, v) in enumerate(g.edges):
-        adj[u].append((v, idx))
-        adj[v].append((u, idx))
-    disc = [-1] * n
-    low = [0] * n
-    out: list[int] = []
-    timer = 0
-    stack: list[tuple[int, int, int]] = [(0, -1, 0)]  # (vertex, entry edge idx, child pos)
-    disc[0] = low[0] = timer
-    timer += 1
-    while stack:
-        v, pe, i = stack.pop()
-        if i < len(adj[v]):
-            stack.append((v, pe, i + 1))
-            w, idx = adj[v][i]
-            if idx == pe:
-                continue
-            if disc[w] == -1:
-                disc[w] = low[w] = timer
-                timer += 1
-                stack.append((w, idx, 0))
-            else:
-                low[v] = min(low[v], disc[w])
-        else:
-            if pe != -1:
-                u = g.edges[pe][0] if g.edges[pe][1] == v else g.edges[pe][1]
-                low[u] = min(low[u], low[v])
-                if low[v] > disc[u]:
-                    out.append(pe)
-    return sorted(out)
+    adj = adjacency_masks(g.n, g.edges)
+    out = []
+    for i, (u, v) in enumerate(g.edges):
+        # dropping only the arc u -> v suffices: a search from u that reaches
+        # v by another route never needs the arc v -> u
+        adj[u] ^= 1 << v
+        if not _reach(adj, 1 << u) >> v & 1:
+            out.append(i)
+        adj[u] ^= 1 << v
+    return out
 
 
 def _min_cuts(g: SimpleGraph) -> tuple[int, int]:
@@ -244,10 +241,7 @@ def _min_cuts(g: SimpleGraph) -> tuple[int, int]:
         raise ValueError("edge connectivity needs n >= 2")
     if not is_connected(g):
         raise ValueError("edge connectivity requires a connected graph")
-    adj = [0] * g.n
-    for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    adj = adjacency_masks(g.n, g.edges)
     side = cut = 0
     best, count = g.m + 1, 0
     for i in range(1, 1 << (g.n - 1)):
@@ -323,20 +317,23 @@ def skeleton(g: SimpleGraph | TwoTerminalGraph) -> tuple[SimpleGraph, tuple[int,
     Precondition: connected.
     """
     graph = g.graph if isinstance(g, TwoTerminalGraph) else g
-    bridge_idx = set(bridges(graph))
-    roots = _union_find_components(graph.n, [graph.edges[i] for i in bridge_idx])
-    order = sorted(set(roots))
-    relabel = {r: i for i, r in enumerate(order)}
-    vmap = tuple(relabel[roots[v]] for v in range(graph.n))
+    bridge_idx = bridges(graph)
+    forest = components(graph, bridge_idx)
+    cls = [0] * graph.n
+    for i, comp in enumerate(forest):
+        for v in comp:
+            cls[v] = i
+    vmap = tuple(cls)
+    cut = set(bridge_idx)
     new_edges = []
     for i, (u, v) in enumerate(graph.edges):
-        if i in bridge_idx:
+        if i in cut:
             continue
         x, y = vmap[u], vmap[v]
         if x == y:
             raise AssertionError("non-bridge edge inside a bridge-forest class")
         new_edges.append((min(x, y), max(x, y)))
-    return SimpleGraph(len(order), tuple(new_edges)), vmap
+    return SimpleGraph(len(forest), tuple(new_edges)), vmap
 
 
 def projected_terminals(g: TwoTerminalGraph) -> Optional[tuple[int, int]]:
@@ -348,50 +345,49 @@ def projected_terminals(g: TwoTerminalGraph) -> Optional[tuple[int, int]]:
     return (s2, t2)
 
 
-def distance(g: SimpleGraph, u: int, v: int) -> int:
-    """Shortest-path edge count; raises on disconnected pairs."""
-    d = _bfs(g, u)
-    if d[v] < 0:
-        raise ValueError(f"vertices {u} and {v} are not connected")
-    return d[v]
-
-
-def _bfs(g: SimpleGraph, src: int) -> list[int]:
-    adj = g.adjacency()
+def distances(g: SimpleGraph, sources: Iterable[int]) -> list[int]:
+    """Per vertex, the edge count of a shortest path to the nearest source;
+    -1 where no source is reachable."""
+    adj = adjacency_masks(g.n, g.edges)
     dist = [-1] * g.n
-    dist[src] = 0
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in adj[x]:
-                if dist[y] < 0:
-                    dist[y] = dist[x] + 1
-                    nxt.append(y)
-        frontier = nxt
+    for d, layer in enumerate(_bfs_layers(adj, sum(1 << s for s in set(sources)))):
+        for v in _bits(layer):
+            dist[v] = d
     return dist
 
 
-def diameter(g: SimpleGraph) -> int:
-    best = 0
-    for v in range(g.n):
-        d = _bfs(g, v)
-        m = max(d)
-        if min(d) < 0:
+def distance(g: SimpleGraph, u: int, v: int) -> int:
+    """Shortest-path edge count; raises on disconnected pairs."""
+    d = distances(g, (u,))[v]
+    if d < 0:
+        raise ValueError(f"vertices {u} and {v} are not connected")
+    return d
+
+
+def _eccentric_layers(g: SimpleGraph):
+    """(u, BFS layers from u) for every vertex u; raises on a disconnected g."""
+    adj = adjacency_masks(g.n, g.edges)
+    full = (1 << g.n) - 1
+    for u in range(g.n):
+        layers = _bfs_layers(adj, 1 << u)
+        if sum(layers) != full:
             raise ValueError("diameter requires a connected graph")
-        best = max(best, m)
-    return best
+        yield u, layers
+
+
+def diameter(g: SimpleGraph) -> int:
+    return max((len(layers) - 1 for _, layers in _eccentric_layers(g)), default=0)
 
 
 def eccentric_pairs(g: SimpleGraph) -> list[tuple[int, int]]:
-    """All vertex pairs (u < v) at distance exactly diameter(g)."""
-    pairs = []
-    dia = diameter(g)
-    for u in range(g.n):
-        d = _bfs(g, u)
-        for v in range(u + 1, g.n):
-            if d[v] == dia:
-                pairs.append((u, v))
+    """All vertex pairs (u < v) at distance exactly diameter(g), in one BFS
+    per vertex."""
+    best, pairs = 0, []
+    for u, layers in _eccentric_layers(g):
+        if len(layers) - 1 > best:
+            best, pairs = len(layers) - 1, []
+        if len(layers) - 1 == best:
+            pairs += [(u, v) for v in _bits(layers[-1] >> (u + 1) << (u + 1))]
     return pairs
 
 

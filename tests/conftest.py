@@ -63,6 +63,46 @@ def connected_graphs(draw, min_n: int = 1, max_n: int = 7, max_m: int = 14) -> S
     return SimpleGraph(n, tuple(tree + extra))
 
 
+def union_find_roots(n: int, pairs: Sequence[Edge]) -> list[int]:
+    """Reference components: root label per vertex after merging all pairs
+    (path-halving union-find; the root is the component's smallest vertex)."""
+    parent = list(range(n))
+    for u, v in pairs:
+        while parent[u] != u:
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        if u != v:
+            if u < v:
+                parent[v] = u
+            else:
+                parent[u] = v
+    roots = [0] * n
+    for x in range(n):
+        r = x
+        while parent[r] != r:
+            r = parent[r]
+        roots[x] = r
+    return roots
+
+
+def balloon_by_recursion(n: int, m: int) -> SimpleGraph:
+    """Reference balloon: the dense core when (n, m) is in the dense range,
+    the triangle with a pendant at (4, 4), and otherwise balloon(n-1, m-1)
+    with vertex n-1 hung on its lowest-indexed minimum-degree vertex."""
+    if comb(n - 1, 2) + 2 <= m <= comb(n, 2):
+        core = [(u, v) for u in range(n - 1) for v in range(u + 1, n - 1)]
+        core += [(u, n - 1) for u in range(m - comb(n - 1, 2))]
+        return SimpleGraph(n, tuple(core))
+    if (n, m) == (4, 4):
+        return SimpleGraph(4, ((0, 1), (0, 2), (1, 2), (0, 3)))
+    prev = balloon_by_recursion(n - 1, m - 1)
+    degs = [prev.degree(v) for v in range(prev.n)]
+    return SimpleGraph(n, prev.edges + ((degs.index(min(degs)), n - 1),))
+
+
 def sr_value_by_power_basis(counts: Sequence[int], p) -> Fraction:
     """Reference evaluation: expand sum_i N_i p^i (1-p)^(m-i) into rational
     power-basis coefficients, then Horner at the rational point p."""

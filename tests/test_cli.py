@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from splitrel import checks, enumeration
 from splitrel.cli import main
 from splitrel.families import balloon
 from splitrel.graphs import to_json_dict
@@ -29,6 +30,13 @@ def test_balloon_command(capsys, tmp_path):
     assert code == 0
     doc = json.loads(out_path.read_text())
     assert doc == to_json_dict(balloon(9, 15))
+
+
+def test_long_pendant_balloon(capsys):
+    code = main(["balloon", "2000", "2000"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    assert json.loads(captured.out)["n"] == 2000
 
 
 def test_two_terminal_balloon_and_text_format(capsys):
@@ -123,6 +131,24 @@ def test_uniform_check_winner_and_none(capsys):
     assert code == 0 and out.startswith("NONE")
     doc = json.loads(out.split("\n", 1)[1])
     assert doc["verdict"] == "none" and "witness" in doc
+
+
+def test_uniform_check_builds_one_ledger(capsys, monkeypatch):
+    built = []
+    real = enumeration.refine_chain
+
+    def counted(n, m):
+        built.append((n, m))
+        return real(n, m)
+
+    monkeypatch.setattr(enumeration, "refine_chain", counted)
+    monkeypatch.setattr(checks, "refine_chain", counted)
+    code, out = run(capsys, "uniform-check", "6", "6")
+    assert code == 0 and out.startswith("NONE")
+    assert built == [(6, 6)]
+    built.clear()
+    assert checks.check_thm3().status == "pass"
+    assert built == [(7, 7), (7, 8), (7, 9)]
 
 
 def test_uniform_check_deterministic_output(capsys):

@@ -1,6 +1,6 @@
 """Exact engine: subset classification against the 2^m sweep, coefficient
-vectors, tree counts, the bipartition oracle, deletion/contraction, Monte
-Carlo."""
+vectors, tree and two-tree counts (Laplacian minors) against the recurrence
+and closed forms, deletion/contraction, Monte Carlo."""
 
 import os
 import random
@@ -158,6 +158,17 @@ def test_two_tree_count_examples():
     for n in range(2, 8):
         g = TwoTerminalGraph(path_n(n), 0, n - 1)
         assert two_tree_count(g) == n - 1
+
+
+def test_two_tree_count_closed_forms():
+    # beyond the subset oracles' reach: path ends, cycle chords, complete graphs
+    assert two_tree_count(TwoTerminalGraph(path_n(40), 0, 39)) == 39
+    for n in range(3, 31):
+        for d in range(1, n // 2 + 1):
+            assert two_tree_count(TwoTerminalGraph(cycle_n(n), 0, d)) == d * (n - d), (n, d)
+    for n in range(3, 13):
+        for s, t in combinations(range(n), 2):
+            assert two_tree_count(TwoTerminalGraph(k_n(n), s, t)) == 2 * n ** (n - 3), (n, s, t)
 
 
 def test_two_tree_count_matches_sweep():

@@ -219,8 +219,8 @@ def test_ledger_csv_summary():
 
 
 def test_seven_vertex_oracle_equivalences():
-    """The n = 7 sweep of the desk-scale invariants: two-tree bipartition
-    formula against the computed signatures for every representative,
+    """The n = 7 sweep of the desk-scale invariants: the two-terminal
+    Laplacian minor against the computed signatures for every representative,
     deletion/contraction on every non-bridge edge, and dense-range
     connectivity = minimum degree."""
     from splitrel.counting import deletion_contraction_check, two_tree_count

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from conftest import k_n
+from conftest import balloon_by_recursion, k_n
 from splitrel import canon
 from splitrel.counting import spanning_tree_count, split_coefficients
 from splitrel.families import (
@@ -70,6 +70,12 @@ def test_balloon_recursive_case():
     assert diameter(g) == 5
     # the pendant path hangs off the dense part one vertex at a time
     assert g.degree(8) == 1 and g.degree(7) == 2 and g.degree(6) == 2
+
+
+def test_balloon_matches_recursive_construction():
+    for n in range(4, 15):
+        for m in range(n, comb(n, 2) + 1):
+            assert balloon(n, m) == balloon_by_recursion(n, m), (n, m)
 
 
 def test_two_terminal_balloon_diametral():

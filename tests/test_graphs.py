@@ -2,11 +2,21 @@
 contraction/subdivision, skeletons, distances, interchange formats."""
 
 import random
+import tracemalloc
 from math import comb
 
 import pytest
+from hypothesis import given, strategies as st
 
-from conftest import cycle_n, k_n, min_separators_by_search, path_n, random_connected_graph
+from conftest import (
+    connected_graphs,
+    cycle_n,
+    k_n,
+    min_separators_by_search,
+    path_n,
+    random_connected_graph,
+    union_find_roots,
+)
 from splitrel.canon import canonical_form_graph, isomorphic
 from splitrel.families import balloon, two_terminal_balloon
 from splitrel.graphs import (
@@ -18,7 +28,9 @@ from splitrel.graphs import (
     count_min_separators,
     diameter,
     distance,
+    distances,
     dumps,
+    eccentric_pairs,
     edge_connectivity,
     is_connected,
     is_split_subgraph,
@@ -51,6 +63,78 @@ def test_validate_duplicate_and_terminals():
     assert any("duplicate" in d for d in validate(g))
     bad = TwoTerminalGraph(k_n(3), 1, 1)
     assert any("distinct" in d for d in validate(bad))
+
+
+def test_validate_too_few_edges_builds_no_vertex_state():
+    # fewer than n - 1 edges are refused before any n-sized structure exists
+    tracemalloc.start()
+    try:
+        diags = validate(loads('{"n": 1000000, "edges": [], "terminals": [0, 1]}'))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diags == ["not connected"]
+    assert peak < 1 << 20
+    # n - 1 edges that still leave two components go through the reachability test
+    assert validate(SimpleGraph(5, ((0, 1), (0, 2), (1, 2), (3, 4)))) == ["not connected"]
+
+
+@st.composite
+def graphs_with_subsets(draw):
+    """A connected graph and a drawn subset of its edge indices to keep."""
+    g = draw(connected_graphs(max_n=8, max_m=20))
+    kept = draw(st.lists(st.integers(0, g.m - 1), unique=True)) if g.m else []
+    return g, kept
+
+
+def _oracle_components(n, pairs):
+    roots = union_find_roots(n, pairs)
+    groups = {}
+    for v in range(n):
+        groups.setdefault(roots[v], []).append(v)
+    return [groups[r] for r in sorted(groups)]
+
+
+@given(graphs_with_subsets())
+def test_components_match_union_find(case):
+    g, kept = case
+    assert components(g, kept) == _oracle_components(g.n, [g.edges[i] for i in kept])
+
+
+@given(graphs_with_subsets())
+def test_is_connected_matches_union_find(case):
+    g, kept = case
+    sub = SimpleGraph(g.n, tuple(g.edges[i] for i in kept))
+    assert is_connected(sub) == (len(set(union_find_roots(sub.n, sub.edges))) == 1)
+
+
+@given(connected_graphs(max_n=8, max_m=20))
+def test_bridges_match_union_find(g):
+    split = [
+        e for e in range(g.m)
+        if len(set(union_find_roots(g.n, g.edges[:e] + g.edges[e + 1:]))) == 2
+    ]
+    assert bridges(g) == split
+
+
+@given(connected_graphs(max_n=8, max_m=20))
+def test_skeleton_vertex_map_matches_union_find(g):
+    roots = union_find_roots(g.n, [g.edges[i] for i in bridges(g)])
+    order = sorted(set(roots))
+    _, vmap = skeleton(g)
+    assert vmap == tuple(order.index(r) for r in roots)
+
+
+@given(connected_graphs(max_n=8, max_m=20), st.data())
+def test_distance_layers_agree(g, data):
+    dist = [[distance(g, u, v) for v in range(g.n)] for u in range(g.n)]
+    dia = max(max(row) for row in dist)
+    assert diameter(g) == dia
+    assert eccentric_pairs(g) == [
+        (u, v) for u in range(g.n) for v in range(u + 1, g.n) if dist[u][v] == dia
+    ]
+    sources = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
+    assert distances(g, sources) == [min(dist[s][v] for s in sources) for v in range(g.n)]
 
 
 def test_components_full_cycle():
