@@ -1,28 +1,29 @@
-"""Canonical forms for small (two-terminal) graphs and the orbit tables the
-enumerator is built on.
+"""Canonical forms for small (two-terminal) graphs and the automorphism data
+the class enumerator is built on.
 
 A labeled graph on n vertices is a bitmask over the C(n,2) lexicographic
-vertex pairs; its canonical form is the minimum mask over all relabelings
-(a terminal pair must land on {0, 1}).  Images are row sums of a
-permutation-weight table: all n! rows for the enumerator (n <= 7), or the
-(n-2)! rows fixing 0 and 1 for keys, after relabeling the terminals onto
-{0, 1} in both orders.  A plain graph's key is the least such key over all
-C(n,2) pairs.  Exact and deterministic; keys are guarded to n <= 9.
+vertex pairs.  Every key comes from one individualization-refinement search
+(McKay and Piperno, "Practical graph isomorphism, II", 2014, without pruning
+by automorphisms): refine an ordered vertex partition until it is equitable,
+individualize each vertex of the first smallest non-singleton cell in turn,
+and recurse.  A discrete leaf relabels every vertex to its position; the key
+is the least leaf mask.  A cell of pairwise twins is entered at its first
+vertex only, with the cell size as weight (swapping twins maps one subtree
+onto the other), so the weights of the least leaves sum to |Aut|.  A plain
+graph starts from one cell, a two-terminal graph from [{s, t}, rest], so its
+terminals land on {0, 1}.  Exact and deterministic; guarded to n <= 12.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
 from typing import Sequence
 
-import numpy as np
+from .graphs import Edge, GuardError, SimpleGraph, TwoTerminalGraph, adjacency_masks
 
-from .graphs import GuardError, SimpleGraph, TwoTerminalGraph
+CANON_GUARD_N = 12
 
-CANON_GUARD_N = 9
-
-CanonicalForm = tuple[int, int, int]  # (n, m, minimal edge bitmask)
+CanonicalForm = tuple[int, int, int]  # (n, m, least leaf mask of the search)
 
 
 @lru_cache(maxsize=None)
@@ -33,6 +34,15 @@ def pair_list(n: int) -> tuple[tuple[int, int], ...]:
 @lru_cache(maxsize=None)
 def pair_index_map(n: int) -> dict[tuple[int, int], int]:
     return {p: k for k, p in enumerate(pair_list(n))}
+
+
+@lru_cache(maxsize=None)
+def _pair_bits(n: int) -> tuple[tuple[int, ...], ...]:
+    """bits[a][b] = 1 << (index of the pair {a, b}), for either order."""
+    bits = [[0] * n for _ in range(n)]
+    for k, (u, v) in enumerate(pair_list(n)):
+        bits[u][v] = bits[v][u] = 1 << k
+    return tuple(map(tuple, bits))
 
 
 def graph_mask(g: SimpleGraph) -> int:
@@ -48,67 +58,83 @@ def mask_to_graph(n: int, mask: int) -> SimpleGraph:
     return SimpleGraph(n, tuple(pairs[k] for k in range(len(pairs)) if (mask >> k) & 1))
 
 
-@lru_cache(maxsize=None)
-def vertex_permutations(n: int) -> tuple[tuple[int, ...], ...]:
-    return tuple(permutations(range(n)))
+def _refine(adj: Sequence[int], cells: list[int]) -> list[int]:
+    """Split the cells (vertex masks) by their vertices' neighbour counts in
+    every cell until none splits; the pieces take their cell's place, in
+    order of their counts.  Singleton cells are skipped."""
+    while True:
+        out = []
+        for cell in cells:
+            if not cell & (cell - 1):
+                out.append(cell)
+                continue
+            pieces: dict[tuple[int, ...], int] = {}
+            rest = cell
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                row = adj[low.bit_length() - 1]
+                key = tuple([(row & c).bit_count() for c in cells])
+                pieces[key] = pieces.get(key, 0) | low
+            out += [pieces[k] for k in sorted(pieces)]
+        if len(out) == len(cells):
+            return out
+        cells = out
 
 
-def _weight_table(n: int, perms: Sequence[Sequence[int]]) -> np.ndarray:
-    """weights[p, k] = 1 << (image of pair k under permutation perms[p])."""
-    table = np.array(perms, dtype=np.int64)  # (len(perms), n)
-    cols = []
-    for u, v in pair_list(n):
-        pu = table[:, u]
-        pv = table[:, v]
-        lo = np.minimum(pu, pv)
-        hi = np.maximum(pu, pv)
-        img = lo * n - lo * (lo + 1) // 2 + (hi - lo - 1)
-        cols.append(np.int64(1) << img)
-    return np.stack(cols, axis=1)  # (len(perms), C(n,2))
-
-
-@lru_cache(maxsize=None)
-def _full_table(n: int) -> np.ndarray:
-    return _weight_table(n, vertex_permutations(n))
-
-
-@lru_cache(maxsize=None)
-def _pinned_table(n: int) -> np.ndarray:
-    """The weight table of the (n-2)! permutations fixing 0 and 1."""
-    return _weight_table(n, [(0, 1) + p for p in permutations(range(2, n))])
-
-
-def _check_guard(n: int) -> None:
+def _search(
+    n: int, edges: Sequence[Edge], cells: list[int]
+) -> tuple[dict[int, int], list[list[int]], list[tuple[int, int]]]:
+    """The search from the ordered partition `cells`: {leaf mask: summed
+    weight}, the vertex orders of the least leaves, and the twin pairs whose
+    subtrees were taken as one."""
     if n > CANON_GUARD_N:
         raise GuardError(f"canonical labeling guarded to n <= {CANON_GUARD_N}, got n={n}")
-
-
-def _pinned_min(g: SimpleGraph, s: int, t: int) -> int:
-    """Minimum mask over the relabelings that send {s, t} onto {0, 1}."""
-    table = _pinned_table(g.n)
-    idx = pair_index_map(g.n)
-    others = [v for v in range(g.n) if v not in (s, t)]
-    lows = []
-    for order in ((s, t), (t, s)):
-        label = dict(zip((*order, *others), range(g.n)))
-        cols = [idx[tuple(sorted((label[u], label[v])))] for u, v in g.edges]
-        lows.append(int(table[:, cols].sum(axis=1).min()))
-    return min(lows)
+    adj = adjacency_masks(n, edges)
+    bits = _pair_bits(n)
+    leaves: dict[int, int] = {}
+    least: list[list[int]] = []
+    swaps: list[tuple[int, int]] = []
+    stack = [([c for c in cells if c], 1)]
+    while stack:
+        cells, weight = stack.pop()
+        cells = _refine(adj, cells)
+        size, i = min(((c.bit_count(), i) for i, c in enumerate(cells) if c & (c - 1)),
+                      default=(0, -1))
+        if not size:
+            order = [c.bit_length() - 1 for c in cells]
+            pos = sorted(range(n), key=order.__getitem__)  # the inverse of order
+            mask = 0
+            for u, v in edges:
+                mask |= bits[pos[u]][pos[v]]
+            leaves[mask] = leaves.get(mask, 0) + weight
+            if not least or mask < best:
+                best, least = mask, [order]
+            elif mask == best:
+                least.append(order)
+            continue
+        cell = cells[i]
+        members = [v for v in range(n) if cell >> v & 1]
+        if len({adj[v] for v in members}) == 1 or len({adj[v] | 1 << v for v in members}) == 1:
+            swaps += [(members[0], v) for v in members[1:]]
+            members, weight = members[:1], weight * size
+        for v in reversed(members):
+            stack.append((cells[:i] + [1 << v, cell ^ 1 << v] + cells[i + 1:], weight))
+    return leaves, least, swaps
 
 
 def canonical_form_graph(g: SimpleGraph) -> CanonicalForm:
-    """Isomorphism-invariant key of a plain graph: minimum mask over all
-    relabelings, each of which sends exactly one pair onto {0, 1}."""
-    _check_guard(g.n)
-    return (g.n, g.m, min((_pinned_min(g, a, b) for a, b in pair_list(g.n)), default=0))
+    """Isomorphism-invariant key of a plain graph: the least leaf mask of the
+    search from one cell."""
+    return (g.n, g.m, min(_search(g.n, g.edges, [(1 << g.n) - 1])[0]))
 
 
 def canonical_form(g: TwoTerminalGraph) -> CanonicalForm:
-    """Key of a two-terminal graph: minimum mask over relabelings that map the
-    terminal set onto {0, 1} (both orders tried).  Equal keys iff isomorphic
-    with the terminal set respected."""
-    _check_guard(g.graph.n)
-    return (g.graph.n, g.graph.m, _pinned_min(g.graph, g.s, g.t))
+    """Key of a two-terminal graph: the least leaf mask of the search from
+    [{s, t}, rest], so the terminal set lands on {0, 1}.  Equal keys iff
+    isomorphic with the terminal set respected."""
+    n, ends = g.graph.n, 1 << g.s | 1 << g.t
+    return (n, g.graph.m, min(_search(n, g.graph.edges, [ends, (1 << n) - 1 ^ ends])[0]))
 
 
 def isomorphic(a: SimpleGraph, b: SimpleGraph) -> bool:
@@ -116,19 +142,18 @@ def isomorphic(a: SimpleGraph, b: SimpleGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# orbit machinery over all n! permutations (used by the class enumerator, n <= 7)
+# the search on edge masks (used by the class enumerator)
 
-def orbit_images(n: int, mask: int) -> np.ndarray:
-    """Edge-mask image of `mask` under every vertex permutation (with repeats)."""
-    table = _full_table(n)
-    cols = [k for k in range(table.shape[1]) if (mask >> k) & 1]
-    if not cols:
-        return np.zeros(table.shape[0], dtype=np.int64)
-    return table[:, cols].sum(axis=1)
+def orbit_images(n: int, mask: int) -> dict[int, int]:
+    """{leaf mask: summed weight} of the search on the graph with edge mask
+    `mask`: the least key is its canonical key, and its weight is |Aut|."""
+    return _search(n, mask_to_graph(n, mask).edges, [(1 << n) - 1])[0]
 
 
 def stabilizer_perms(n: int, mask: int) -> list[tuple[int, ...]]:
-    """Vertex permutations whose induced edge relabeling fixes `mask`."""
-    images = orbit_images(n, mask)
-    all_perms = vertex_permutations(n)
-    return [all_perms[i] for i in np.nonzero(images == mask)[0]]
+    """Generators of the automorphism group of the graph with edge mask
+    `mask` (perm[v] is the image of v): the twin swaps, and the maps from the
+    first least leaf to every other least leaf."""
+    _, least, swaps = _search(n, mask_to_graph(n, mask).edges, [(1 << n) - 1])
+    gens = [tuple(b if v == a else a if v == b else v for v in range(n)) for a, b in swaps]
+    return gens + [tuple(v for _, v in sorted(zip(least[0], order))) for order in least[1:]]

@@ -3,10 +3,10 @@ desk scale, the lexicographic refinement chain over failed-edge counts, and
 the uniform-winner decision.
 
 Generation descends from K_n by deleting one non-bridge edge at a time and
-keeps one graph per isomorphism orbit at each edge count; the canonical
-representative of each orbit is its minimum edge-mask labeling.  Terminal
-pairs are deduplicated by the orbits of the automorphism group, so each
-two-terminal representative is unique up to terminal-respecting isomorphism.
+keeps one graph per isomorphism orbit at each edge count, labeled by its
+canonical key (the least leaf of `canon`'s search).  Terminal pairs are
+deduplicated by the orbits of the automorphism group, so each two-terminal
+representative is unique up to terminal-respecting isomorphism.
 Signatures are computed once per underlying graph (the subset classification
 is shared by all its terminal pairs); nothing is stored between runs.
 
@@ -42,10 +42,10 @@ ENUM_GUARD_N = 7
 
 
 def _check_enum_guard(n: int) -> None:
+    if n < 2:
+        raise ValueError("enumeration needs n >= 2")
     if n > ENUM_GUARD_N:
         raise GuardError(f"class enumeration guarded to n <= {ENUM_GUARD_N}, got n={n}")
-    if n < 2:
-        raise GuardError("enumeration needs n >= 2")
 
 
 @lru_cache(maxsize=None)
@@ -54,8 +54,8 @@ def _descent(n: int) -> tuple[dict[int, int], ...]:
     connected graphs on n vertices, by edge-deletion descent from K_n.
 
     Each representative at level m loses, in turn, every edge that is not a
-    bridge; the child's canonical key is its minimum orbit image and |Aut| is
-    the number of images equal to that key.  The levels are complete: adding
+    bridge; the child's canonical key is its least leaf image and |Aut| is
+    that leaf's weight (`canon.orbit_images`).  The levels are complete: adding
     any missing edge to a connected graph gives a connected graph in which
     that edge is not a bridge, so every class at level m - 1 is a child of
     some representative at level m.
@@ -72,9 +72,9 @@ def _descent(n: int) -> tuple[dict[int, int], ...]:
                 if i in cut:
                     continue
                 images = canon.orbit_images(n, mask & ~(1 << k))
-                key = int(images.min())
+                key = min(images)
                 if key not in below:
-                    below[key] = int((images == key).sum())
+                    below[key] = images[key]
     return tuple(levels)
 
 
@@ -108,21 +108,23 @@ def automorphism_count(n: int, m: int) -> list[int]:
 
 
 def _pair_orbits(n: int, mask: int) -> list[tuple[int, int]]:
-    """One representative pair per orbit of Aut(G) on unordered vertex pairs."""
-    perms = canon.stabilizer_perms(n, mask)
-    seen: set[tuple[int, int]] = set()
-    out = []
-    for s in range(n):
-        for t in range(s + 1, n):
-            if (s, t) in seen:
-                continue
-            orbit = set()
-            for p in perms:
-                a, b = p[s], p[t]
-                orbit.add((a, b) if a < b else (b, a))
-            seen.update(orbit)
-            out.append(min(orbit))
-    return out
+    """One representative pair, the least, per orbit of Aut(G) on unordered
+    vertex pairs: union-find over the pairs' images under the generators."""
+    pairs = canon.pair_list(n)
+    index = canon.pair_index_map(n)
+    root = list(range(len(pairs)))
+
+    def find(k: int) -> int:
+        while root[k] != k:
+            root[k] = k = root[root[k]]
+        return k
+
+    for perm in canon.stabilizer_perms(n, mask):
+        for k, (s, t) in enumerate(pairs):
+            a, b = perm[s], perm[t]
+            x, y = sorted((find(k), find(index[(a, b) if a < b else (b, a)])))
+            root[y] = x
+    return [p for k, p in enumerate(pairs) if find(k) == k]
 
 
 def enumerate_two_terminal(n: int, m: int) -> list[TwoTerminalGraph]:

@@ -214,16 +214,17 @@ def bogdanowicz_tree_count(spec: ThresholdSpec) -> int:
 # perturbed graphs (bridge contraction + skeleton-edge subdivision)
 
 def _skeleton_context(g: TwoTerminalGraph):
-    """Vertex map onto the skeleton, the low-degree projected terminal s'
-    (terminal order is normalized, so pick by skeleton degree), the other
-    projected terminal t', and the neighbour mask of s'."""
+    """One skeleton pass: the bridges (the edges inside a skeleton class), the
+    vertex map, the low-degree projected terminal s' (terminal order is
+    normalized, so pick by skeleton degree), t', and the neighbour mask of s'."""
     skel, vmap = skeleton(g.graph)
+    cut = [i for i, (u, v) in enumerate(g.graph.edges) if vmap[u] == vmap[v]]
     adj = adjacency_masks(skel.n, skel.edges)
     s_cls, t_cls = sorted((vmap[g.s], vmap[g.t]), key=lambda c: (adj[c].bit_count(), c))
-    return vmap, s_cls, t_cls, adj[s_cls]
+    return cut, vmap, s_cls, t_cls, adj[s_cls]
 
 
-def _eligible_edges(kind: int, g: TwoTerminalGraph) -> list[int]:
+def _eligible_edges(kind: int, g: TwoTerminalGraph, context) -> list[int]:
     """Skeleton edges usable for the given perturbation kind.
 
     Edges incident to the far projected terminal t' are avoided whenever an
@@ -232,8 +233,8 @@ def _eligible_edges(kind: int, g: TwoTerminalGraph) -> list[int]:
     The fallback (needed e.g. when the only nonadjacent pair includes t') still
     satisfies the counting bound the perturbation exists for.
     """
-    bridge_set = set(bridges(g.graph))
-    vmap, s_cls, t_cls, neigh = _skeleton_context(g)
+    cut, vmap, s_cls, t_cls, neigh = context
+    bridge_set = set(cut)
     closed = neigh | 1 << s_cls
     out = []
     for i, (u, v) in enumerate(g.graph.edges):
@@ -258,9 +259,8 @@ def _eligible_edges(kind: int, g: TwoTerminalGraph) -> list[int]:
     return away if away else out
 
 
-def _farthest_bridge(g: SimpleGraph) -> int:
+def _farthest_bridge(g: SimpleGraph, bridge_idx: list[int]) -> int:
     """The bridge farthest from the bridgeless core (pendant-path tip)."""
-    bridge_idx = bridges(g)
     cut = set(bridge_idx)
     core = {x for i, e in enumerate(g.edges) if i not in cut for x in e}
     if not core:
@@ -290,16 +290,17 @@ def variant_with_context(kind: int, n: int, m: int) -> VariantContext:
     if not in_I1(n, m):
         raise ValueError(f"({n},{m}) has no bridges; perturbation undefined")
     g = two_terminal_balloon(n, m)
-    eligible = _eligible_edges(kind, g)
+    context = _skeleton_context(g)
+    eligible = _eligible_edges(kind, g, context)
     if not eligible:
         raise ValueError(f"no eligible edge for kind {kind} at ({n},{m})")
     edge_idx = eligible[0]
     u, v = g.graph.edges[edge_idx]
-    _, vmap = skeleton(g.graph)
+    cut, vmap = context[:2]
     x, y = vmap[u], vmap[v]
     return VariantContext(
         balloon=g,
-        result=_apply_variant(g, _farthest_bridge(g.graph), edge_idx),
+        result=_apply_variant(g, _farthest_bridge(g.graph, cut), edge_idx),
         skeleton_edge=(min(x, y), max(x, y)),
     )
 
@@ -326,14 +327,11 @@ def variant_all_choices(kind: int, n: int, m: int) -> list[TwoTerminalGraph]:
     if not in_I1(n, m):
         raise ValueError(f"({n},{m}) has no bridges; perturbation undefined")
     g = two_terminal_balloon(n, m)
-    eligible = _eligible_edges(kind, g)
+    context = _skeleton_context(g)
+    eligible = _eligible_edges(kind, g, context)
     if not eligible:
         raise ValueError(f"no eligible edge for kind {kind} at ({n},{m})")
-    return [
-        _apply_variant(g, b, e)
-        for b in bridges(g.graph)
-        for e in eligible
-    ]
+    return [_apply_variant(g, b, e) for b in context[0] for e in eligible]
 
 
 # ---------------------------------------------------------------------------

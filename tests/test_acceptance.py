@@ -12,7 +12,7 @@ from math import comb, sqrt
 
 import pytest
 
-from conftest import random_two_terminal
+from conftest import canonical_form_by_search, random_two_terminal
 from splitrel.checks import (
     check_bogdanowicz,
     check_closed_forms,
@@ -36,12 +36,18 @@ from splitrel.counting import (
 from splitrel.enumeration import (
     enumerate_graphs,
     enumerate_two_terminal,
+    refine_chain,
     uniform_check,
     verify_balloon_characterization,
 )
 from splitrel.families import closed_form_F
 from splitrel.graphs import bridges, relabel_two_terminal
-from splitrel.signature import SplitSignature, evaluate, sr_polynomial
+from splitrel.signature import (
+    SplitSignature,
+    dominates_on_unit_interval,
+    evaluate,
+    sr_polynomial,
+)
 
 I_CLASSES = [
     (n, m) for n in range(4, 8) for m in range(n, comb(n, 2) + 1)
@@ -71,15 +77,31 @@ def verdict_table():
 # (rival index, witness) of every no-winner class, as the dominance decision
 # reports them: each refutation is the first presample point, 1/64
 NO_WINNER_WITNESSES = {
-    (6, 6): (30, "1/64"),
-    (6, 8): (116, "1/64"),
-    (7, 7): (246, "1/64"),
-    (7, 8): (506, "1/64"),
-    (7, 9): (678, "1/64"),
-    (7, 10): (526, "1/64"),
-    (7, 11): (1190, "1/64"),
-    (7, 12): (1156, "1/64"),
-    (7, 13): (629, "1/64"),
+    (6, 6): (23, "1/64"),
+    (6, 8): (95, "1/64"),
+    (7, 7): (18, "1/64"),
+    (7, 8): (176, "1/64"),
+    (7, 9): (6, "1/64"),
+    (7, 10): (512, "1/64"),
+    (7, 11): (1761, "1/64"),
+    (7, 12): (194, "1/64"),
+    (7, 13): (900, "1/64"),
+}
+
+# The rivals the same decision reported while representatives carried their
+# minimum-mask labels, by that label (the factorial-search key).  Relabeling
+# the representatives must keep each in the reported rival's
+# split-equivalence class, refuted at the same witness.
+MIN_MASK_RIVALS = {
+    (6, 6): 15396,
+    (6, 8): 16018,
+    (7, 7): 127136,
+    (7, 8): 258320,
+    (7, 9): 258352,
+    (7, 10): 520992,
+    (7, 11): 523040,
+    (7, 12): 1013944,
+    (7, 13): 1047078,
 }
 
 
@@ -107,6 +129,24 @@ def test_criterion_01_existence_table(verdict_table):
         f"uniform verdicts over {len(verdict_table)} classes match the "
         f"published table (trees cited: {tree_classes_cited}); mismatches={mismatches}",
     )
+
+
+def test_criterion_01_min_mask_rivals_keep_their_class():
+    found = {}
+    for (n, m), key in MIN_MASK_RIVALS.items():
+        ledger = refine_chain(n, m)
+        verdict = ledger.uniform_verdict()
+        rival_class = next(c for c in ledger.equivalence_classes if verdict.rival in c)
+        hits = [i for i in rival_class if canonical_form_by_search(ledger.members[i])[2] == key]
+        cand = ledger.signatures[ledger.locally_most[0]].counts
+        witnesses = {
+            str(dominates_on_unit_interval(cand, ledger.signatures[i].counts).witness)
+            for i in hits
+        }
+        found[(n, m)] = (len(hits), witnesses)
+    ok = found == {key: (1, {"1/64"}) for key in MIN_MASK_RIVALS}
+    _line(1, ok, f"each minimum-mask rival is split-equivalent to the reported "
+                 f"rival and refuted at 1/64: {found}")
 
 
 def test_criterion_02_locally_most_is_balloon_class(verdict_table):

@@ -1,9 +1,14 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import splitrel
 from splitrel import checks, enumeration
 from splitrel.cli import main
 from splitrel.families import balloon
@@ -180,12 +185,35 @@ def test_guard_exit_code(capsys, tmp_path):
     assert "n=17" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [("two-terminal-balloon", "10", "20"), ("variant", "1", "10", "20")])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("two-terminal-balloon", "10", "20"),
+        ("variant", "1", "10", "20"),
+        ("two-terminal-balloon", "13", "20"),  # past the canonical guard
+        ("variant", "1", "13", "20"),
+    ],
+)
 def test_construction_needs_no_canonical_search(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 0
     doc = json.loads(out)
-    assert doc["n"] == 10 and len(doc["edges"]) == 20
+    assert doc["n"] == int(argv[-2]) and len(doc["edges"]) == 20
+
+
+@pytest.mark.parametrize("command", ["enumerate", "refine", "uniform-check"])
+def test_enumeration_needs_two_vertices(capsys, command):
+    # bad input, not a size guard: exit 1
+    assert main([command, "1", "0"]) == 1
+    assert capsys.readouterr().err == "error: enumeration needs n >= 2\n"
+
+
+def test_import_loads_no_numpy():
+    src = str(Path(splitrel.__file__).resolve().parents[1])
+    code = "import sys, splitrel.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_unknown_subcommand_exit_code(capsys):

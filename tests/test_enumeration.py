@@ -3,15 +3,23 @@ ledger serialization."""
 
 import json
 import random
-from math import comb
+from itertools import permutations
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import canonical_form_by_search, connected_graphs, cycle_n, orbits_by_sweep
+from conftest import (
+    canonical_form_by_search,
+    connected_graphs,
+    cycle_n,
+    k_n,
+    orbits_by_sweep,
+)
 from splitrel import canon
 from splitrel.counting import split_coefficients
 from splitrel.enumeration import (
+    _pair_orbits,
     automorphism_count,
     balloon_member_index,
     enumerate_graphs,
@@ -29,6 +37,7 @@ from splitrel.graphs import (
     SimpleGraph,
     TwoTerminalGraph,
     bridges,
+    relabel,
     relabel_two_terminal,
 )
 from splitrel.signature import Ordering, SplitSignature
@@ -52,13 +61,19 @@ def test_enumerate_graphs_canonical_and_connected():
 
 
 def test_enumeration_completeness_orbit_sizes():
-    # the descent against the exhaustive labeled-mask sweep
+    # the descent against the exhaustive labeled-mask sweep: each
+    # representative mapped to its oracle key, one per oracle class
     for n in range(2, 7):
         oracle = orbits_by_sweep(n)
         for m in range(comb(n, 2) + 1):
             reps, auts, labeled = oracle[m]
-            assert tuple(canon.graph_mask(g) for g in enumerate_graphs(n, m)) == reps, (n, m)
-            assert tuple(automorphism_count(n, m)) == auts, (n, m)
+            graphs = enumerate_graphs(n, m)
+            got = {
+                canonical_form_by_search(g)[2]: aut
+                for g, aut in zip(graphs, automorphism_count(n, m), strict=True)
+            }
+            assert len(got) == len(graphs), (n, m)
+            assert got == dict(zip(reps, auts)), (n, m)
             assert labeled_connected_count(n, m) == labeled, (n, m)
 
 
@@ -73,9 +88,70 @@ def test_enumeration_totals_match_oeis():
         assert sum(labeled_connected_count(n, m) for m in ms) == want_labeled, n
 
 
+def test_two_terminal_class_totals():
+    # two-terminal classes of connected graphs on n = 2..7 vertices
+    totals = [1, 3, 16, 98, 879, 11260]
+    for n, want in zip(range(2, 8), totals):
+        ms = range(n - 1, comb(n, 2) + 1)
+        assert sum(len(enumerate_two_terminal(n, m)) for m in ms) == want, n
+
+
+def test_pair_orbits_match_relabelings():
+    # Aut(G) on vertex pairs from the search's generators, against the
+    # orbits under every relabeling that fixes the edge mask
+    for n in range(2, 7):
+        perms = list(permutations(range(n)))
+        for m in range(n - 1, comb(n, 2) + 1):
+            for g in enumerate_graphs(n, m):
+                mask = canon.graph_mask(g)
+                auts = [p for p in perms if canon.graph_mask(relabel(g, p)) == mask]
+                orbits = {
+                    min(tuple(sorted((p[s], p[t]))) for p in auts)
+                    for s, t in canon.pair_list(n)
+                }
+                assert _pair_orbits(n, mask) == sorted(orbits), (n, g.edges)
+
+
+def test_orbit_images_automorphism_counts():
+    petersen = SimpleGraph(
+        10,
+        tuple((i, (i + 1) % 5) for i in range(5))
+        + tuple((i, i + 5) for i in range(5))
+        + tuple((5 + i, 5 + (i + 2) % 5) for i in range(5)),
+    )
+    cube = SimpleGraph(8, tuple((u, u | 1 << b) for u in range(8) for b in range(3) if not u >> b & 1))
+    k33 = SimpleGraph(6, tuple((u, v) for u in range(3) for v in range(3, 6)))
+    for g, want in [
+        (k_n(12), factorial(12)),
+        (k33, 72),
+        (cycle_n(12), 24),
+        (petersen, 120),
+        (cube, 48),
+    ]:
+        images = canon.orbit_images(g.n, canon.graph_mask(g))
+        assert images[min(images)] == want, g
+        assert min(images) == canon.canonical_form_graph(g)[2]
+
+
+def test_canonical_guard():
+    g = cycle_n(13)
+    for call in (
+        lambda: canon.canonical_form_graph(g),
+        lambda: canon.canonical_form(TwoTerminalGraph(g, 0, 1)),
+        lambda: canon.orbit_images(13, canon.graph_mask(g)),
+        lambda: canon.stabilizer_perms(13, canon.graph_mask(g)),
+    ):
+        with pytest.raises(GuardError):
+            call()
+    assert canon.isomorphic(cycle_n(12), relabel(cycle_n(12), list(range(11, -1, -1))))
+
+
 def test_enumeration_guard():
     with pytest.raises(GuardError):
         enumerate_graphs(8, 9)
+    for bad in (enumerate_graphs, refine_chain, uniform_check):
+        with pytest.raises(ValueError, match="n >= 2"):
+            bad(1, 0)
 
 
 def test_canonical_form_relabeling_invariance():
@@ -104,10 +180,20 @@ def test_canonical_form_merges_automorphic_pairs():
 
 @given(connected_graphs(min_n=2, max_n=8), st.data())
 def test_canonical_forms_match_search(g, data):
+    # both keys are labeling-invariant, and each key's graph (for a
+    # two-terminal key, with terminals 0 and 1) is in the input's class
     s, t = data.draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
+    perm = data.draw(st.permutations(range(g.n)))
     h = TwoTerminalGraph(g, s, t)
-    assert canon.canonical_form(h) == canonical_form_by_search(h)
-    assert canon.canonical_form_graph(g) == canonical_form_by_search(g)
+    tt_key = canon.canonical_form(h)
+    plain_key = canon.canonical_form_graph(g)
+    assert canon.canonical_form(relabel_two_terminal(h, perm)) == tt_key
+    assert canon.canonical_form_graph(relabel(g, perm)) == plain_key
+    assert tt_key[:2] == plain_key[:2] == (g.n, g.m)
+    tt_graph = TwoTerminalGraph(canon.mask_to_graph(g.n, tt_key[2]), 0, 1)
+    assert canonical_form_by_search(tt_graph) == canonical_form_by_search(h)
+    plain_graph = canon.mask_to_graph(g.n, plain_key[2])
+    assert canonical_form_by_search(plain_graph) == canonical_form_by_search(g)
 
 
 def test_enumerate_two_terminal_counts():

@@ -120,6 +120,27 @@ def test_variant_choice_independence():
         assert len(keys) == 1, (kind, n, m)
 
 
+def test_variant_runs_one_bridge_pass(monkeypatch):
+    from splitrel import families, graphs
+
+    calls = []
+    real = graphs.bridges
+
+    def counted(g):
+        calls.append(g.n)
+        return real(g)
+
+    monkeypatch.setattr(graphs, "bridges", counted)
+    monkeypatch.setattr(families, "bridges", counted)
+    for kind in (0, 1, 2):
+        calls.clear()
+        families.variant_with_context(kind, 9, 15)
+        assert calls == [9], kind
+    calls.clear()
+    variant_all_choices(1, 9, 15)
+    assert calls == [9]
+
+
 def test_threshold_graph_complete():
     assert threshold_graph(ThresholdSpec(5, ())) == k_n(5)
 
