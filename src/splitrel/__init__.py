@@ -39,13 +39,9 @@ from .counting import (
 )
 from .signature import (
     DominanceVerdict,
-    Ordering,
     SplitSignature,
-    compare_near_one,
-    compare_near_zero,
     dominates_on_unit_interval,
     evaluate,
-    split_equivalent,
     sr_polynomial,
 )
 from .families import (

@@ -83,18 +83,21 @@ def _classes(max_n: int, pred=in_I) -> list[tuple[int, int]]:
     ]
 
 
-def check_prop1(max_n: int = 7, balloon_max_n: int = 12) -> Report:
-    """Bridge maximum: brute force over the enumerated classes equals the
-    minimal-k closed form and the balloon's own bridge count; the printed
-    radical expression is compared and its mismatches surfaced."""
+def check_prop1(max_n: int = 7) -> Report:
+    """Bridge maximum: the minimal-k closed form equals brute force over the
+    enumerated classes (n <= max_n) and the balloon's bridge count (n <= 12);
+    the printed radical expression is compared and its mismatches surfaced."""
     failures = []
     for n, m in _classes(max_n):
         brute = max(len(bridges(g)) for g in enumerate_graphs(n, m))
         if brute != max_bridges(n, m):
             failures.append({"n": n, "m": m, "brute": brute, "closed": max_bridges(n, m)})
     printed_mismatch = []
-    for n, m in _classes(balloon_max_n):
-        b = max_bridges(n, m)  # asserts equality with the balloon internally
+    for n, m in _classes(12):
+        b = max_bridges(n, m)
+        brute = len(bridges(balloon(n, m)))
+        if brute != b:
+            failures.append({"n": n, "m": m, "balloon": brute, "closed": b})
         p = printed_max_bridges(n, m)
         if p != b:
             printed_mismatch.append({"n": n, "m": m, "printed": p, "actual": b})
@@ -194,7 +197,7 @@ def check_thm3() -> Report:
         )
         entry["witness"] = str(verdict.witness)
         entry["rival_margin_at_witness"] = str(diff)
-        _, order, idx = near_zero_refuter(ledger)
+        _, idx = near_zero_refuter(ledger)
         entry["near_zero_index"] = idx
         if diff <= 0 or idx != 5:
             failures.append({"m": m, **entry})
@@ -462,14 +465,12 @@ def check_remark4(max_n: int = 12) -> Report:
     )
 
 
-def check_composition(max_n: int = 8, max_m: int = 24) -> Report:
+def check_composition(max_n: int = 8) -> Report:
     """Bridge/skeleton factorization of the balloon's count vector equals the
     directly computed one on every bridged class in range."""
     failures = []
     checked = 0
     for n, m in _classes(max_n, in_I1):
-        if m > max_m:
-            continue
         checked += 1
         g = two_terminal_balloon(n, m)
         if sr_composition(n, m) != split_coefficients(g).counts:
@@ -479,14 +480,12 @@ def check_composition(max_n: int = 8, max_m: int = 24) -> Report:
     )
 
 
-def check_closed_forms(max_n: int = 8, max_m: int = 24) -> Report:
+def check_closed_forms(max_n: int = 8) -> Report:
     """Structured failed-edge counts of the balloon match the computed signature
     at every index they cover."""
     failures = []
     checked = 0
     for n, m in _classes(max_n, in_I1):
-        if m > max_m:
-            continue
         prof = balloon_profile(n, m)
         sig = SplitSignature.from_vector(n, split_coefficients(two_terminal_balloon(n, m)))
         for i in range(1, prof.n_skel - 1):
@@ -502,22 +501,20 @@ def check_closed_forms(max_n: int = 8, max_m: int = 24) -> Report:
     )
 
 
-def check_bogdanowicz(max_n: int = 10, max_k: int = 4, cayley_max_n: int = 12) -> Report:
+def check_bogdanowicz(max_n: int = 10) -> Report:
     """Threshold-graph tree product formula vs the matrix-tree determinant,
-    exhaustively over nonincreasing degree lists, plus the complete-graph
-    special case."""
+    exhaustively over nonincreasing degree lists with at most 4 independent
+    vertices, plus the complete-graph special case up to n = 12."""
     failures = []
     checked = 0
     for n in range(2, max_n + 1):
-        for k in range(0, min(max_k, n - 1) + 1):
-            if n - k < 1:
-                continue
+        for k in range(0, min(4, n - 1) + 1):
             for degs in combinations_with_replacement(range(1, n - k + 1), k):
                 spec = ThresholdSpec(n, tuple(sorted(degs, reverse=True)))
                 checked += 1
                 if bogdanowicz_tree_count(spec) != spanning_tree_count(threshold_graph(spec)):
                     failures.append(spec.to_json_dict())
-    for n in range(2, cayley_max_n + 1):
+    for n in range(2, 13):
         checked += 1
         if bogdanowicz_tree_count(ThresholdSpec(n, ())) != n ** (n - 2):
             failures.append({"n": n, "degrees": []})

@@ -1,7 +1,8 @@
 """Exact counting machinery: split and connected coefficient vectors by a
 recurrence over vertex subsets, spanning-tree and two-disjoint-trees counts
-as integer-exact Laplacian minors (one determinant each, independent of the
-recurrence), and a seed-stable Monte Carlo estimator.
+as integer-exact Laplacian minors (one pivot-free determinant each, since a
+Laplacian minor is positive semidefinite; independent of the recurrence), and
+a seed-stable Monte Carlo estimator.
 
 Everything on the exact side is integer/rational arithmetic only.  The
 coefficient vectors have one route, guarded to n <= 16; the tests check it
@@ -34,10 +35,6 @@ class CoefficientVector:
     def to_json_dict(self) -> dict:
         return {"m": self.m, "counts": [str(c) for c in self.counts]}
 
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "CoefficientVector":
-        return cls(int(doc["m"]), tuple(int(c) for c in doc["counts"]))
-
 
 @dataclass(frozen=True)
 class SubsetClassification:
@@ -55,13 +52,10 @@ class SubsetClassification:
     split_sides: dict[int, tuple[int, ...]]
 
     def split_counts(self, s: int, t: int) -> tuple[int, ...]:
-        """Split-subgraph counts for the terminal pair {s, t}."""
-        out = [0] * (self.m + 1)
-        for side, counts in self.split_sides.items():
-            if ((side >> s) & 1) != ((side >> t) & 1):
-                for i, c in enumerate(counts):
-                    out[i] += c
-        return tuple(out)
+        """Split-subgraph counts for the terminal pair {s, t}: the column sums
+        over the sides that separate s from t."""
+        rows = [c for side, c in self.split_sides.items() if (side >> s ^ side >> t) & 1]
+        return tuple(map(sum, zip(*rows))) if rows else (0,) * (self.m + 1)
 
 
 def classify_subsets(g: SimpleGraph) -> SubsetClassification:
@@ -143,31 +137,30 @@ def connected_coefficients(g: SimpleGraph) -> CoefficientVector:
 # spanning trees
 
 def _bareiss_det(mat: list[list[int]]) -> int:
-    """Exact determinant of an integer matrix (fraction-free elimination)."""
+    """Exact determinant of a symmetric positive semidefinite integer matrix
+    (fraction-free elimination, no pivoting).
+
+    Every caller passes a Laplacian minor, which is PSD.  Elimination keeps
+    the trailing block PSD, and a PSD matrix with a zero diagonal entry has
+    that whole row zero, so a zero pivot means the determinant is 0.
+    """
     size = len(mat)
     if size == 0:
         return 1
     m = [row[:] for row in mat]
-    sign = 1
     prev = 1
     for k in range(size - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, size):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
         pivot = m[k][k]
+        if pivot == 0:
+            return 0
+        row_k = m[k]
         for i in range(k + 1, size):
             row_i = m[i]
-            row_k = m[k]
             lead = row_i[k]
             for j in range(k + 1, size):
                 row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
         prev = pivot
-    return sign * m[size - 1][size - 1]
+    return m[size - 1][size - 1]
 
 
 def _laplacian_minor(n: int, edges: Iterable[Edge], drop: Sequence[int]) -> int:

@@ -31,12 +31,7 @@ from . import canon
 from .counting import classify_subsets
 from .families import two_terminal_balloon
 from .graphs import GuardError, SimpleGraph, TwoTerminalGraph, bridges, to_json_dict
-from .signature import (
-    Ordering,
-    SplitSignature,
-    compare_near_zero_index,
-    dominates_on_unit_interval,
-)
+from .signature import SplitSignature, dominates_on_unit_interval
 
 ENUM_GUARD_N = 7
 
@@ -341,15 +336,11 @@ def verify_balloon_characterization(n: int, m: int) -> dict:
     }
 
 
-def near_zero_refuter(
-    ledger: ClassLedger,
-) -> tuple[int, Ordering, Optional[int]]:
-    """The N-lexicographically largest rival and its comparison against the
-    locally-most candidate (index of first difference included)."""
-    candidate_idx = ledger.locally_most[0]
-    best = max(range(len(ledger.signatures)), key=lambda i: ledger.signatures[i].counts)
-    order, idx = compare_near_zero_index(
-        ledger.signatures[best], ledger.signatures[candidate_idx]
-    )
-    return best, order, idx
-
+def near_zero_refuter(ledger: ClassLedger) -> tuple[int, Optional[int]]:
+    """The N-lexicographically largest member and the first index where its
+    N-vector differs from the locally-most candidate's (None if equal)."""
+    sigs = ledger.signatures
+    best = max(range(len(sigs)), key=lambda i: sigs[i].counts)
+    cand = sigs[ledger.locally_most[0]].counts
+    diff = (i for i, (a, b) in enumerate(zip(sigs[best].counts, cand)) if a != b)
+    return best, next(diff, None)

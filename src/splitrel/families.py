@@ -19,7 +19,6 @@ from .graphs import (
     SimpleGraph,
     TwoTerminalGraph,
     adjacency_masks,
-    bridges,
     contract_edge_with_map,
     distances,
     eccentric_pairs,
@@ -96,12 +95,11 @@ def max_bridges(n: int, m: int) -> int:
     """Maximum bridge count over connected graphs with n vertices and m edges.
 
     Computed as n - k* where k* is the least k >= 3 with C(k,2) >= m - n + k
-    (the skeleton size of the balloon); asserted against the balloon itself.
+    (the skeleton size of the balloon); `checks.check_prop1` compares it with
+    the balloon's own bridge count.
     """
     _require_in_I(n, m)
-    b = n - _core_size(n, m)
-    assert b == len(bridges(balloon(n, m))), (n, m, b)
-    return b
+    return n - _core_size(n, m)
 
 
 def printed_max_bridges(n: int, m: int) -> int:

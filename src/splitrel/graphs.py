@@ -142,10 +142,6 @@ def min_degree(g: SimpleGraph) -> int:
     return min((a.bit_count() for a in adjacency_masks(g.n, g.edges)), default=0)
 
 
-def degree(g: SimpleGraph, v: int) -> int:
-    return g.degree(v)
-
-
 def components(g: SimpleGraph, kept: EdgeSubset) -> list[list[int]]:
     """Connected components of the spanning subgraph keeping only `kept` edges.
 

@@ -7,11 +7,14 @@ unnormalised Bernstein vector), and it is the only representation used:
 evaluation at k/q is an integer sum over q^m, and the dominance decision on
 [0, 1] runs on integer difference vectors down to its Sturm fallback.
 `Fraction` appears only for rational points.  No floating point anywhere.
+
+The paper's near-0 and near-1 orders are plain tuple order on `counts` (N)
+and on `f_tuple()` (F); the first index where two N-vectors differ is the
+near-zero witness.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
@@ -47,58 +50,6 @@ class SplitSignature:
         return tuple(reversed(self.counts))
 
 
-class Ordering(enum.Enum):
-    LESS = -1
-    EQUAL = 0
-    GREATER = 1
-
-
-def lex_compare(xs: Sequence[int], ys: Sequence[int]) -> tuple[Ordering, Optional[int]]:
-    """Lexicographic comparison plus the first differing index (None if equal)."""
-    if len(xs) != len(ys):
-        raise ValueError("sequences must have equal length")
-    for i, (a, b) in enumerate(zip(xs, ys)):
-        if a != b:
-            return (Ordering.GREATER if a > b else Ordering.LESS, i)
-    return (Ordering.EQUAL, None)
-
-
-def _require_same_class(a: SplitSignature, b: SplitSignature) -> None:
-    if (a.n, a.m) != (b.n, b.m):
-        raise ValueError(
-            f"signatures from different classes: ({a.n},{a.m}) vs ({b.n},{b.m})"
-        )
-
-
-def compare_near_zero(a: SplitSignature, b: SplitSignature) -> Ordering:
-    """Lexicographic order of (N_0..N_m); GREATER means a's reliability wins on
-    some interval (0, delta)."""
-    _require_same_class(a, b)
-    return lex_compare(a.counts, b.counts)[0]
-
-
-def compare_near_zero_index(a: SplitSignature, b: SplitSignature) -> tuple[Ordering, Optional[int]]:
-    _require_same_class(a, b)
-    return lex_compare(a.counts, b.counts)
-
-
-def compare_near_one(a: SplitSignature, b: SplitSignature) -> Ordering:
-    """Lexicographic order of (F_0..F_m); GREATER means a wins on (1-delta, 1)."""
-    _require_same_class(a, b)
-    return lex_compare(a.f_tuple(), b.f_tuple())[0]
-
-
-def compare_near_one_index(a: SplitSignature, b: SplitSignature) -> tuple[Ordering, Optional[int]]:
-    _require_same_class(a, b)
-    return lex_compare(a.f_tuple(), b.f_tuple())
-
-
-def split_equivalent(a: SplitSignature, b: SplitSignature) -> bool:
-    """Identical F-tuples, equivalently identical reliability polynomials."""
-    _require_same_class(a, b)
-    return a.counts == b.counts
-
-
 def sr_polynomial(sig: SplitSignature) -> tuple[int, ...]:
     """The split reliability polynomial of a signature: its count vector, the
     coefficients of SR in the basis p^i (1-p)^(m-i)."""
@@ -120,12 +71,6 @@ def evaluate(counts: Sequence[int], p) -> Fraction:
 class DominanceVerdict:
     dominates: bool
     witness: Optional[Fraction]  # rational point with a(p) < b(p), when crossing
-
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": "dominates" if self.dominates else "crossing",
-            "witness": None if self.witness is None else str(self.witness),
-        }
 
 
 def _ideg(p: list[int]) -> int:
@@ -335,8 +280,9 @@ def dominates_on_unit_interval(a: Sequence[int], b: Sequence[int]) -> DominanceV
     a and b are count vectors N_0..N_m of one class.
 
     On the integer difference d = a - b: d_0 and d_m are the endpoint
-    values, the presample refutes, and nonnegative coefficients after degree
-    elevation certify.  What is left goes to Sturm root isolation.
+    values, nonnegative coefficients after degree elevation certify (so no
+    presample point could refute), and the presample refutes.  What is left
+    goes to Sturm root isolation.
     """
     if len(a) != len(b):
         raise ValueError(f"count vectors of different lengths: {len(a)} vs {len(b)}")
@@ -347,11 +293,11 @@ def dominates_on_unit_interval(a: Sequence[int], b: Sequence[int]) -> DominanceV
         return DominanceVerdict(False, Fraction(0))
     if d[-1] < 0:
         return DominanceVerdict(False, Fraction(1))
+    if all(c >= 0 for c in _lifted(d)):
+        return DominanceVerdict(True, None)
     for k, q in _PRESAMPLE:
         if _scaled_value(d, k, q) < 0:
             return DominanceVerdict(False, Fraction(k, q))
-    if all(c >= 0 for c in _lifted(d)):
-        return DominanceVerdict(True, None)
     return _sturm_dominance(d)
 
 

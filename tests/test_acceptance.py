@@ -171,7 +171,7 @@ def test_criterion_03_nonexistence_witnesses(verdict_table):
 
 
 def test_criterion_04_extremal_brute_force():
-    prop1 = check_prop1(max_n=7, balloon_max_n=12)
+    prop1 = check_prop1(max_n=7)
     prop3 = check_prop3(max_n=7)
     thm2 = check_thm2(max_n=7)
     skel = check_skeleton_characterization(max_n=7)
@@ -192,13 +192,13 @@ def test_criterion_04_extremal_brute_force():
 
 
 def test_criterion_05_threshold_tree_formula():
-    rep = check_bogdanowicz(max_n=10, max_k=4, cayley_max_n=12)
+    rep = check_bogdanowicz(max_n=10)
     _line(5, rep.status == "pass",
           f"product formula = matrix-tree on {rep.details['specs_checked']} specs")
 
 
 def test_criterion_06_closed_form_failed_edge_counts():
-    rep = check_closed_forms(max_n=8, max_m=24)
+    rep = check_closed_forms(max_n=8)
     pinned = closed_form_F(9, 15, 2) == 37 and closed_form_F(9, 15, 3) == 205
     ok = rep.status == "pass" and pinned
     _line(6, ok, f"closed-form F values match sweeps at "
@@ -207,7 +207,7 @@ def test_criterion_06_closed_form_failed_edge_counts():
 
 
 def test_criterion_07_composition_identity():
-    rep = check_composition(max_n=8, max_m=24)
+    rep = check_composition(max_n=8)
     _line(7, rep.status == "pass",
           f"bridge/skeleton factorization equals the swept polynomial on "
           f"{rep.details['checked']} bridged classes (n <= 8)")

@@ -23,7 +23,7 @@ from splitrel.checks import (
 
 
 def test_prop1_small_reports_printed_discrepancy():
-    rep = check_prop1(max_n=5, balloon_max_n=9)
+    rep = check_prop1(max_n=5)
     assert rep.status == "discrepancy"
     assert rep.details["brute_force_failures"] == []
     mismatches = rep.details["printed_formula_mismatches"]
@@ -122,7 +122,7 @@ def test_closed_forms_small():
 
 
 def test_bogdanowicz_small():
-    rep = check_bogdanowicz(max_n=8, max_k=3, cayley_max_n=10)
+    rep = check_bogdanowicz(max_n=8)
     assert rep.status == "pass"
 
 

@@ -116,6 +116,18 @@ def test_enumerate_command(capsys):
     assert json.loads(out)["count"] == 6
 
 
+def test_refine_json_default(capsys):
+    code, out = run(capsys, "refine", "4", "4")
+    assert code == 0
+    doc = json.loads(out)
+    assert list(doc) == [
+        "n", "m", "members", "signatures", "equivalence_classes", "chain_levels",
+        "early_stop_level", "locally_most", "labeled_connected",
+    ]
+    assert (doc["n"], doc["m"]) == (4, 4)
+    assert len(doc["members"]) == len(doc["signatures"]) == 6  # paw: 4 pairs, C4: 2
+
+
 def test_refine_csv(capsys):
     code, out = run(capsys, "refine", "4", "4", "--format", "csv")
     assert code == 0

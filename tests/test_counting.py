@@ -20,7 +20,6 @@ from conftest import (
     random_two_terminal,
 )
 from splitrel.counting import (
-    CoefficientVector,
     RandomSource,
     classify_subsets,
     connected_coefficients,
@@ -151,6 +150,18 @@ def test_spanning_tree_matches_connected_coefficients():
         assert spanning_tree_count(g) == connected_coefficients(g).counts[n - 1]
 
 
+def test_spanning_tree_count_disconnected():
+    # vertex 1 is isolated: the first pivot of the minor is 0
+    assert spanning_tree_count(SimpleGraph(3, ((0, 2),))) == 0
+    assert spanning_tree_count(SimpleGraph(4, ((0, 1), (2, 3)))) == 0  # 2K2
+
+
+def test_two_tree_count_component_without_terminal():
+    # {3, 4} holds neither terminal, so no forest has exactly two trees
+    g = TwoTerminalGraph(SimpleGraph(5, ((0, 1), (1, 2), (3, 4))), 0, 2)
+    assert two_tree_count(g) == 0
+
+
 def test_two_tree_count_examples():
     k4e = SimpleGraph(4, ((0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
     assert two_tree_count(TwoTerminalGraph(k4e, 0, 1)) == 8
@@ -238,11 +249,6 @@ def test_top_coefficient_counts_cut_edges():
                     cut_edges += 1
         assert counts[m - 1] == cut_edges
         assert cut_edges <= len(bridges(g.graph))
-
-
-def test_coefficient_vector_json_round_trip():
-    vec = CoefficientVector(3, (0, 2, 0, 0))
-    assert CoefficientVector.from_json_dict(vec.to_json_dict()) == vec
 
 
 def test_monte_carlo_degenerate_probabilities():

@@ -1,5 +1,5 @@
-"""Signatures: count vectors as polynomials, evaluation, comparators, exact
-dominance of count vectors on the unit interval."""
+"""Signatures: count vectors as polynomials, evaluation, the near-0 and near-1
+tuple orders, exact dominance of count vectors on the unit interval."""
 
 import random
 from fractions import Fraction
@@ -14,23 +14,22 @@ from splitrel.counting import split_coefficients
 from splitrel.families import two_terminal_balloon, variant
 from splitrel.graphs import SimpleGraph, TwoTerminalGraph, relabel_two_terminal
 from splitrel.signature import (
-    Ordering,
     SplitSignature,
     _power_basis,
     _sturm_dominance,
-    compare_near_one,
-    compare_near_one_index,
-    compare_near_zero,
-    compare_near_zero_index,
     dominates_on_unit_interval,
     evaluate,
-    split_equivalent,
     sr_polynomial,
 )
 
 
 def sig_of(g: TwoTerminalGraph) -> SplitSignature:
     return SplitSignature.from_vector(g.graph.n, split_coefficients(g))
+
+
+def first_difference(xs, ys):
+    """The first index where two equal-length vectors differ (None if equal)."""
+    return next((i for i, (a, b) in enumerate(zip(xs, ys)) if a != b), None)
 
 
 def test_f_view():
@@ -82,25 +81,23 @@ def test_compare_near_zero():
     paw = SimpleGraph(4, ((0, 1), (0, 2), (1, 2), (0, 3)))
     g44 = sig_of(TwoTerminalGraph(paw, 3, 1))
     c4 = sig_of(TwoTerminalGraph(cycle_n(4), 0, 2))
-    assert compare_near_zero(g44, c4) is Ordering.GREATER
-    assert compare_near_zero(g44, g44) is Ordering.EQUAL
-    order, idx = compare_near_zero_index(g44, c4)
-    assert (order, idx) == (Ordering.GREATER, 2)
+    assert g44.counts > c4.counts
+    assert first_difference(g44.counts, g44.counts) is None
+    assert first_difference(g44.counts, c4.counts) == 2
 
 
 def test_compare_near_zero_variant_beats_balloon_at_n_minus_2():
     g = sig_of(two_terminal_balloon(7, 8))
     h = sig_of(variant(2, 7, 8))
-    order, idx = compare_near_zero_index(h, g)
-    assert order is Ordering.GREATER and idx == 5
+    assert h.counts > g.counts and first_difference(h.counts, g.counts) == 5
 
 
 def test_compare_near_one():
     # the balloon's bridge count leads the F-tuple
     g915 = sig_of(two_terminal_balloon(9, 15))
     rival = sig_of(variant(0, 9, 15))  # one bridge fewer
-    order, idx = compare_near_one_index(g915, rival)
-    assert order is Ordering.GREATER and idx == 1
+    assert g915.f_tuple() > rival.f_tuple()
+    assert first_difference(g915.f_tuple(), rival.f_tuple()) == 1
     assert g915.f_value(1) == 3
 
 
@@ -110,23 +107,15 @@ def test_compare_near_one_paw_terminal_choice():
     far = sig_of(TwoTerminalGraph(paw, 3, 1))
     assert adjacent.f_tuple()[1:3] == (1, 3)
     assert far.f_tuple()[1:3] == (1, 5)
-    assert compare_near_one(adjacent, far) is Ordering.LESS
+    assert adjacent.f_tuple() < far.f_tuple()
 
 
 def test_split_equivalent():
-    rng = random.Random(1)
     g = TwoTerminalGraph(cycle_n(4), 0, 2)
     perm = [2, 3, 0, 1]
-    assert split_equivalent(sig_of(g), sig_of(relabel_two_terminal(g, perm)))
+    assert sig_of(g).counts == sig_of(relabel_two_terminal(g, perm)).counts
     paw = SimpleGraph(4, ((0, 1), (0, 2), (1, 2), (0, 3)))
-    assert not split_equivalent(sig_of(TwoTerminalGraph(paw, 3, 1)), sig_of(g))
-
-
-def test_class_mismatch_rejected():
-    a = SplitSignature(3, 3, (0, 2, 0, 0))
-    b = SplitSignature(4, 4, (0, 0, 4, 0, 0))
-    with pytest.raises(ValueError):
-        compare_near_zero(a, b)
+    assert sig_of(TwoTerminalGraph(paw, 3, 1)).counts != sig_of(g).counts
 
 
 def sturm_only(a, b):
@@ -322,15 +311,13 @@ def test_near_zero_comparator_implies_small_p_advantage():
         def diff(x):
             return evaluate(pa, x) - evaluate(pb, x)
 
-        order = compare_near_zero(a, b)
-        if order is Ordering.GREATER:
+        if a.counts > b.counts:
             assert diff(eps) > 0
-        elif order is Ordering.LESS:
+        elif a.counts < b.counts:
             assert diff(eps) < 0
         else:
-            assert split_equivalent(a, b)
-        order1 = compare_near_one(a, b)
-        if order1 is Ordering.GREATER:
+            assert diff(eps) == 0 == diff(1 - eps)
+        if a.f_tuple() > b.f_tuple():
             assert diff(1 - eps) > 0
-        elif order1 is Ordering.LESS:
+        elif a.f_tuple() < b.f_tuple():
             assert diff(1 - eps) < 0
