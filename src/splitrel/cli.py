@@ -173,7 +173,7 @@ def _cmd_verify(args) -> int:
 def _cmd_mc(args) -> int:
     g = _require_two_terminal(_load_graph(args.graph))
     est, err = counting.monte_carlo_sr(
-        g, _rational(args.p), args.trials, counting.RandomSource(args.seed), args.jobs
+        g, _rational(args.p), args.trials, counting.RandomSource(args.seed)
     )
     _emit(
         json.dumps(
@@ -283,8 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("p", help="rational like 1/2 or 0.25")
     p.add_argument("--trials", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker count; results are identical for any value")
     _add_common(p)
     p.set_defaults(func=_cmd_mc)
 

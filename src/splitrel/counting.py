@@ -12,11 +12,10 @@ against an exhaustive sweep of all 2^m edge subsets.
 from __future__ import annotations
 
 import math
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .graphs import Edge, GuardError, SimpleGraph, TwoTerminalGraph, adjacency_masks
 
@@ -228,6 +227,8 @@ def deletion_contraction_check(g: SimpleGraph, e: int) -> bool:
 # Monte Carlo estimator
 
 _MC_BLOCK = 65536
+_LANES = 2048  # trials per drawn chunk; eight chunks share one set of lane masks
+_DRAW_WORDS = 4096  # words per bulk draw; small draws keep the peak memory flat
 
 
 @dataclass(frozen=True)
@@ -235,17 +236,90 @@ class RandomSource:
     """Deterministic pseudorandom stream for the estimator.
 
     Backed by Python's Mersenne Twister (`random.Random`), whose seeded
-    getrandbits stream is stable across releases.  Bernoulli draws with exact
-    rational probability a/b use rejection on getrandbits, so no floating
-    point enters the sampling.  Trials are consumed in fixed blocks of 65536;
-    block k is seeded with (seed << 64) | k, which makes the estimate
-    independent of how blocks are scheduled across workers.
+    stream is stable across releases.  Trials are consumed in fixed blocks of
+    65536; block j draws from its own `random.Random((seed << 64) | j)`.
+    Within a block, trials draw one after another and each trial draws one
+    Bernoulli flag per edge, in edge order.  A flag with exact rational
+    probability a/b is one getrandbits(k) draw x, k the bit length of b - 1
+    (at least 1): for b <= 2^32 that is one 32-bit word's top k bits.  A draw
+    x >= b is rejected and redrawn, and the edge survives when x < a.  No
+    floating point enters the sampling.
     """
 
     seed: int
 
     def block_seed(self, block: int) -> int:
         return (int(self.seed) << 64) | block
+
+
+def _survival_flags(rng: random.Random, num: int, den: int) -> Callable[[int], bytes]:
+    """take(count) returns the next count survival flags of rng's stream, one
+    byte (0 or 1) per flag, in draw order.
+
+    For den <= 256 the draws are the top bytes of 32-bit words taken
+    _DRAW_WORDS at a time: getrandbits(32 * w) holds the w words that w
+    getrandbits(32) calls would return, the first in the lowest bits, so byte
+    4i + 3 of its little-endian bytes is word i's top byte.  One
+    `bytes.translate` drops the rejected draws and maps the others to flags.
+    Flags drawn past count are kept for the next call.
+    """
+    k = (den - 1).bit_length() if den > 1 else 1
+    if k > 8:
+        getrandbits = rng.getrandbits
+
+        def take(count: int) -> bytes:
+            out = bytearray()
+            while len(out) < count:
+                x = getrandbits(k)
+                if x < den:
+                    out.append(x < num)
+            return bytes(out)
+
+        return take
+
+    shift = 8 - k
+    table = bytes((b >> shift) < num for b in range(256))
+    rejected = bytes(b for b in range(256) if b >> shift >= den)
+    pending = b""
+
+    def take(count: int) -> bytes:
+        nonlocal pending
+        while len(pending) < count:
+            raw = rng.getrandbits(32 * _DRAW_WORDS).to_bytes(4 * _DRAW_WORDS, "little")
+            pending += raw[3::4].translate(table, rejected)
+        out, pending = pending[:count], pending[count:]
+        return out
+
+    return take
+
+
+def _split_lanes(
+    n: int, edges: tuple[Edge, ...], s: int, t: int, masks: list[int], lanes: int
+) -> int:
+    """Number of lanes (set bits of `lanes`) in which the surviving edges
+    leave exactly two components, one around s and one around t.
+
+    masks[e] holds the lanes in which edge e survives.  Reachability from s
+    and from t is relaxed over the edges until it stops changing; a lane is a
+    split exactly when every vertex is reachable from exactly one terminal.
+    """
+    reach = []
+    for root in (s, t):
+        r = [0] * n
+        r[root] = lanes
+        before = None
+        while r != before:
+            before = r[:]
+            for (u, v), alive in zip(edges, masks):
+                a, b = r[u], r[v]
+                both = (a | b) & alive
+                r[u] = a | both
+                r[v] = b | both
+        reach.append(r)
+    hit = lanes
+    for a, b in zip(*reach):
+        hit &= a ^ b
+    return hit.bit_count()
 
 
 def _sample_block(
@@ -258,41 +332,25 @@ def _sample_block(
     block_seed: int,
     trials: int,
 ) -> int:
-    rng = random.Random(block_seed)
-    getrandbits = rng.getrandbits
-    k = (den - 1).bit_length() if den > 1 else 1
+    """Number of splits among the block's first `trials` trials.
+
+    Trials are drawn in chunks of _LANES.  Each trial is one bit (lane) of
+    the edge masks: chunk c of a group of eight consecutive chunks puts its
+    trial i at bit 8i + c.
+    """
+    take = _survival_flags(random.Random(block_seed), num, den)
+    m = len(edges)
     hits = 0
-    for _ in range(trials):
-        parent = list(range(n))
-        merges = 0
-        for u, v in edges:
-            x = getrandbits(k)
-            while x >= den:
-                x = getrandbits(k)
-            if x >= num:
-                continue
-            while parent[u] != u:
-                parent[u] = parent[parent[u]]
-                u = parent[u]
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            if u != v:
-                if u < v:
-                    parent[v] = u
-                else:
-                    parent[u] = v
-                merges += 1
-        if n - merges != 2:
-            continue
-        rs = s
-        while parent[rs] != rs:
-            rs = parent[rs]
-        rt = t
-        while parent[rt] != rt:
-            rt = parent[rt]
-        if rs != rt:
-            hits += 1
+    for group in range(0, trials, 8 * _LANES):
+        masks = [0] * m
+        lanes = 0
+        for c, start in enumerate(range(group, min(group + 8 * _LANES, trials), _LANES)):
+            count = min(_LANES, trials - start)
+            flags = take(count * m)
+            for e in range(m):
+                masks[e] |= int.from_bytes(flags[e::m], "little") << c
+            lanes |= int.from_bytes(b"\x01" * count, "little") << c
+        hits += _split_lanes(n, edges, s, t, masks, lanes)
     return hits
 
 
@@ -301,12 +359,10 @@ def monte_carlo_sr(
     p: Fraction | int | str,
     trials: int,
     rng: RandomSource,
-    jobs: int = 1,
 ) -> tuple[float, float]:
     """Bernoulli estimate of the split reliability at survival probability p.
 
-    Returns (estimate, standard error).  Deterministic given the seed, for any
-    jobs value; at most min(jobs, blocks, CPU count) worker processes start.
+    Returns (estimate, standard error), deterministic given the seed.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -314,30 +370,19 @@ def monte_carlo_sr(
     if not 0 <= prob <= 1:
         raise ValueError("p must lie in [0, 1]")
     num, den = prob.numerator, prob.denominator
-    blocks = []
-    start = 0
-    b = 0
-    while start < trials:
-        count = min(_MC_BLOCK, trials - start)
-        blocks.append((rng.block_seed(b), count))
-        start += count
-        b += 1
-    args = [
-        (g.graph.n, g.graph.edges, g.s, g.t, num, den, seed, count)
-        for seed, count in blocks
-    ]
-    workers = min(jobs, len(args), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            hits = sum(pool.map(_sample_block_star, args))
-    else:
-        hits = sum(_sample_block(*a) for a in args)
+    hits = sum(
+        _sample_block(
+            g.graph.n,
+            g.graph.edges,
+            g.s,
+            g.t,
+            num,
+            den,
+            rng.block_seed(b),
+            min(_MC_BLOCK, trials - start),
+        )
+        for b, start in enumerate(range(0, trials, _MC_BLOCK))
+    )
     est = hits / trials
     stderr = math.sqrt(est * (1.0 - est) / trials)
     return est, stderr
-
-
-def _sample_block_star(args: tuple) -> int:
-    return _sample_block(*args)

@@ -92,16 +92,6 @@ def enumerate_graphs(n: int, m: int) -> list[SimpleGraph]:
     return [canon.mask_to_graph(n, mask) for mask in reps]
 
 
-def labeled_connected_count(n: int, m: int) -> int:
-    """Number of labeled connected graphs: the sum of n!/|Aut| over the class
-    representatives (orbit-stabilizer)."""
-    return _graph_orbits(n, m)[2]
-
-
-def automorphism_count(n: int, m: int) -> list[int]:
-    return list(_graph_orbits(n, m)[1])
-
-
 def _pair_orbits(n: int, mask: int) -> list[tuple[int, int]]:
     """One representative pair, the least, per orbit of Aut(G) on unordered
     vertex pairs: union-find over the pairs' images under the generators."""

@@ -9,6 +9,7 @@ from hypothesis import settings, strategies as st
 
 from splitrel import canon
 from splitrel.counting import SubsetClassification
+from splitrel.enumeration import _graph_orbits
 from splitrel.graphs import (
     Edge,
     SimpleGraph,
@@ -86,6 +87,67 @@ def union_find_roots(n: int, pairs: Sequence[Edge]) -> list[int]:
             r = parent[r]
         roots[x] = r
     return roots
+
+
+def sample_block_by_union_find(
+    n: int,
+    edges: Sequence[Edge],
+    s: int,
+    t: int,
+    num: int,
+    den: int,
+    block_seed: int,
+    trials: int,
+) -> int:
+    """Reference Monte Carlo block: one trial at a time, one getrandbits(k)
+    draw per edge in edge order (redrawn while >= den, surviving when < num),
+    and a union-find over the survivors; counts the trials that leave exactly
+    two components with s and t apart."""
+    getrandbits = random.Random(block_seed).getrandbits
+    k = (den - 1).bit_length() if den > 1 else 1
+    hits = 0
+    for _ in range(trials):
+        parent = list(range(n))
+        merges = 0
+        for u, v in edges:
+            x = getrandbits(k)
+            while x >= den:
+                x = getrandbits(k)
+            if x >= num:
+                continue
+            while parent[u] != u:
+                parent[u] = parent[parent[u]]
+                u = parent[u]
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            if u != v:
+                if u < v:
+                    parent[v] = u
+                else:
+                    parent[u] = v
+                merges += 1
+        if n - merges != 2:
+            continue
+        rs = s
+        while parent[rs] != rs:
+            rs = parent[rs]
+        rt = t
+        while parent[rt] != rt:
+            rt = parent[rt]
+        if rs != rt:
+            hits += 1
+    return hits
+
+
+def labeled_connected_count(n: int, m: int) -> int:
+    """Number of labeled connected graphs: the sum of n!/|Aut| over the class
+    representatives (orbit-stabilizer)."""
+    return _graph_orbits(n, m)[2]
+
+
+def automorphism_count(n: int, m: int) -> list[int]:
+    return list(_graph_orbits(n, m)[1])
 
 
 def balloon_by_recursion(n: int, m: int) -> SimpleGraph:

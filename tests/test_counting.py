@@ -2,8 +2,8 @@
 vectors, tree and two-tree counts (Laplacian minors) against the recurrence
 and closed forms, deletion/contraction, Monte Carlo."""
 
-import os
 import random
+from fractions import Fraction
 from itertools import combinations
 from math import comb
 
@@ -18,9 +18,12 @@ from conftest import (
     path_n,
     random_connected_graph,
     random_two_terminal,
+    sample_block_by_union_find,
 )
 from splitrel.counting import (
+    _LANES,
     RandomSource,
+    _sample_block,
     classify_subsets,
     connected_coefficients,
     deletion_contraction_check,
@@ -29,7 +32,7 @@ from splitrel.counting import (
     split_coefficients,
     two_tree_count,
 )
-from splitrel.families import balloon, bogdanowicz_tree_count, ThresholdSpec
+from splitrel.families import balloon, bogdanowicz_tree_count, ThresholdSpec, two_terminal_balloon
 from splitrel.graphs import (
     GuardError,
     SimpleGraph,
@@ -257,16 +260,50 @@ def test_monte_carlo_degenerate_probabilities():
     assert monte_carlo_sr(g, 1, 500, RandomSource(1))[0] == 0.0
 
 
-def test_monte_carlo_deterministic_and_job_invariant():
+def test_monte_carlo_deterministic():
     g = TwoTerminalGraph(k_n(3), 0, 1)
     a = monte_carlo_sr(g, "1/3", 70000, RandomSource(42))
     b = monte_carlo_sr(g, "1/3", 70000, RandomSource(42))
     assert a == b
-    try:
-        c = monte_carlo_sr(g, "1/3", 70000, RandomSource(42), jobs=2)
-    except OSError:
-        pytest.skip("process pool unavailable in this environment")
-    assert a == c
+
+
+def test_monte_carlo_stream_pinned():
+    # 100000 trials span two blocks; any change to the block seeds, the draw
+    # order or the rejection rule moves this estimate
+    g = two_terminal_balloon(8, 18)
+    est, err = monte_carlo_sr(g, "1/2", 100000, RandomSource(7))
+    assert (est, err) == (0.43249, 0.001566660141511234)
+
+
+# 1000/2999 draws 12 bits per flag, past the bulk byte route
+MC_PROBABILITIES = [
+    Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(3, 4),
+    Fraction(200, 251), Fraction(1000, 2999),
+]
+
+
+@given(
+    two_terminal_graphs(),
+    st.sampled_from(MC_PROBABILITIES),
+    st.integers(0, 9),
+    st.integers(1, _LANES - 1),
+    st.integers(0, 2**70),
+)
+def test_lane_sampler_matches_union_find(g, p, chunks, extra, seed):
+    trials = chunks * _LANES + extra
+    args = (g.graph.n, g.graph.edges, g.s, g.t, p.numerator, p.denominator, seed, trials)
+    assert _sample_block(*args) == sample_block_by_union_find(*args)
+
+
+def test_lane_sampler_matches_union_find_past_a_group():
+    # denser graphs than the property draws, one trial count past eight chunks
+    rng = random.Random(10)
+    for n, m in ((6, 9), (7, 14)):
+        g = random_two_terminal(rng, n, m)
+        for p in MC_PROBABILITIES:
+            seed = rng.getrandbits(70)
+            args = (n, g.graph.edges, g.s, g.t, p.numerator, p.denominator, seed, 8 * _LANES + 3)
+            assert _sample_block(*args) == sample_block_by_union_find(*args), (n, m, p)
 
 
 def test_monte_carlo_close_to_exact():
@@ -281,36 +318,3 @@ def test_monte_carlo_close_to_exact():
 def test_classify_rejects_oversized():
     with pytest.raises(GuardError, match="n=17"):
         classify_subsets(path_n(17))
-
-
-def test_monte_carlo_worker_count_is_capped(monkeypatch):
-    # a stand-in pool records its size and runs the blocks in this process
-    import concurrent.futures
-
-    from splitrel import counting
-
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(counting, "_MC_BLOCK", 100)
-    g = TwoTerminalGraph(k_n(3), 0, 1)
-    want = monte_carlo_sr(g, "1/3", 300, RandomSource(7))  # three blocks
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert monte_carlo_sr(g, "1/3", 300, RandomSource(7), jobs=64) == want
-    monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    assert monte_carlo_sr(g, "1/3", 300, RandomSource(7), jobs=64) == want
-    monte_carlo_sr(g, "1/3", 100, RandomSource(7), jobs=64)  # one block: no pool
-    assert sizes == [2, 3]

@@ -10,21 +10,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
+    automorphism_count,
     canonical_form_by_search,
     connected_graphs,
     cycle_n,
     k_n,
+    labeled_connected_count,
     orbits_by_sweep,
 )
 from splitrel import canon
 from splitrel.counting import split_coefficients
 from splitrel.enumeration import (
     _pair_orbits,
-    automorphism_count,
     balloon_member_index,
     enumerate_graphs,
     enumerate_two_terminal,
-    labeled_connected_count,
     near_zero_refuter,
     refine_chain,
     refine_members,
