@@ -4,22 +4,24 @@ the class enumerator is built on.
 A labeled graph on n vertices is a bitmask over the C(n,2) lexicographic
 vertex pairs.  Every key comes from one individualization-refinement search
 (McKay and Piperno, "Practical graph isomorphism, II", 2014, without pruning
-by automorphisms): refine an ordered vertex partition until it is equitable,
-individualize each vertex of the first smallest non-singleton cell in turn,
-and recurse.  A discrete leaf relabels every vertex to its position; the key
-is the least leaf mask.  A cell of pairwise twins is entered at its first
-vertex only, with the cell size as weight (swapping twins maps one subtree
-onto the other), so the weights of the least leaves sum to |Aut|.  A plain
-graph starts from one cell, a two-terminal graph from [{s, t}, rest], so its
-terminals land on {0, 1}.  Exact and deterministic; guarded to n <= 12.
-"""
+by automorphisms) on neighbour bitmasks: refine an ordered vertex partition
+until it is equitable, individualize each vertex of the first smallest
+non-singleton cell in turn, and recurse.  A vertex's refinement key packs its
+neighbour counts in every cell into one integer, 4 bits per cell.  A discrete
+leaf relabels every vertex to its position; the key is the least leaf mask.
+A cell of pairwise twins is entered at its first vertex only, with the cell
+size as weight (swapping twins maps one subtree onto the other), so the
+weights of the least leaves sum to |Aut|.  A plain graph starts from one
+cell, a two-terminal graph from [{s, t}, rest], so its terminals land on
+{0, 1}.  Edge masks reach the search as neighbour masks built from their set
+bits.  Exact and deterministic; guarded to n <= 12, so every count is < 16."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import Sequence
 
-from .graphs import Edge, GuardError, SimpleGraph, TwoTerminalGraph, adjacency_masks
+from .graphs import GuardError, SimpleGraph, TwoTerminalGraph, adjacency_masks
 
 CANON_GUARD_N = 12
 
@@ -45,36 +47,38 @@ def _pair_bits(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, bits))
 
 
-def graph_mask(g: SimpleGraph) -> int:
-    idx = pair_index_map(g.n)
-    mask = 0
-    for e in g.edges:
-        mask |= 1 << idx[e]
-    return mask
-
-
 def mask_to_graph(n: int, mask: int) -> SimpleGraph:
     pairs = pair_list(n)
     return SimpleGraph(n, tuple(pairs[k] for k in range(len(pairs)) if (mask >> k) & 1))
 
 
+def mask_adjacency(n: int, mask: int) -> list[int]:
+    """Neighbour bitmask per vertex of the graph with edge mask `mask`."""
+    pairs = pair_list(n)
+    return adjacency_masks(n, [pairs[k] for k in range(len(pairs)) if mask >> k & 1])
+
+
 def _refine(adj: Sequence[int], cells: list[int]) -> list[int]:
     """Split the cells (vertex masks) by their vertices' neighbour counts in
     every cell until none splits; the pieces take their cell's place, in
-    order of their counts.  Singleton cells are skipped."""
+    order of their counts.  Singleton cells are skipped.  A vertex's counts
+    are packed 4 bits per cell, in cell order: under the n <= 12 guard every
+    count is below 16, so the packed keys sort as the count tuples would."""
     while True:
         out = []
         for cell in cells:
             if not cell & (cell - 1):
                 out.append(cell)
                 continue
-            pieces: dict[tuple[int, ...], int] = {}
+            pieces: dict[int, int] = {}
             rest = cell
             while rest:
                 low = rest & -rest
                 rest ^= low
                 row = adj[low.bit_length() - 1]
-                key = tuple([(row & c).bit_count() for c in cells])
+                key = 0
+                for c in cells:
+                    key = key << 4 | (row & c).bit_count()
                 pieces[key] = pieces.get(key, 0) | low
             out += [pieces[k] for k in sorted(pieces)]
         if len(out) == len(cells):
@@ -83,15 +87,15 @@ def _refine(adj: Sequence[int], cells: list[int]) -> list[int]:
 
 
 def _search(
-    n: int, edges: Sequence[Edge], cells: list[int]
+    n: int, adj: Sequence[int], cells: list[int]
 ) -> tuple[dict[int, int], list[list[int]], list[tuple[int, int]]]:
-    """The search from the ordered partition `cells`: {leaf mask: summed
-    weight}, the vertex orders of the least leaves, and the twin pairs whose
-    subtrees were taken as one."""
+    """The search on the neighbour masks `adj` from the ordered partition
+    `cells`: {leaf mask: summed weight}, the vertex orders of the least
+    leaves, and the twin pairs whose subtrees were taken as one."""
     if n > CANON_GUARD_N:
         raise GuardError(f"canonical labeling guarded to n <= {CANON_GUARD_N}, got n={n}")
-    adj = adjacency_masks(n, edges)
     bits = _pair_bits(n)
+    edges = [p for p in pair_list(n) if adj[p[0]] >> p[1] & 1]
     leaves: dict[int, int] = {}
     least: list[list[int]] = []
     swaps: list[tuple[int, int]] = []
@@ -99,11 +103,11 @@ def _search(
     while stack:
         cells, weight = stack.pop()
         cells = _refine(adj, cells)
-        size, i = min(((c.bit_count(), i) for i, c in enumerate(cells) if c & (c - 1)),
-                      default=(0, -1))
-        if not size:
+        if len(cells) == n:
             order = [c.bit_length() - 1 for c in cells]
-            pos = sorted(range(n), key=order.__getitem__)  # the inverse of order
+            pos = [0] * n  # the inverse of order
+            for i, v in enumerate(order):
+                pos[v] = i
             mask = 0
             for u, v in edges:
                 mask |= bits[pos[u]][pos[v]]
@@ -113,6 +117,7 @@ def _search(
             elif mask == best:
                 least.append(order)
             continue
+        size, i = min((c.bit_count(), i) for i, c in enumerate(cells) if c & (c - 1))
         cell = cells[i]
         members = [v for v in range(n) if cell >> v & 1]
         if len({adj[v] for v in members}) == 1 or len({adj[v] | 1 << v for v in members}) == 1:
@@ -126,7 +131,7 @@ def _search(
 def canonical_form_graph(g: SimpleGraph) -> CanonicalForm:
     """Isomorphism-invariant key of a plain graph: the least leaf mask of the
     search from one cell."""
-    return (g.n, g.m, min(_search(g.n, g.edges, [(1 << g.n) - 1])[0]))
+    return (g.n, g.m, min(_search(g.n, adjacency_masks(g.n, g.edges), [(1 << g.n) - 1])[0]))
 
 
 def canonical_form(g: TwoTerminalGraph) -> CanonicalForm:
@@ -134,7 +139,8 @@ def canonical_form(g: TwoTerminalGraph) -> CanonicalForm:
     [{s, t}, rest], so the terminal set lands on {0, 1}.  Equal keys iff
     isomorphic with the terminal set respected."""
     n, ends = g.graph.n, 1 << g.s | 1 << g.t
-    return (n, g.graph.m, min(_search(n, g.graph.edges, [ends, (1 << n) - 1 ^ ends])[0]))
+    adj = adjacency_masks(n, g.graph.edges)
+    return (n, g.graph.m, min(_search(n, adj, [ends, (1 << n) - 1 ^ ends])[0]))
 
 
 def isomorphic(a: SimpleGraph, b: SimpleGraph) -> bool:
@@ -147,13 +153,13 @@ def isomorphic(a: SimpleGraph, b: SimpleGraph) -> bool:
 def orbit_images(n: int, mask: int) -> dict[int, int]:
     """{leaf mask: summed weight} of the search on the graph with edge mask
     `mask`: the least key is its canonical key, and its weight is |Aut|."""
-    return _search(n, mask_to_graph(n, mask).edges, [(1 << n) - 1])[0]
+    return _search(n, mask_adjacency(n, mask), [(1 << n) - 1])[0]
 
 
 def stabilizer_perms(n: int, mask: int) -> list[tuple[int, ...]]:
     """Generators of the automorphism group of the graph with edge mask
     `mask` (perm[v] is the image of v): the twin swaps, and the maps from the
     first least leaf to every other least leaf."""
-    _, least, swaps = _search(n, mask_to_graph(n, mask).edges, [(1 << n) - 1])
+    _, least, swaps = _search(n, mask_adjacency(n, mask), [(1 << n) - 1])
     gens = [tuple(b if v == a else a if v == b else v for v in range(n)) for a, b in swaps]
     return gens + [tuple(v for _, v in sorted(zip(least[0], order))) for order in least[1:]]

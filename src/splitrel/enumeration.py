@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 from . import canon
 from .counting import classify_subsets
 from .families import two_terminal_balloon
-from .graphs import GuardError, SimpleGraph, TwoTerminalGraph, bridges, to_json_dict
+from .graphs import GuardError, SimpleGraph, TwoTerminalGraph, is_bridge, to_json_dict
 from .signature import SplitSignature, dominates_on_unit_interval
 
 ENUM_GUARD_N = 7
@@ -49,24 +49,28 @@ def _descent(n: int) -> tuple[dict[int, int], ...]:
     connected graphs on n vertices, by edge-deletion descent from K_n.
 
     Each representative at level m loses, in turn, every edge that is not a
-    bridge; the child's canonical key is its least leaf image and |Aut| is
-    that leaf's weight (`canon.orbit_images`).  The levels are complete: adding
-    any missing edge to a connected graph gives a connected graph in which
-    that edge is not a bridge, so every class at level m - 1 is a child of
-    some representative at level m.
+    bridge (one reachability test on its neighbour masks); the child's edge
+    mask goes to `canon.orbit_images`, whose least leaf is its canonical key
+    and whose weight is |Aut|.  The levels are complete: adding any missing
+    edge to a connected graph gives a connected graph in which that edge is
+    not a bridge, so every class at level m - 1 is a child of some
+    representative at level m.
     """
     top = comb(n, 2)
+    pairs = canon.pair_list(n)
     levels: list[dict[int, int]] = [{} for _ in range(top + 1)]
     levels[top] = {(1 << top) - 1: factorial(n)}
     for m in range(top, 0, -1):
         below = levels[m - 1]
         for mask in levels[m]:
-            bits = [k for k in range(top) if (mask >> k) & 1]
-            cut = set(bridges(canon.mask_to_graph(n, mask)))
-            for i, k in enumerate(bits):
-                if i in cut:
+            adj = canon.mask_adjacency(n, mask)
+            rest = mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if is_bridge(adj, *pairs[low.bit_length() - 1]):
                     continue
-                images = canon.orbit_images(n, mask & ~(1 << k))
+                images = canon.orbit_images(n, mask ^ low)
                 key = min(images)
                 if key not in below:
                     below[key] = images[key]

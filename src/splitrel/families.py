@@ -319,19 +319,6 @@ def variant(kind: int, n: int, m: int) -> TwoTerminalGraph:
     return variant_with_context(kind, n, m).result
 
 
-def variant_all_choices(kind: int, n: int, m: int) -> list[TwoTerminalGraph]:
-    """Every (bridge, eligible edge) construction; used to verify that the
-    result does not depend on the choices."""
-    if not in_I1(n, m):
-        raise ValueError(f"({n},{m}) has no bridges; perturbation undefined")
-    g = two_terminal_balloon(n, m)
-    context = _skeleton_context(g)
-    eligible = _eligible_edges(kind, g, context)
-    if not eligible:
-        raise ValueError(f"no eligible edge for kind {kind} at ({n},{m})")
-    return [_apply_variant(g, b, e) for b in context[0] for e in eligible]
-
-
 # ---------------------------------------------------------------------------
 # closed forms for the balloon's failed-edge counts and its polynomial
 

@@ -210,24 +210,34 @@ def validate(g: TwoTerminalGraph | SimpleGraph) -> list[str]:
     return diags
 
 
+def is_bridge(adj: list[int], u: int, v: int) -> bool:
+    """True iff v is unreachable from u once the edge (u, v) is dropped from
+    the neighbour masks `adj`.  Dropping only the arc u -> v suffices: a
+    search from u that reaches v by another route never needs v -> u."""
+    adj[u] ^= 1 << v
+    cut = not _reach(adj, 1 << u) >> v & 1
+    adj[u] ^= 1 << v
+    return cut
+
+
 def bridges(g: SimpleGraph) -> list[int]:
-    """Indices of bridge edges: edge (u, v) is a bridge iff v is unreachable
-    from u once the edge is removed.
+    """Indices of bridge edges, ascending.  Only the edges of a breadth-first
+    spanning tree are tested: any other edge closes a cycle with the tree.
 
     Precondition: g connected.
     """
-    if not is_connected(g):
-        raise ValueError("bridges requires a connected graph")
     adj = adjacency_masks(g.n, g.edges)
+    layers = _bfs_layers(adj, 1) if g.n else []
+    if not layers or sum(layers) != (1 << g.n) - 1:
+        raise ValueError("bridges requires a connected graph")
+    index = {e: i for i, e in enumerate(g.edges)}
     out = []
-    for i, (u, v) in enumerate(g.edges):
-        # dropping only the arc u -> v suffices: a search from u that reaches
-        # v by another route never needs the arc v -> u
-        adj[u] ^= 1 << v
-        if not _reach(adj, 1 << u) >> v & 1:
-            out.append(i)
-        adj[u] ^= 1 << v
-    return out
+    for above, layer in zip(layers, layers[1:]):
+        for v in _bits(layer):
+            u = (adj[v] & above).bit_length() - 1  # v's parent in the tree
+            if is_bridge(adj, u, v):
+                out.append(index[(u, v) if u < v else (v, u)])
+    return sorted(out)
 
 
 def _min_cuts(g: SimpleGraph) -> tuple[int, int]:
@@ -385,15 +395,6 @@ def eccentric_pairs(g: SimpleGraph) -> list[tuple[int, int]]:
         if len(layers) - 1 == best:
             pairs += [(u, v) for v in _bits(layers[-1] >> (u + 1) << (u + 1))]
     return pairs
-
-
-def relabel(g: SimpleGraph, perm: Sequence[int]) -> SimpleGraph:
-    """Apply the vertex relabeling v -> perm[v]."""
-    return SimpleGraph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
-
-
-def relabel_two_terminal(g: TwoTerminalGraph, perm: Sequence[int]) -> TwoTerminalGraph:
-    return TwoTerminalGraph(relabel(g.graph, perm), perm[g.s], perm[g.t])
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,13 @@ from hypothesis import settings, strategies as st
 from splitrel import canon
 from splitrel.counting import SubsetClassification
 from splitrel.enumeration import _graph_orbits
+from splitrel.families import (
+    _apply_variant,
+    _eligible_edges,
+    _skeleton_context,
+    in_I1,
+    two_terminal_balloon,
+)
 from splitrel.graphs import (
     Edge,
     SimpleGraph,
@@ -62,6 +69,37 @@ def connected_graphs(draw, min_n: int = 1, max_n: int = 7, max_m: int = 14) -> S
     if rest:
         extra = draw(st.lists(st.sampled_from(rest), unique=True, max_size=max_m - len(tree)))
     return SimpleGraph(n, tuple(tree + extra))
+
+
+def graph_mask(g: SimpleGraph) -> int:
+    """Edge mask of g over the C(n,2) lexicographic vertex pairs."""
+    idx = canon.pair_index_map(g.n)
+    mask = 0
+    for e in g.edges:
+        mask |= 1 << idx[e]
+    return mask
+
+
+def relabel(g: SimpleGraph, perm: Sequence[int]) -> SimpleGraph:
+    """Apply the vertex relabeling v -> perm[v]."""
+    return SimpleGraph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
+
+
+def relabel_two_terminal(g: TwoTerminalGraph, perm: Sequence[int]) -> TwoTerminalGraph:
+    return TwoTerminalGraph(relabel(g.graph, perm), perm[g.s], perm[g.t])
+
+
+def variant_all_choices(kind: int, n: int, m: int) -> list[TwoTerminalGraph]:
+    """Every (bridge, eligible edge) construction of `families.variant`; used
+    to verify that the result does not depend on the choices."""
+    if not in_I1(n, m):
+        raise ValueError(f"({n},{m}) has no bridges; perturbation undefined")
+    g = two_terminal_balloon(n, m)
+    context = _skeleton_context(g)
+    eligible = _eligible_edges(kind, g, context)
+    if not eligible:
+        raise ValueError(f"no eligible edge for kind {kind} at ({n},{m})")
+    return [_apply_variant(g, b, e) for b in context[0] for e in eligible]
 
 
 def union_find_roots(n: int, pairs: Sequence[Edge]) -> list[int]:

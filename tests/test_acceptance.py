@@ -12,7 +12,7 @@ from math import comb, sqrt
 
 import pytest
 
-from conftest import canonical_form_by_search, random_two_terminal
+from conftest import canonical_form_by_search, random_two_terminal, relabel_two_terminal
 from splitrel.checks import (
     check_bogdanowicz,
     check_closed_forms,
@@ -41,7 +41,7 @@ from splitrel.enumeration import (
     verify_balloon_characterization,
 )
 from splitrel.families import closed_form_F
-from splitrel.graphs import bridges, relabel_two_terminal
+from splitrel.graphs import bridges
 from splitrel.signature import (
     SplitSignature,
     dominates_on_unit_interval,

@@ -18,6 +18,7 @@ from conftest import (
     path_n,
     random_connected_graph,
     random_two_terminal,
+    relabel_two_terminal,
     sample_block_by_union_find,
 )
 from splitrel.counting import (
@@ -39,7 +40,6 @@ from splitrel.graphs import (
     TwoTerminalGraph,
     bridges,
     components,
-    relabel_two_terminal,
     subdivide_edge,
 )
 from splitrel.signature import SplitSignature, evaluate, sr_polynomial

@@ -1,6 +1,7 @@
 """Class enumeration, canonical forms, refinement chains, uniform verdicts and
 ledger serialization."""
 
+import hashlib
 import json
 import random
 from itertools import permutations
@@ -10,17 +11,22 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
+    _relabeled_masks,
     automorphism_count,
     canonical_form_by_search,
     connected_graphs,
     cycle_n,
+    graph_mask,
     k_n,
     labeled_connected_count,
     orbits_by_sweep,
+    relabel,
+    relabel_two_terminal,
 )
 from splitrel import canon
 from splitrel.counting import split_coefficients
 from splitrel.enumeration import (
+    _descent,
     _pair_orbits,
     balloon_member_index,
     enumerate_graphs,
@@ -37,8 +43,6 @@ from splitrel.graphs import (
     SimpleGraph,
     TwoTerminalGraph,
     bridges,
-    relabel,
-    relabel_two_terminal,
 )
 from splitrel.signature import SplitSignature
 
@@ -57,7 +61,7 @@ def test_enumerate_graphs_canonical_and_connected():
 
     for g in enumerate_graphs(5, 6):
         assert is_connected(g)
-        assert canon.graph_mask(g) == canon.canonical_form_graph(g)[2]
+        assert graph_mask(g) == canon.canonical_form_graph(g)[2]
 
 
 def test_enumeration_completeness_orbit_sizes():
@@ -75,6 +79,50 @@ def test_enumeration_completeness_orbit_sizes():
             assert len(got) == len(graphs), (n, m)
             assert got == dict(zip(reps, auts)), (n, m)
             assert labeled_connected_count(n, m) == labeled, (n, m)
+
+
+def test_descent_runs_on_edge_masks(monkeypatch):
+    # the descent builds no SimpleGraph and runs no per-graph bridge pass;
+    # its levels still match the exhaustive sweep
+    from splitrel import graphs
+
+    def refuse(*args):
+        raise AssertionError("the descent must work on edge masks")
+
+    monkeypatch.setattr(canon, "mask_to_graph", refuse)
+    monkeypatch.setattr(graphs, "bridges", refuse)
+    levels = _descent.__wrapped__(6)
+    monkeypatch.undo()
+    oracle = orbits_by_sweep(6)
+    for m, level in enumerate(levels):
+        reps, auts, _ = oracle[m]
+        got = {
+            canonical_form_by_search(canon.mask_to_graph(6, mask))[2]: aut
+            for mask, aut in level.items()
+        }
+        assert len(got) == len(level) and got == dict(zip(reps, auts)), m
+
+
+def test_descent_n7_pinned():
+    # representatives and |Aut| of every n = 7 level, as recorded from the
+    # search on edge lists; the search on neighbour masks must not move them
+    levels = [(m, sorted(level.items())) for m, level in enumerate(_descent(7))]
+    digest = hashlib.sha256(repr(levels).encode()).hexdigest()
+    assert digest == "a00d1ea9d71c8e357273e830acba5e4da7a6e7717bfc4c35ad8e86680ee83133"
+
+
+@given(connected_graphs(max_n=8, max_m=20), st.data())
+def test_orbit_images_least_leaf_is_invariant(g, data):
+    # the least leaf and its weight do not depend on the labeling, and for
+    # n <= 6 the weight is the number of relabelings that fix the edge mask
+    perm = data.draw(st.permutations(range(g.n)))
+    images = canon.orbit_images(g.n, graph_mask(g))
+    moved = canon.orbit_images(g.n, graph_mask(relabel(g, perm)))
+    key = min(images)
+    assert min(moved) == key and moved[key] == images[key]
+    if g.n <= 6:
+        masks = _relabeled_masks(g.n, g.edges, permutations(range(g.n)))
+        assert images[key] == masks.count(graph_mask(g))
 
 
 def test_enumeration_totals_match_oeis():
@@ -103,8 +151,8 @@ def test_pair_orbits_match_relabelings():
         perms = list(permutations(range(n)))
         for m in range(n - 1, comb(n, 2) + 1):
             for g in enumerate_graphs(n, m):
-                mask = canon.graph_mask(g)
-                auts = [p for p in perms if canon.graph_mask(relabel(g, p)) == mask]
+                mask = graph_mask(g)
+                auts = [p for p in perms if graph_mask(relabel(g, p)) == mask]
                 orbits = {
                     min(tuple(sorted((p[s], p[t]))) for p in auts)
                     for s, t in canon.pair_list(n)
@@ -128,7 +176,7 @@ def test_orbit_images_automorphism_counts():
         (petersen, 120),
         (cube, 48),
     ]:
-        images = canon.orbit_images(g.n, canon.graph_mask(g))
+        images = canon.orbit_images(g.n, graph_mask(g))
         assert images[min(images)] == want, g
         assert min(images) == canon.canonical_form_graph(g)[2]
 
@@ -138,8 +186,8 @@ def test_canonical_guard():
     for call in (
         lambda: canon.canonical_form_graph(g),
         lambda: canon.canonical_form(TwoTerminalGraph(g, 0, 1)),
-        lambda: canon.orbit_images(13, canon.graph_mask(g)),
-        lambda: canon.stabilizer_perms(13, canon.graph_mask(g)),
+        lambda: canon.orbit_images(13, graph_mask(g)),
+        lambda: canon.stabilizer_perms(13, graph_mask(g)),
     ):
         with pytest.raises(GuardError):
             call()

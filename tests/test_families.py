@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from conftest import balloon_by_recursion, k_n
+from conftest import balloon_by_recursion, k_n, variant_all_choices
 from splitrel import canon
 from splitrel.counting import spanning_tree_count, split_coefficients
 from splitrel.families import (
@@ -26,7 +26,6 @@ from splitrel.families import (
     threshold_graph,
     two_terminal_balloon,
     variant,
-    variant_all_choices,
 )
 from splitrel.graphs import (
     SimpleGraph,

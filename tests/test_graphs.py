@@ -186,6 +186,25 @@ def test_bridges_path_and_complete():
     assert bridges(k_n(4)) == []
 
 
+def test_bridges_test_only_tree_edges(monkeypatch):
+    # only the n - 1 edges of a breadth-first spanning tree can be bridges,
+    # so K_8's 28 edges cost at most 8 reachability searches
+    from splitrel import graphs
+
+    calls = []
+    real = graphs._reach
+
+    def counted(adj, sources):
+        calls.append(sources)
+        return real(adj, sources)
+
+    monkeypatch.setattr(graphs, "_reach", counted)
+    assert bridges(k_n(8)) == []
+    assert 0 < len(calls) <= 8
+    with pytest.raises(ValueError, match="connected"):
+        bridges(SimpleGraph(4, ((0, 1), (2, 3))))
+
+
 def test_bridges_balloon_pendant_path():
     assert len(bridges(balloon(9, 15))) == 3
 

@@ -8,11 +8,11 @@ from math import comb
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import cycle_n, sr_value_by_power_basis as sr_value
+from conftest import cycle_n, relabel_two_terminal, sr_value_by_power_basis as sr_value
 from splitrel import signature
 from splitrel.counting import split_coefficients
 from splitrel.families import two_terminal_balloon, variant
-from splitrel.graphs import SimpleGraph, TwoTerminalGraph, relabel_two_terminal
+from splitrel.graphs import SimpleGraph, TwoTerminalGraph
 from splitrel.signature import (
     SplitSignature,
     _power_basis,
