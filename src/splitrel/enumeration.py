@@ -4,11 +4,13 @@ the uniform-winner decision.
 
 Generation descends from K_n by deleting one non-bridge edge at a time and
 keeps one graph per isomorphism orbit at each edge count, labeled by its
-canonical key (the least leaf of `canon`'s search).  Terminal pairs are
-deduplicated by the orbits of the automorphism group, so each two-terminal
-representative is unique up to terminal-respecting isomorphism.
-Signatures are computed once per underlying graph (the subset classification
-is shared by all its terminal pairs); nothing is stored between runs.
+canonical key (the least leaf of `canon`'s search).  A child is searched only
+if its deleted edge is one of its best non-edges by end-degree sum (McKay's
+cheap-invariant test).  Terminal pairs are deduplicated by the orbits of the
+automorphism group, so each two-terminal representative is unique up to
+terminal-respecting isomorphism.  Signatures are computed once per underlying
+graph (the subset classification is shared by all its terminal pairs);
+nothing is stored between runs.
 
 Conventions: "locally most split reliable" is the per-competitor form (for
 each rival there is a neighborhood of p = 1 where the candidate is at least
@@ -33,7 +35,7 @@ from .families import two_terminal_balloon
 from .graphs import GuardError, SimpleGraph, TwoTerminalGraph, is_bridge, to_json_dict
 from .signature import SplitSignature, dominates_on_unit_interval
 
-ENUM_GUARD_N = 7
+ENUM_GUARD_N = 8
 
 
 def _check_enum_guard(n: int) -> None:
@@ -48,29 +50,40 @@ def _descent(n: int) -> tuple[dict[int, int], ...]:
     """Per edge count m, {canonical mask: automorphism group size} over the
     connected graphs on n vertices, by edge-deletion descent from K_n.
 
-    Each representative at level m loses, in turn, every edge that is not a
-    bridge (one reachability test on its neighbour masks); the child's edge
-    mask goes to `canon.orbit_images`, whose least leaf is its canonical key
-    and whose weight is |Aut|.  The levels are complete: adding any missing
-    edge to a connected graph gives a connected graph in which that edge is
-    not a bridge, so every class at level m - 1 is a child of some
-    representative at level m.
+    A representative P at level m keeps the child P - e when e is not a
+    bridge and is a best non-edge of P - e by end-degree sum; the child's
+    edge mask goes to `canon.orbit_images`, whose least leaf is its canonical
+    key and whose weight is |Aut|.  In P - e, e scores deg u + deg v - 2, and
+    a non-edge of P, sharing at most one end with e, loses at most 1.  The
+    levels are complete: let f be a best non-edge of a class C at level
+    m - 1.  C + f is connected, so a representative P at level m is
+    isomorphic to it by a map taking f to a non-bridge e of P with P - e
+    isomorphic to C; the score is invariant, so e passes.
     """
-    top = comb(n, 2)
+    size = comb(n, 2)
     pairs = canon.pair_list(n)
-    levels: list[dict[int, int]] = [{} for _ in range(top + 1)]
-    levels[top] = {(1 << top) - 1: factorial(n)}
-    for m in range(top, 0, -1):
+    star = [sum(1 << k for k, p in enumerate(pairs) if v in p) for v in range(n)]  # pairs at v
+    levels: list[dict[int, int]] = [{} for _ in range(size + 1)]
+    levels[size] = {(1 << size) - 1: factorial(n)}
+    for m in range(size, 0, -1):
         below = levels[m - 1]
         for mask in levels[m]:
             adj = canon.mask_adjacency(n, mask)
-            rest = mask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if is_bridge(adj, *pairs[low.bit_length() - 1]):
+            deg = [a.bit_count() for a in adj]
+            top, best = 0, 0  # P's best non-edge score (0 for K_n), and those non-edges
+            for k, (u, v) in enumerate(pairs):
+                score = -1 if mask >> k & 1 else deg[u] + deg[v]
+                if score > top:
+                    top, best = score, 1 << k
+                elif score == top:
+                    best |= 1 << k
+            for k, (u, v) in enumerate(pairs):
+                gap = top + 2 - deg[u] - deg[v]  # does a best non-edge of P beat e in P - e?
+                if not mask >> k & 1 or gap > 1 or gap == 1 and best & ~(star[u] | star[v]):
                     continue
-                images = canon.orbit_images(n, mask ^ low)
+                if is_bridge(adj, u, v):
+                    continue
+                images = canon.orbit_images(n, mask ^ 1 << k)
                 key = min(images)
                 if key not in below:
                     below[key] = images[key]

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import comb
+from math import comb, factorial
 from typing import Sequence
 
 from hypothesis import settings, strategies as st
@@ -22,6 +22,7 @@ from splitrel.graphs import (
     SimpleGraph,
     TwoTerminalGraph,
     components,
+    is_bridge,
     is_connected,
 )
 
@@ -320,6 +321,24 @@ def min_separators_by_search(g: SimpleGraph) -> tuple[int, int]:
         if count:
             return lam, count
     raise ValueError("removing every edge leaves g connected")
+
+
+def descent_by_every_child(n: int) -> tuple[dict[int, int], ...]:
+    """Reference descent: every representative at level m loses, in turn,
+    every edge that is not a bridge, and each child's key is looked up; per
+    edge count m, {canonical mask: automorphism group size}."""
+    top = comb(n, 2)
+    pairs = canon.pair_list(n)
+    levels: list[dict[int, int]] = [{} for _ in range(top + 1)]
+    levels[top] = {(1 << top) - 1: factorial(n)}
+    for m in range(top, 0, -1):
+        for mask in levels[m]:
+            adj = canon.mask_adjacency(n, mask)
+            for k, (u, v) in enumerate(pairs):
+                if mask >> k & 1 and not is_bridge(adj, u, v):
+                    images = canon.orbit_images(n, mask ^ 1 << k)
+                    levels[m - 1].setdefault(min(images), images[min(images)])
+    return tuple(levels)
 
 
 @lru_cache(maxsize=None)

@@ -16,6 +16,7 @@ from conftest import (
     canonical_form_by_search,
     connected_graphs,
     cycle_n,
+    descent_by_every_child,
     graph_mask,
     k_n,
     labeled_connected_count,
@@ -111,6 +112,28 @@ def test_descent_n7_pinned():
     assert digest == "a00d1ea9d71c8e357273e830acba5e4da7a6e7717bfc4c35ad8e86680ee83133"
 
 
+def test_descent_matches_every_child_oracle():
+    # skipping the children whose deleted edge is not a best non-edge loses
+    # no class and moves no key or |Aut|
+    for n in range(2, 8):
+        assert _descent.__wrapped__(n) == descent_by_every_child(n), n
+
+
+def test_descent_skips_children_before_search(monkeypatch):
+    # the end-degree test rejects most children before any search: 8933
+    # searches at n = 7 without it
+    calls = []
+    search = canon.orbit_images
+
+    def counted(n, mask):
+        calls.append(mask)
+        return search(n, mask)
+
+    monkeypatch.setattr(canon, "orbit_images", counted)
+    _descent.__wrapped__(7)
+    assert 0 < len(calls) <= 2100
+
+
 @given(connected_graphs(max_n=8, max_m=20), st.data())
 def test_orbit_images_least_leaf_is_invariant(g, data):
     # the least leaf and its weight do not depend on the labeling, and for
@@ -126,11 +149,11 @@ def test_orbit_images_least_leaf_is_invariant(g, data):
 
 
 def test_enumeration_totals_match_oeis():
-    # connected graphs on n = 2..7 vertices: OEIS A001349 (classes) and
+    # connected graphs on n = 2..8 vertices: OEIS A001349 (classes) and
     # A001187 (labeled)
-    classes = [1, 2, 6, 21, 112, 853]
-    labeled = [1, 4, 38, 728, 26704, 1866256]
-    for n, want_classes, want_labeled in zip(range(2, 8), classes, labeled):
+    classes = [1, 2, 6, 21, 112, 853, 11117]
+    labeled = [1, 4, 38, 728, 26704, 1866256, 251548592]
+    for n, want_classes, want_labeled in zip(range(2, 9), classes, labeled):
         ms = range(comb(n, 2) + 1)
         assert sum(len(automorphism_count(n, m)) for m in ms) == want_classes, n
         assert sum(labeled_connected_count(n, m) for m in ms) == want_labeled, n
@@ -196,7 +219,7 @@ def test_canonical_guard():
 
 def test_enumeration_guard():
     with pytest.raises(GuardError):
-        enumerate_graphs(8, 9)
+        enumerate_graphs(9, 9)
     for bad in (enumerate_graphs, refine_chain, uniform_check):
         with pytest.raises(ValueError, match="n >= 2"):
             bad(1, 0)
