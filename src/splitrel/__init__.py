@@ -20,8 +20,8 @@ from .graphs import (
     edge_connectivity,
     is_split_subgraph,
     min_degree,
-    projected_terminals,
     skeleton,
+    skeleton_two_terminal,
     subdivide_edge,
     validate,
 )
@@ -31,7 +31,6 @@ from .counting import (
     SubsetClassification,
     classify_subsets,
     connected_coefficients,
-    deletion_contraction_check,
     monte_carlo_sr,
     spanning_tree_count,
     split_coefficients,

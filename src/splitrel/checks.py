@@ -39,10 +39,10 @@ from .families import (
     in_I0,
     in_I1,
     in_dense_extended,
+    in_nonexistence_range,
     max_bridges,
     min_edge_connectivity,
     printed_max_bridges,
-    skeleton_two_terminal,
     sr_composition,
     threshold_graph,
     two_terminal_balloon,
@@ -56,6 +56,7 @@ from .graphs import (
     count_min_separators,
     edge_connectivity,
     skeleton,
+    skeleton_two_terminal,
 )
 from .signature import SplitSignature, evaluate
 
@@ -140,8 +141,8 @@ def check_skeleton_characterization(max_n: int = 7) -> Report:
         target = max_bridges(n, m)
         for g in enumerate_graphs(n, m):
             sk, _ = skeleton(g)
-            dense = in_dense_extended(sk.n, sk.m)
-            if (len(bridges(g)) == target) != dense:
+            # the bridge forest has b edges, so the skeleton has n - b vertices
+            if (g.n - sk.n == target) != in_dense_extended(sk.n, sk.m):
                 failures.append({"n": n, "m": m, "edges": list(g.edges)})
     return Report(
         "skeleton_characterization", "fail" if failures else "pass", {"failures": failures}
@@ -205,15 +206,20 @@ def check_thm3() -> Report:
     return Report("thm3", "fail" if failures else "pass", {"failures": failures, **details})
 
 
+# per perturbation kind: the skeleton shapes (lambda', n') its lemma covers
+_KIND_NEEDS = (
+    (lambda lam, ns: lam >= 3, "skeleton minimum degree >= 3"),
+    (lambda lam, ns: ns >= 5 and lam <= ns - 3, "n' >= 5 and lambda' <= n'-3"),
+    (lambda lam, ns: lam == 2 and ns == 4, "the 4-vertex diamond skeleton"),
+)
+
+
 def _prop2_kind(n: int, m: int) -> Optional[int]:
+    """The first kind whose lemma covers the class's skeleton; None for the
+    triangle skeleton (m == n), which earlier work settles."""
     prof = balloon_profile(n, m)
-    if prof.lam_skel >= 3:
-        return 0
-    if prof.lam_skel == 2 and prof.n_skel >= 5:
-        return 1
-    if prof.lam_skel == 2 and prof.n_skel == 4:
-        return 2
-    return None  # n_skel == 3, i.e. m == n: settled by earlier work
+    needs = (holds(prof.lam_skel, prof.n_skel) for holds, _ in _KIND_NEEDS)
+    return next((kind for kind, ok in enumerate(needs) if ok), None)
 
 
 def check_prop2(n: int, m: int) -> Report:
@@ -221,7 +227,7 @@ def check_prop2(n: int, m: int) -> Report:
     with both routes (subset classification and the two-terminal Laplacian
     minor) agreeing, and the counting bound (b-1)t(G'-e) - t(G') < difference
     checked."""
-    if not (7 <= n <= 9 and n <= m <= comb(n - 3, 2) + 3):
+    if not (7 <= n <= 9 and in_nonexistence_range(n, m)):
         raise ValueError("claim range is 7 <= n <= 9, n <= m <= C(n-3,2)+3")
     kind = _prop2_kind(n, m)
     if kind is None:
@@ -236,22 +242,19 @@ def check_prop2(n: int, m: int) -> Report:
                 "nonexistence is reproduced by enumeration for n <= 7",
             },
         )
-    vals = _skeleton_tree_values(n, m, kind)
-    prof = vals["prof"]
-    g, h = vals["ctx"].balloon, vals["ctx"].result
-    ng_sweep = split_coefficients(g).counts[n - 2]
-    nh_sweep = split_coefficients(h).counts[n - 2]
-    ng_tree = two_tree_count(g)
-    nh_tree = two_tree_count(h)
-    bound = (prof.b - 1) * vals["t_skel_minus"] - vals["t_skel"]
+    chain = _perturbation_chain(n, m, kind)
+    g, h = chain["ctx"].balloon, chain["ctx"].result
+    ng, nh = chain["ng"], chain["nh"]
+    routes_agree = ng == two_tree_count(g) and nh == two_tree_count(h)
+    b = chain["prof"].b
+    bound = (b - 1) * chain["t_skel_minus"] - chain["t_skel"]
     ok = (
-        ng_sweep == ng_tree
-        and nh_sweep == nh_tree
-        and nh_sweep > ng_sweep
-        and nh_sweep - ng_sweep > bound
+        routes_agree
+        and nh > ng
+        and nh - ng > bound
         and h.graph.n == n
         and h.graph.m == m
-        and len(bridges(h.graph)) == prof.b - 1
+        and len(bridges(h.graph)) == b - 1
     )
     return Report(
         "prop2",
@@ -260,73 +263,64 @@ def check_prop2(n: int, m: int) -> Report:
             "n": n,
             "m": m,
             "kind": kind,
-            "N_balloon": str(ng_sweep),
-            "N_perturbed": str(nh_sweep),
+            "N_balloon": str(ng),
+            "N_perturbed": str(nh),
             "lower_bound": str(bound),
-            "routes_agree": ng_sweep == ng_tree and nh_sweep == nh_tree,
+            "routes_agree": routes_agree,
         },
     )
 
 
-def _skeleton_tree_values(n: int, m: int, kind: int) -> dict:
-    """Exact tree counts along the perturbation's counting chain."""
-    ctx = variant_with_context(kind, n, m)
+def _delete_edge(g: TwoTerminalGraph, e: int) -> TwoTerminalGraph:
+    edges = tuple(p for i, p in enumerate(g.graph.edges) if i != e)
+    return TwoTerminalGraph(SimpleGraph(g.graph.n, edges), g.s, g.t)
+
+
+def _perturbation_chain(n: int, m: int, kind: int) -> dict:
+    """The counting chain shared by prop2 and the three perturbation lemmas.
+
+    H is the two-terminal balloon G with one bridge contracted and the
+    skeleton edge e subdivided, so N_{n-2}(H) - N_{n-2}(G) =
+    (b-1) t(G'-e) - t(G') + t2(G'-e) with G' the skeleton.  Returns the six
+    skeleton minors (t and t2 of G', G'-e and H'), N_{n-2} of G and H by
+    subset classification, and the identities of the chain that failed.
+    """
     prof = balloon_profile(n, m)
-    skel_tt = skeleton_two_terminal(n, m)
-    skel = skel_tt.graph
-    e_idx = skel.edge_index(*ctx.skeleton_edge)
-    skel_minus = SimpleGraph(skel.n, tuple(p for i, p in enumerate(skel.edges) if i != e_idx))
-    h_skel, h_vmap = skeleton(ctx.result.graph)
-    h_tt = TwoTerminalGraph(h_skel, h_vmap[ctx.result.s], h_vmap[ctx.result.t])
-    return {
-        "ctx": ctx,
-        "prof": prof,
-        "skel_tt": skel_tt,
-        "skel_minus_tt": TwoTerminalGraph(skel_minus, skel_tt.s, skel_tt.t),
-        "h_tt": h_tt,
-        "t_skel": spanning_tree_count(skel),
-        "t_skel_minus": spanning_tree_count(skel_minus),
-        "t_h_skel": spanning_tree_count(h_skel),
-        "t2_skel": two_tree_count(skel_tt),
-        "t2_skel_minus": two_tree_count(TwoTerminalGraph(skel_minus, skel_tt.s, skel_tt.t)),
-        "t2_h_skel": two_tree_count(h_tt),
-    }
-
-
-def _counting_identities(vals: dict, n: int, m: int) -> list[str]:
-    """The shared counting chain of all three perturbation lemmas."""
-    errors = []
-    ctx, prof = vals["ctx"], vals["prof"]
+    holds, needs = _KIND_NEEDS[kind]
+    if not holds(prof.lam_skel, prof.n_skel):
+        raise ValueError(f"kind-{kind} chain needs {needs}")
+    ctx = variant_with_context(kind, n, m)
+    skel = skeleton_two_terminal(ctx.balloon)
+    minus = _delete_edge(skel, skel.graph.edge_index(*ctx.skeleton_edge))
+    h_skel = skeleton_two_terminal(ctx.result)
+    t, t_minus, t_h = (spanning_tree_count(x.graph) for x in (skel, minus, h_skel))
+    t2, t2_minus, t2_h = (two_tree_count(x) for x in (skel, minus, h_skel))
+    ng, nh = (split_coefficients(x).counts[n - 2] for x in (ctx.balloon, ctx.result))
     b = prof.b
-    # bridge/skeleton decomposition of the two-tree counts
-    ng = split_coefficients(ctx.balloon).counts[n - 2]
-    nh = split_coefficients(ctx.result).counts[n - 2]
-    if ng != b * vals["t_skel"] + vals["t2_skel"]:
-        errors.append("balloon two-tree decomposition failed")
-    if nh != (b - 1) * vals["t_h_skel"] + vals["t2_h_skel"]:
-        errors.append("perturbed two-tree decomposition failed")
-    # deletion/contraction across the subdivision
-    if vals["t_h_skel"] != vals["t_skel_minus"] + vals["t_skel"]:
-        errors.append("tree-count recurrence across the subdivision failed")
-    if vals["t2_h_skel"] != vals["t2_skel_minus"] + vals["t2_skel"]:
-        errors.append("two-tree recurrence across the subdivision failed")
-    if vals["t2_skel_minus"] <= 0:
-        errors.append("deleted-edge skeleton has no two-tree split")
-    if nh <= ng:
-        errors.append("perturbation did not increase the near-zero coefficient")
-    return errors
+    identities = (
+        # bridge/skeleton decomposition of the two-tree counts
+        (ng == b * t + t2, "balloon two-tree decomposition failed"),
+        (nh == (b - 1) * t_h + t2_h, "perturbed two-tree decomposition failed"),
+        # deletion/contraction across the subdivision
+        (t_h == t_minus + t, "tree-count recurrence across the subdivision failed"),
+        (t2_h == t2_minus + t2, "two-tree recurrence across the subdivision failed"),
+        (t2_minus > 0, "deleted-edge skeleton has no two-tree split"),
+        (nh > ng, "perturbation did not increase the near-zero coefficient"),
+    )
+    return {
+        "ctx": ctx, "prof": prof, "ng": ng, "nh": nh,
+        "t_skel": t, "t_skel_minus": t_minus, "t_h_skel": t_h,
+        "t2_skel": t2, "t2_skel_minus": t2_minus, "t2_h_skel": t2_h,
+        "errors": [message for ok, message in identities if not ok],
+    }
 
 
 def check_lemma13(n: int = 8, m: int = 10) -> Report:
     """Kind-0 chain (skeleton minimum degree >= 3): product-formula tree
     counts, the (lambda'-1)/lambda' * (n'-1)/n' ratio bound, and the strict
     coefficient increase."""
-    prof = balloon_profile(n, m)
-    lam, ns = prof.lam_skel, prof.n_skel
-    if lam < 3:
-        raise ValueError("kind-0 chain needs skeleton minimum degree >= 3")
-    vals = _skeleton_tree_values(n, m, 0)
-    errors = _counting_identities(vals, n, m)
+    vals = _perturbation_chain(n, m, 0)
+    lam, ns, errors = vals["prof"].lam_skel, vals["prof"].n_skel, vals["errors"]
     expect_t = bogdanowicz_tree_count(ThresholdSpec(ns, (lam,)))
     expect_t_minus = bogdanowicz_tree_count(ThresholdSpec(ns, (lam - 1,)))
     if vals["t_skel"] != expect_t or vals["t_skel"] != lam * ns ** (lam - 1) * (ns - 1) ** (ns - lam - 2):
@@ -347,12 +341,8 @@ def check_lemma13(n: int = 8, m: int = 10) -> Report:
 def check_lemma14(n: int = 9, m: int = 15) -> Report:
     """Kind-1 chain (n' >= 5, lambda' <= n'-3): two-spur threshold form of the
     deleted-edge skeleton and the (n'-3)/(n'-1) ratio bound."""
-    prof = balloon_profile(n, m)
-    lam, ns = prof.lam_skel, prof.n_skel
-    if ns < 5 or lam > ns - 3:
-        raise ValueError("kind-1 chain needs n' >= 5 and lambda' <= n'-3")
-    vals = _skeleton_tree_values(n, m, 1)
-    errors = _counting_identities(vals, n, m)
+    vals = _perturbation_chain(n, m, 1)
+    lam, ns, errors = vals["prof"].lam_skel, vals["prof"].n_skel, vals["errors"]
     expect_t_minus = bogdanowicz_tree_count(ThresholdSpec(ns, (ns - 3, lam)))
     formula = lam * ns ** (lam - 1) * (ns - 3) * (ns - 1) ** (ns - lam - 3)
     if vals["t_skel_minus"] != expect_t_minus or vals["t_skel_minus"] != formula:
@@ -374,11 +364,8 @@ PRINTED_KIND2_TREES = {"t_skeleton": 4, "t_h_skeleton": 8}  # as printed; oracle
 def check_lemma15(n: int = 7, m: int = 8) -> Report:
     """Kind-2 chain (skeleton is the 4-vertex diamond): all four tree/two-tree
     oracle values, the printed-value discrepancy, and the strict increase."""
-    prof = balloon_profile(n, m)
-    if prof.lam_skel != 2 or prof.n_skel != 4:
-        raise ValueError("kind-2 chain needs the 4-vertex diamond skeleton")
-    vals = _skeleton_tree_values(n, m, 2)
-    errors = _counting_identities(vals, n, m)
+    vals = _perturbation_chain(n, m, 2)
+    errors = vals["errors"]
     oracle = {
         "t_skeleton": vals["t_skel"],
         "t2_skeleton": vals["t2_skel"],
@@ -392,9 +379,7 @@ def check_lemma15(n: int = 7, m: int = 8) -> Report:
         for key, printed in PRINTED_KIND2_TREES.items()
         if printed != oracle[key]
     }
-    b = prof.b
-    ng = split_coefficients(vals["ctx"].balloon).counts[n - 2]
-    nh = split_coefficients(vals["ctx"].result).counts[n - 2]
+    b, ng, nh = vals["prof"].b, vals["ng"], vals["nh"]
     if ng != 8 * b + 8 or nh != 12 * b:
         errors.append("closed-form coefficient values failed")
     status = "fail" if errors else ("discrepancy" if flagged else "pass")
@@ -437,31 +422,23 @@ def check_remark3(max_n: int = 8) -> Report:
     two-disjoint-tree split (positive count)."""
     failures = []
     for n, m in _classes(max_n, in_I1):
-        skel_tt = skeleton_two_terminal(n, m)
-        for i in range(skel_tt.graph.m):
-            reduced = SimpleGraph(
-                skel_tt.graph.n,
-                tuple(p for j, p in enumerate(skel_tt.graph.edges) if j != i),
-            )
-            if two_tree_count(TwoTerminalGraph(reduced, skel_tt.s, skel_tt.t)) <= 0:
-                failures.append({"n": n, "m": m, "edge": list(skel_tt.graph.edges[i])})
+        skel = skeleton_two_terminal(two_terminal_balloon(n, m))
+        for i, edge in enumerate(skel.graph.edges):
+            if two_tree_count(_delete_edge(skel, i)) <= 0:
+                failures.append({"n": n, "m": m, "edge": list(edge)})
     return Report("remark3", "fail" if failures else "pass", {"failures": failures})
 
 
 def check_remark4(max_n: int = 12) -> Report:
-    """At least 3 bridges throughout n <= m <= C(n-3,2)+3."""
-    failures = []
-    checked = 0
-    for n in range(4, max_n + 1):
-        hi = comb(n - 3, 2) + 3
-        for m in range(n, hi + 1):
-            if not in_I(n, m):
-                continue
-            checked += 1
-            if max_bridges(n, m) < 3:
-                failures.append({"n": n, "m": m, "bridges": max_bridges(n, m)})
+    """At least 3 bridges on every class of the nonexistence range."""
+    classes = _classes(max_n, in_nonexistence_range)
+    failures = [
+        {"n": n, "m": m, "bridges": max_bridges(n, m)}
+        for n, m in classes
+        if max_bridges(n, m) < 3
+    ]
     return Report(
-        "remark4", "fail" if failures else "pass", {"failures": failures, "checked": checked}
+        "remark4", "fail" if failures else "pass", {"failures": failures, "checked": len(classes)}
     )
 
 

@@ -197,32 +197,6 @@ def two_tree_count(g: TwoTerminalGraph) -> int:
     return _laplacian_minor(g.graph.n, g.graph.edges, (g.s, g.t))
 
 
-def deletion_contraction_check(g: SimpleGraph, e: int) -> bool:
-    """Check t(G) = t(G-e) + t(G*e) with spanning trees counted exactly.
-
-    The contraction here keeps parallel edges (multigraph count, multiplicities
-    in the Laplacian); the simple-quotient contraction would not satisfy the
-    identity.  Precondition: g connected, e not a bridge.
-    """
-    if not 0 <= e < g.m:
-        raise IndexError(f"edge index {e} out of range")
-    a, b = g.edges[e]
-    deleted = SimpleGraph(g.n, tuple(p for i, p in enumerate(g.edges) if i != e))
-    # contract: b folds into a, vertices above b shift down, parallel edges kept
-    merged = []
-    for i, (u, v) in enumerate(g.edges):
-        if i == e:
-            continue
-        x = a if u == b else u
-        y = a if v == b else v
-        x = x - 1 if x > b else x
-        y = y - 1 if y > b else y
-        if x != y:
-            merged.append((x, y))
-    t_contracted = _laplacian_minor(g.n - 1, merged, (0,))
-    return spanning_tree_count(g) == spanning_tree_count(deleted) + t_contracted
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo estimator
 

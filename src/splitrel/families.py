@@ -23,6 +23,7 @@ from .graphs import (
     distances,
     eccentric_pairs,
     skeleton,
+    skeleton_two_terminal,
     subdivide_edge,
 )
 
@@ -45,6 +46,12 @@ def in_dense_extended(n: int, m: int) -> bool:
     """Dense-range membership extended down to the triangle (n = 3, m = 3),
     which is exactly the skeleton shape of every m = n class."""
     return n >= 3 and comb(n - 1, 2) + 2 <= m <= comb(n, 2)
+
+
+def in_nonexistence_range(n: int, m: int) -> bool:
+    """The classes of the no-uniform-winner theorem: (n, m) in I with
+    m <= C(n-3,2)+3."""
+    return in_I(n, m) and m <= comb(n - 3, 2) + 3
 
 
 def _require_in_I(n: int, m: int) -> None:
@@ -148,7 +155,6 @@ def balloon_profile(n: int, m: int) -> BalloonProfile:
     lam = m_skel - comb(n_skel - 1, 2)
     if not in_dense_extended(n_skel, m_skel):
         raise AssertionError(f"skeleton ({n_skel},{m_skel}) outside the dense range")
-    assert m_skel == lam + comb(n_skel - 1, 2)
     return BalloonProfile(n, m, b, n_skel, m_skel, lam)
 
 
@@ -346,16 +352,6 @@ def closed_form_F(n: int, m: int, i: int) -> int:
     return total
 
 
-def skeleton_two_terminal(n: int, m: int) -> TwoTerminalGraph:
-    """The balloon's skeleton equipped with the projected terminals."""
-    g = two_terminal_balloon(n, m)
-    skel, vmap = skeleton(g.graph)
-    s2, t2 = vmap[g.s], vmap[g.t]
-    if s2 == t2:
-        raise AssertionError("projected terminals coincide on a balloon")
-    return TwoTerminalGraph(skel, s2, t2)
-
-
 def sr_composition(n: int, m: int) -> tuple[int, ...]:
     """Split count vector of the two-terminal balloon assembled from its
     skeleton.  With b bridges, SR(p) = b(1-p)p^(b-1) R'(p) + p^b SR'(p), where
@@ -364,11 +360,11 @@ def sr_composition(n: int, m: int) -> tuple[int, ...]:
     connected and split counts."""
     if not in_I1(n, m):
         raise ValueError(f"({n},{m}) is bridgeless; compute the polynomial directly")
-    b = balloon_profile(n, m).b
-    skel_tt = skeleton_two_terminal(n, m)
+    skel = skeleton_two_terminal(two_terminal_balloon(n, m))
+    b = n - skel.graph.n
     counts = [0] * (m + 1)
-    for j, c in enumerate(connected_coefficients(skel_tt.graph).counts):
+    for j, c in enumerate(connected_coefficients(skel.graph).counts):
         counts[j + b - 1] += b * c
-    for j, s in enumerate(split_coefficients(skel_tt).counts):
+    for j, s in enumerate(split_coefficients(skel).counts):
         counts[j + b] += s
     return tuple(counts)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
 
@@ -342,13 +342,13 @@ def skeleton(g: SimpleGraph | TwoTerminalGraph) -> tuple[SimpleGraph, tuple[int,
     return SimpleGraph(len(forest), tuple(new_edges)), vmap
 
 
-def projected_terminals(g: TwoTerminalGraph) -> Optional[tuple[int, int]]:
-    """Skeleton vertices nearest to the terminals, or None when they coincide."""
-    _, vmap = skeleton(g.graph)
-    s2, t2 = vmap[g.s], vmap[g.t]
-    if s2 == t2:
-        return None
-    return (s2, t2)
+def skeleton_two_terminal(g: TwoTerminalGraph) -> TwoTerminalGraph:
+    """The skeleton with the projected terminals, the skeleton vertices whose
+    bridge-forest classes hold s and t.  Raises ValueError when they coincide."""
+    skel, vmap = skeleton(g.graph)
+    if vmap[g.s] == vmap[g.t]:
+        raise ValueError("both terminals project to the same skeleton vertex")
+    return TwoTerminalGraph(skel, vmap[g.s], vmap[g.t])
 
 
 def distances(g: SimpleGraph, sources: Iterable[int]) -> list[int]:

@@ -12,7 +12,12 @@ from math import comb, sqrt
 
 import pytest
 
-from conftest import canonical_form_by_search, random_two_terminal, relabel_two_terminal
+from conftest import (
+    canonical_form_by_search,
+    deletion_contraction_check,
+    random_two_terminal,
+    relabel_two_terminal,
+)
 from splitrel.checks import (
     check_bogdanowicz,
     check_closed_forms,
@@ -27,7 +32,6 @@ from splitrel.checks import (
 from splitrel.counting import (
     RandomSource,
     classify_subsets,
-    deletion_contraction_check,
     monte_carlo_sr,
     spanning_tree_count,
     split_coefficients,

@@ -1,8 +1,14 @@
 """Verification report builders: statuses, discrepancy flags, details."""
 
+import hashlib
+import json
+from math import comb
+
 import pytest
 
+from splitrel import checks, families
 from splitrel.checks import (
+    VERIFY_TARGETS,
     check_bogdanowicz,
     check_closed_forms,
     check_composition,
@@ -20,6 +26,8 @@ from splitrel.checks import (
     check_thm2,
     run_target,
 )
+from splitrel.families import in_I1, sr_composition, variant
+from splitrel.graphs import to_json_dict
 
 
 def test_prop1_small_reports_printed_discrepancy():
@@ -62,6 +70,31 @@ def test_prop2_reports_values():
     assert rep.details["N_balloon"] == "32"
     assert rep.details["N_perturbed"] == "36"
     assert rep.details["routes_agree"]
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    """Record every call of `name` through checks and families."""
+    calls = []
+    real = getattr(families, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (checks, families):
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_perturbation_chain_builds_each_graph_once(monkeypatch):
+    # prop2 takes G's skeleton from the balloon it already holds, and lemma15
+    # reads N_{n-2} of G and H from the chain instead of classifying again
+    builds = _count_calls(monkeypatch, "two_terminal_balloon")
+    assert check_prop2(9, 15).status == "pass"
+    assert len(builds) == 1
+    sweeps = _count_calls(monkeypatch, "split_coefficients")
+    assert check_lemma15(7, 8).status == "discrepancy"
+    assert len(sweeps) == 2
 
 
 def test_lemma13():
@@ -133,3 +166,36 @@ def test_run_target_dispatch():
         run_target("nonsense", {})
     with pytest.raises(ValueError):
         run_target("prop2", {})
+
+
+def test_claim_outputs_pinned():
+    # every claim report at its defaults (thm1 is the table's work), the
+    # prop2 range, a few perturbations and the skeleton composition, as
+    # recorded before prop2 and the lemmas were built from one chain
+    out = [
+        check().to_json_dict()
+        for name, (check, forms) in VERIFY_TARGETS.items()
+        if () in forms and name != "thm1"
+    ]
+    out += [
+        check_skeleton_characterization(7).to_json_dict(),
+        check_closed_forms(8).to_json_dict(),
+        check_remark4(20).to_json_dict(),
+    ]
+    out += [
+        check_prop2(n, m).to_json_dict()
+        for n in range(7, 10)
+        for m in range(n, comb(n - 3, 2) + 4)
+    ]
+    out += [
+        to_json_dict(variant(kind, n, m))
+        for kind, n, m in [(0, 7, 8), (2, 7, 8), (0, 8, 10), (1, 9, 12), (1, 9, 15), (2, 9, 18)]
+    ]
+    out += [
+        list(sr_composition(n, m))
+        for n in range(4, 10)
+        for m in range(n, comb(n, 2) + 1)
+        if in_I1(n, m)
+    ]
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == "b971c864c63c4b581b68fd18bdd63b3144b4fba5e1fd4159e64d46e4c172886f"

@@ -14,6 +14,7 @@ from conftest import (
     classify_by_sweep,
     connected_graphs,
     cycle_n,
+    deletion_contraction_check,
     k_n,
     path_n,
     random_connected_graph,
@@ -27,7 +28,6 @@ from splitrel.counting import (
     _sample_block,
     classify_subsets,
     connected_coefficients,
-    deletion_contraction_check,
     monte_carlo_sr,
     spanning_tree_count,
     split_coefficients,

@@ -16,6 +16,7 @@ from conftest import (
     canonical_form_by_search,
     connected_graphs,
     cycle_n,
+    deletion_contraction_check,
     descent_by_every_child,
     graph_mask,
     k_n,
@@ -381,7 +382,7 @@ def test_seven_vertex_oracle_equivalences():
     Laplacian minor against the computed signatures for every representative,
     deletion/contraction on every non-bridge edge, and dense-range
     connectivity = minimum degree."""
-    from splitrel.counting import deletion_contraction_check, two_tree_count
+    from splitrel.counting import two_tree_count
     from splitrel.families import in_I0
     from splitrel.graphs import edge_connectivity, min_degree
 

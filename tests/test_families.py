@@ -21,7 +21,6 @@ from splitrel.families import (
     max_bridges,
     min_edge_connectivity,
     printed_max_bridges,
-    skeleton_two_terminal,
     sr_composition,
     threshold_graph,
     two_terminal_balloon,
@@ -37,6 +36,7 @@ from splitrel.graphs import (
     edge_connectivity,
     min_degree,
     is_connected,
+    skeleton_two_terminal,
 )
 from splitrel.signature import SplitSignature, evaluate, sr_polynomial
 
@@ -150,7 +150,7 @@ def test_threshold_graph_balloon_shape():
 def test_threshold_graph_two_spur_shape():
     # dense skeleton minus an edge between two core vertices that are not
     # adjacent to the attach vertex: the two-spur threshold shape
-    skel = skeleton_two_terminal(9, 15).graph  # the (6,12) balloon
+    skel = skeleton_two_terminal(two_terminal_balloon(9, 15)).graph  # the (6,12) balloon
     e = next(
         i
         for i, (u, v) in enumerate(skel.edges)

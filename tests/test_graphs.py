@@ -36,8 +36,8 @@ from splitrel.graphs import (
     is_split_subgraph,
     loads,
     min_degree,
-    projected_terminals,
     skeleton,
+    skeleton_two_terminal,
     subdivide_edge,
     validate,
 )
@@ -336,20 +336,20 @@ def test_degrees():
     assert min_degree(path_n(5)) == 1
 
 
-def test_projected_terminals():
+def test_skeleton_two_terminal():
     g = two_terminal_balloon(9, 15)
-    pt = projected_terminals(g)
-    assert pt is not None
-    sk, _ = skeleton(g.graph)
+    sk = skeleton_two_terminal(g)
+    assert sk.graph == skeleton(g.graph)[0]
     # the pendant-side projection has the skeleton's minimum degree (2)
-    degs = sorted(sk.degree(v) for v in pt)
+    degs = sorted(sk.graph.degree(v) for v in sk.terminals)
     assert degs[0] == 2
     # bridgeless: identity
     tt = TwoTerminalGraph(k_n(4), 1, 3)
-    assert projected_terminals(tt) == (1, 3)
+    assert skeleton_two_terminal(tt) == tt
     # star with two leaf terminals: skeleton is a single vertex
     star = SimpleGraph(4, ((0, 1), (0, 2), (0, 3)))
-    assert projected_terminals(TwoTerminalGraph(star, 1, 2)) is None
+    with pytest.raises(ValueError):
+        skeleton_two_terminal(TwoTerminalGraph(star, 1, 2))
 
 
 def test_binomial_split_bound():
