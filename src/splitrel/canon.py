@@ -11,10 +11,10 @@ neighbour counts in every cell into one integer, 4 bits per cell.  A discrete
 leaf relabels every vertex to its position; the key is the least leaf mask.
 A cell of pairwise twins is entered at its first vertex only, with the cell
 size as weight (swapping twins maps one subtree onto the other), so the
-weights of the least leaves sum to |Aut|.  A plain graph starts from one
-cell, a two-terminal graph from [{s, t}, rest], so its terminals land on
-{0, 1}.  Edge masks reach the search as neighbour masks built from their set
-bits.  Exact and deterministic; guarded to n <= 12, so every count is < 16."""
+weights of the least leaves sum to |Aut|; the twin swaps and the maps
+between least leaves generate Aut.  A plain graph starts from one cell, a
+two-terminal graph from [{s, t}, rest], so its terminals land on {0, 1}.
+Exact and deterministic; guarded to n <= 12, so every count is < 16."""
 
 from __future__ import annotations
 
@@ -34,11 +34,6 @@ def pair_list(n: int) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def pair_index_map(n: int) -> dict[tuple[int, int], int]:
-    return {p: k for k, p in enumerate(pair_list(n))}
-
-
-@lru_cache(maxsize=None)
 def _pair_bits(n: int) -> tuple[tuple[int, ...], ...]:
     """bits[a][b] = 1 << (index of the pair {a, b}), for either order."""
     bits = [[0] * n for _ in range(n)]
@@ -48,8 +43,12 @@ def _pair_bits(n: int) -> tuple[tuple[int, ...], ...]:
 
 
 def mask_to_graph(n: int, mask: int) -> SimpleGraph:
+    """The graph with edge mask `mask`; its pairs come sorted, so unnormalized."""
     pairs = pair_list(n)
-    return SimpleGraph(n, tuple(pairs[k] for k in range(len(pairs)) if (mask >> k) & 1))
+    g = object.__new__(SimpleGraph)
+    object.__setattr__(g, "n", n)
+    object.__setattr__(g, "edges", tuple(pairs[k] for k in range(len(pairs)) if mask >> k & 1))
+    return g
 
 
 def mask_adjacency(n: int, mask: int) -> list[int]:
@@ -148,7 +147,34 @@ def isomorphic(a: SimpleGraph, b: SimpleGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the search on edge masks (used by the class enumerator)
+# the search on edge masks, and the automorphism groups of the class enumerator
+
+def canonical_group(n: int, adj: Sequence[int]) -> tuple[int, int, list[tuple[int, ...]]]:
+    """(canonical key, |Aut|, generators of Aut in the key's labeling) of the
+    graph with neighbour masks `adj`: each further least order, and the first
+    with a twin pair swapped, relabeled by pos, the first one's inverse."""
+    leaves, least, swaps = _search(n, adj, [(1 << n) - 1])
+    key = min(leaves)
+    pos = [0] * n
+    for i, v in enumerate(least[0]):
+        pos[v] = i
+    orders = least[1:] + [[b if w == a else a if w == b else w for w in least[0]] for a, b in swaps]
+    return key, leaves[key], [tuple(pos[w] for w in order) for order in orders]
+
+
+def pair_orbit(n: int, perms: Sequence[Sequence[int]], u: int, v: int) -> int:
+    """Pair mask of the orbit of {u, v} under the group `perms` generate."""
+    bits = _pair_bits(n)
+    orbit, todo = bits[u][v], [(u, v)]
+    while todo:
+        a, b = todo.pop()
+        for perm in perms:
+            x, y = perm[a], perm[b]
+            if not orbit & bits[x][y]:
+                orbit |= bits[x][y]
+                todo.append((x, y))
+    return orbit
+
 
 def orbit_images(n: int, mask: int) -> dict[int, int]:
     """{leaf mask: summed weight} of the search on the graph with edge mask
@@ -158,8 +184,8 @@ def orbit_images(n: int, mask: int) -> dict[int, int]:
 
 def stabilizer_perms(n: int, mask: int) -> list[tuple[int, ...]]:
     """Generators of the automorphism group of the graph with edge mask
-    `mask` (perm[v] is the image of v): the twin swaps, and the maps from the
-    first least leaf to every other least leaf."""
+    `mask` (perm[v] is the image of v) from a search of its own, the check on
+    `canonical_group`'s: the twin swaps and the maps between least leaves."""
     _, least, swaps = _search(n, mask_adjacency(n, mask), [(1 << n) - 1])
     gens = [tuple(b if v == a else a if v == b else v for v in range(n)) for a, b in swaps]
     return gens + [tuple(v for _, v in sorted(zip(least[0], order))) for order in least[1:]]

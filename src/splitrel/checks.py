@@ -43,11 +43,11 @@ from .families import (
     max_bridges,
     min_edge_connectivity,
     printed_max_bridges,
-    sr_composition,
+    composed_split_counts,
     threshold_graph,
     two_terminal_balloon,
     variant_with_context,
-    closed_form_F,
+    closed_form_F_values,
 )
 from .graphs import (
     SimpleGraph,
@@ -254,7 +254,7 @@ def check_prop2(n: int, m: int) -> Report:
         and nh - ng > bound
         and h.graph.n == n
         and h.graph.m == m
-        and len(bridges(h.graph)) == b - 1
+        and chain["h_bridges"] == b - 1
     )
     return Report(
         "prop2",
@@ -283,14 +283,14 @@ def _perturbation_chain(n: int, m: int, kind: int) -> dict:
     skeleton edge e subdivided, so N_{n-2}(H) - N_{n-2}(G) =
     (b-1) t(G'-e) - t(G') + t2(G'-e) with G' the skeleton.  Returns the six
     skeleton minors (t and t2 of G', G'-e and H'), N_{n-2} of G and H by
-    subset classification, and the identities of the chain that failed.
+    subset classification, b(H) = n - n(H'), and the failed identities.
     """
     prof = balloon_profile(n, m)
     holds, needs = _KIND_NEEDS[kind]
     if not holds(prof.lam_skel, prof.n_skel):
         raise ValueError(f"kind-{kind} chain needs {needs}")
     ctx = variant_with_context(kind, n, m)
-    skel = skeleton_two_terminal(ctx.balloon)
+    skel = ctx.skeleton
     minus = _delete_edge(skel, skel.graph.edge_index(*ctx.skeleton_edge))
     h_skel = skeleton_two_terminal(ctx.result)
     t, t_minus, t_h = (spanning_tree_count(x.graph) for x in (skel, minus, h_skel))
@@ -308,7 +308,7 @@ def _perturbation_chain(n: int, m: int, kind: int) -> dict:
         (nh > ng, "perturbation did not increase the near-zero coefficient"),
     )
     return {
-        "ctx": ctx, "prof": prof, "ng": ng, "nh": nh,
+        "ctx": ctx, "prof": prof, "ng": ng, "nh": nh, "h_bridges": n - h_skel.graph.n,
         "t_skel": t, "t_skel_minus": t_minus, "t_h_skel": t_h,
         "t2_skel": t2, "t2_skel_minus": t2_minus, "t2_h_skel": t2_h,
         "errors": [message for ok, message in identities if not ok],
@@ -450,7 +450,7 @@ def check_composition(max_n: int = 8) -> Report:
     for n, m in _classes(max_n, in_I1):
         checked += 1
         g = two_terminal_balloon(n, m)
-        if sr_composition(n, m) != split_coefficients(g).counts:
+        if composed_split_counts(g) != split_coefficients(g).counts:
             failures.append({"n": n, "m": m})
     return Report(
         "composition", "fail" if failures else "pass", {"failures": failures, "checked": checked}
@@ -463,15 +463,11 @@ def check_closed_forms(max_n: int = 8) -> Report:
     failures = []
     checked = 0
     for n, m in _classes(max_n, in_I1):
-        prof = balloon_profile(n, m)
         sig = SplitSignature.from_vector(n, split_coefficients(two_terminal_balloon(n, m)))
-        for i in range(1, prof.n_skel - 1):
+        for i, closed in enumerate(closed_form_F_values(n, m), 1):
             checked += 1
-            if closed_form_F(n, m, i) != sig.f_value(i):
-                failures.append(
-                    {"n": n, "m": m, "i": i, "closed": closed_form_F(n, m, i),
-                     "swept": sig.f_value(i)}
-                )
+            if closed != sig.f_value(i):
+                failures.append({"n": n, "m": m, "i": i, "closed": closed, "swept": sig.f_value(i)})
     return Report(
         "closed_forms", "fail" if failures else "pass",
         {"failures": failures, "values_checked": checked},

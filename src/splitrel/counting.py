@@ -35,26 +35,42 @@ class CoefficientVector:
         return {"m": self.m, "counts": [str(c) for c in self.counts]}
 
 
+def _unpack(packed: int, m: int) -> tuple[int, ...]:
+    """The m + 1 counts packed m + 1 bits each, the count of size 0 lowest."""
+    width = m + 1
+    digit, out = (1 << width) - 1, []
+    for _ in range(width):  # shifting what is left keeps each shift short
+        out.append(packed & digit)
+        packed >>= width
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class SubsetClassification:
     """Per-graph tally of all 2^m edge subsets.
 
     `connected[i]` counts subsets of size i whose spanning subgraph is
-    connected.  `split_sides[S][i]` counts subsets of size i with exactly two
+    connected.  `packed_sides[S]` counts the subsets with exactly two
     components where S is the vertex bitmask of the component containing
-    vertex 0; a side no subset splits off is absent.
+    vertex 0, packed m + 1 bits per size i (coefficient i at bit i(m + 1));
+    a side no subset splits off is absent.  `split_sides` unpacks them.
     """
 
     n: int
     m: int
     connected: tuple[int, ...]
-    split_sides: dict[int, tuple[int, ...]]
+    packed_sides: dict[int, int]
+
+    @property
+    def split_sides(self) -> dict[int, tuple[int, ...]]:
+        return {side: _unpack(c, self.m) for side, c in self.packed_sides.items()}
 
     def split_counts(self, s: int, t: int) -> tuple[int, ...]:
-        """Split-subgraph counts for the terminal pair {s, t}: the column sums
-        over the sides that separate s from t."""
-        rows = [c for side, c in self.split_sides.items() if (side >> s ^ side >> t) & 1]
-        return tuple(map(sum, zip(*rows))) if rows else (0,) * (self.m + 1)
+        """Split-subgraph counts for the terminal pair {s, t}: the packed sum
+        over the sides that separate s from t (still distinct edge subsets of
+        each size, so no coefficient carries), unpacked once."""
+        rows = (c for side, c in self.packed_sides.items() if (side >> s ^ side >> t) & 1)
+        return _unpack(sum(rows), self.m)
 
 
 def classify_subsets(g: SimpleGraph) -> SubsetClassification:
@@ -84,7 +100,6 @@ def classify_subsets(g: SimpleGraph) -> SubsetClassification:
             f"subset classification is meant for desk-scale graphs (n <= 16), got n={n}"
         )
     width = m + 1
-    digit = (1 << width) - 1
     binomial = [1]  # binomial[e] packs C(e, 0..e), that is (1 + x)^e at x = 2^width
     for _ in range(m):
         binomial.append(binomial[-1] * ((1 << width) + 1))
@@ -106,15 +121,10 @@ def classify_subsets(g: SimpleGraph) -> SubsetClassification:
                 split += c * binomial[induced[rest ^ sub]]
         conn[S] = binomial[induced[S]] - split
 
-    def unpack(packed: int) -> tuple[int, ...]:
-        return tuple((packed >> (width * k)) & digit for k in range(m + 1))
-
     sides = {
-        S: unpack(conn[S] * conn[full ^ S])
-        for S in range(1, full, 2)
-        if conn[S] and conn[full ^ S]
+        S: conn[S] * conn[full ^ S] for S in range(1, full, 2) if conn[S] and conn[full ^ S]
     }
-    return SubsetClassification(n, m, unpack(conn[full]), sides)
+    return SubsetClassification(n, m, _unpack(conn[full], m), sides)
 
 
 def split_coefficients(g: TwoTerminalGraph) -> CoefficientVector:

@@ -4,10 +4,11 @@ the uniform-winner decision.
 
 Generation descends from K_n by deleting one non-bridge edge at a time and
 keeps one graph per isomorphism orbit at each edge count, labeled by its
-canonical key (the least leaf of `canon`'s search).  A child is searched only
-if its deleted edge is one of its best non-edges by end-degree sum (McKay's
-cheap-invariant test).  Terminal pairs are deduplicated by the orbits of the
-automorphism group, so each two-terminal representative is unique up to
+canonical key (the least leaf of `canon`'s search) and the generators of its
+automorphism group.  A child is searched only if its deleted edge is one of
+its best non-edges by end-degree sum (McKay's cheap-invariant test), once per
+orbit of the parent's group.  Terminal pairs are deduplicated by the orbits
+of that group, so each two-terminal representative is unique up to
 terminal-respecting isomorphism.  Signatures are computed once per underlying
 graph (the subset classification is shared by all its terminal pairs);
 nothing is stored between runs.
@@ -26,6 +27,7 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import groupby
 from math import comb, factorial
 from typing import Optional, Sequence
 
@@ -46,25 +48,27 @@ def _check_enum_guard(n: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _descent(n: int) -> tuple[dict[int, int], ...]:
+def _descent(n: int) -> tuple[tuple[dict[int, int], ...], dict[int, list[tuple[int, ...]]]]:
     """Per edge count m, {canonical mask: automorphism group size} over the
-    connected graphs on n vertices, by edge-deletion descent from K_n.
+    connected graphs on n vertices, by edge-deletion descent from K_n, and
+    beside them {canonical mask: generators of its automorphism group}.
 
-    A representative P at level m keeps the child P - e when e is not a
-    bridge and is a best non-edge of P - e by end-degree sum; the child's
-    edge mask goes to `canon.orbit_images`, whose least leaf is its canonical
-    key and whose weight is |Aut|.  In P - e, e scores deg u + deg v - 2, and
-    a non-edge of P, sharing at most one end with e, loses at most 1.  The
-    levels are complete: let f be a best non-edge of a class C at level
-    m - 1.  C + f is connected, so a representative P at level m is
-    isomorphic to it by a map taking f to a non-bridge e of P with P - e
-    isomorphic to C; the score is invariant, so e passes.
+    A representative P at level m keeps the child P - e, searched by
+    `canon.canonical_group`, when e is not a bridge, is a best non-edge of
+    P - e by end-degree sum, and is the first such edge of its Aut(P) orbit.
+    In P - e, e scores deg u + deg v - 2, and a non-edge of P, sharing at
+    most one end with e, loses at most 1.  The levels are complete: let f be
+    a best non-edge of a class C at level m - 1.  C + f is connected, so a
+    representative P at level m is isomorphic to it by a map taking f to a
+    non-bridge e of P with P - e isomorphic to C; the score is invariant
+    under that map and under Aut(P), so e or an edge of its orbit passes.
     """
     size = comb(n, 2)
     pairs = canon.pair_list(n)
     star = [sum(1 << k for k, p in enumerate(pairs) if v in p) for v in range(n)]  # pairs at v
     levels: list[dict[int, int]] = [{} for _ in range(size + 1)]
-    levels[size] = {(1 << size) - 1: factorial(n)}
+    key, aut, perms = canon.canonical_group(n, [(1 << n) - 1 ^ 1 << v for v in range(n)])
+    levels[size], group = {key: aut}, {key: perms}
     for m in range(size, 0, -1):
         below = levels[m - 1]
         for mask in levels[m]:
@@ -77,17 +81,23 @@ def _descent(n: int) -> tuple[dict[int, int], ...]:
                     top, best = score, 1 << k
                 elif score == top:
                     best |= 1 << k
+            taken = 0  # the Aut(P) orbits of the edges already tested
             for k, (u, v) in enumerate(pairs):
-                gap = top + 2 - deg[u] - deg[v]  # does a best non-edge of P beat e in P - e?
-                if not mask >> k & 1 or gap > 1 or gap == 1 and best & ~(star[u] | star[v]):
+                if not mask >> k & 1 or taken >> k & 1:
                     continue
+                gap = top + 2 - deg[u] - deg[v]  # does a best non-edge of P beat e in P - e?
+                if gap > 1 or gap == 1 and best & ~(star[u] | star[v]):
+                    continue
+                taken |= canon.pair_orbit(n, group[mask], u, v)
                 if is_bridge(adj, u, v):
                     continue
-                images = canon.orbit_images(n, mask ^ 1 << k)
-                key = min(images)
+                child = adj[:]
+                child[u] ^= 1 << v
+                child[v] ^= 1 << u
+                key, aut, perms = canon.canonical_group(n, child)
                 if key not in below:
-                    below[key] = images[key]
-    return tuple(levels)
+                    below[key], group[key] = aut, perms
+    return tuple(levels), group
 
 
 def _graph_orbits(n: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
@@ -96,7 +106,7 @@ def _graph_orbits(n: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...], int
     _check_enum_guard(n)
     if not 0 <= m <= comb(n, 2):
         raise ValueError(f"no graphs with n={n}, m={m}")
-    level = _descent(n)[m]
+    level = _descent(n)[0][m]
     reps = tuple(sorted(level))
     auts = tuple(level[mask] for mask in reps)
     return reps, auts, sum(factorial(n) // a for a in auts)
@@ -109,24 +119,15 @@ def enumerate_graphs(n: int, m: int) -> list[SimpleGraph]:
     return [canon.mask_to_graph(n, mask) for mask in reps]
 
 
-def _pair_orbits(n: int, mask: int) -> list[tuple[int, int]]:
-    """One representative pair, the least, per orbit of Aut(G) on unordered
-    vertex pairs: union-find over the pairs' images under the generators."""
-    pairs = canon.pair_list(n)
-    index = canon.pair_index_map(n)
-    root = list(range(len(pairs)))
-
-    def find(k: int) -> int:
-        while root[k] != k:
-            root[k] = k = root[root[k]]
-        return k
-
-    for perm in canon.stabilizer_perms(n, mask):
-        for k, (s, t) in enumerate(pairs):
-            a, b = perm[s], perm[t]
-            x, y = sorted((find(k), find(index[(a, b) if a < b else (b, a)])))
-            root[y] = x
-    return [p for k, p in enumerate(pairs) if find(k) == k]
+def _pair_orbits(n: int, perms: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
+    """One representative pair, the least, per orbit on unordered vertex
+    pairs of the group the permutations `perms` generate."""
+    out, seen = [], 0
+    for k, (s, t) in enumerate(canon.pair_list(n)):
+        if not seen >> k & 1:
+            out.append((s, t))
+            seen |= canon.pair_orbit(n, perms, s, t)
+    return out
 
 
 def enumerate_two_terminal(n: int, m: int) -> list[TwoTerminalGraph]:
@@ -134,12 +135,9 @@ def enumerate_two_terminal(n: int, m: int) -> list[TwoTerminalGraph]:
     graph equipped with one terminal pair per automorphism orbit.  Sorted by
     (underlying canonical mask, pair)."""
     reps, _, _ = _graph_orbits(n, m)
-    out = []
-    for mask in reps:
-        g = canon.mask_to_graph(n, mask)
-        for s, t in _pair_orbits(n, mask):
-            out.append(TwoTerminalGraph(g, s, t))
-    return out
+    group = _descent(n)[1]
+    graphs = [(canon.mask_to_graph(n, mask), group[mask]) for mask in reps]
+    return [TwoTerminalGraph(g, s, t) for g, perms in graphs for s, t in _pair_orbits(n, perms)]
 
 
 # ---------------------------------------------------------------------------
@@ -266,16 +264,11 @@ def refine_members(
 
 def refine_chain(n: int, m: int) -> ClassLedger:
     """Full class ledger for (n, m): enumerate, classify signatures, refine."""
-    _check_enum_guard(n)
-    reps, _, labeled = _graph_orbits(n, m)
-    members: list[TwoTerminalGraph] = []
+    members = enumerate_two_terminal(n, m)
     signatures: list[SplitSignature] = []
-    for mask in reps:
-        g = canon.mask_to_graph(n, mask)
+    for g, pairs in groupby(members, key=lambda h: h.graph):  # one classification per graph
         cls = classify_subsets(g)
-        for s, t in _pair_orbits(n, mask):
-            members.append(TwoTerminalGraph(g, s, t))
-            signatures.append(SplitSignature(n, m, cls.split_counts(s, t)))
+        signatures += [SplitSignature(n, m, cls.split_counts(h.s, h.t)) for h in pairs]
     levels, stop = refine_members(signatures)
     by_sig: dict[tuple[int, ...], list[int]] = {}
     for i, sig in enumerate(signatures):
@@ -290,7 +283,7 @@ def refine_chain(n: int, m: int) -> ClassLedger:
         chain_levels=levels,
         early_stop_level=stop,
         locally_most=levels[-1],
-        labeled_connected=labeled,
+        labeled_connected=_graph_orbits(n, m)[2],
     )
 
 
@@ -303,12 +296,8 @@ def uniform_check(n: int, m: int) -> UniformVerdict:
 def balloon_member_index(ledger: ClassLedger) -> int:
     """Index of the two-terminal balloon's representative in the ledger."""
     target = canon.canonical_form(two_terminal_balloon(ledger.n, ledger.m))
-    for i in ledger.locally_most:
+    for i in [*ledger.locally_most, *range(len(ledger.members))]:  # locally-most first
         if canon.canonical_form(ledger.members[i]) == target:
-            return i
-    # fall back to scanning everything (the balloon must be present somewhere)
-    for i, g in enumerate(ledger.members):
-        if canon.canonical_form(g) == target:
             return i
     raise AssertionError("two-terminal balloon not found among representatives")
 

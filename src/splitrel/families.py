@@ -220,12 +220,13 @@ def bogdanowicz_tree_count(spec: ThresholdSpec) -> int:
 def _skeleton_context(g: TwoTerminalGraph):
     """One skeleton pass: the bridges (the edges inside a skeleton class), the
     vertex map, the low-degree projected terminal s' (terminal order is
-    normalized, so pick by skeleton degree), t', and the neighbour mask of s'."""
+    normalized, so pick by skeleton degree), t', the neighbour mask of s',
+    and the skeleton with the projected terminals."""
     skel, vmap = skeleton(g.graph)
     cut = [i for i, (u, v) in enumerate(g.graph.edges) if vmap[u] == vmap[v]]
     adj = adjacency_masks(skel.n, skel.edges)
     s_cls, t_cls = sorted((vmap[g.s], vmap[g.t]), key=lambda c: (adj[c].bit_count(), c))
-    return cut, vmap, s_cls, t_cls, adj[s_cls]
+    return cut, vmap, s_cls, t_cls, adj[s_cls], TwoTerminalGraph(skel, vmap[g.s], vmap[g.t])
 
 
 def _eligible_edges(kind: int, g: TwoTerminalGraph, context) -> list[int]:
@@ -237,7 +238,7 @@ def _eligible_edges(kind: int, g: TwoTerminalGraph, context) -> list[int]:
     The fallback (needed e.g. when the only nonadjacent pair includes t') still
     satisfies the counting bound the perturbation exists for.
     """
-    cut, vmap, s_cls, t_cls, neigh = context
+    cut, vmap, s_cls, t_cls, neigh = context[:5]
     bridge_set = set(cut)
     closed = neigh | 1 << s_cls
     out = []
@@ -288,6 +289,7 @@ class VariantContext:
     balloon: TwoTerminalGraph
     result: TwoTerminalGraph
     skeleton_edge: tuple[int, int]  # the subdivided edge in skeleton labels
+    skeleton: TwoTerminalGraph  # the balloon's, with the projected terminals
 
 
 def variant_with_context(kind: int, n: int, m: int) -> VariantContext:
@@ -306,6 +308,7 @@ def variant_with_context(kind: int, n: int, m: int) -> VariantContext:
         balloon=g,
         result=_apply_variant(g, _farthest_bridge(g.graph, cut), edge_idx),
         skeleton_edge=(min(x, y), max(x, y)),
+        skeleton=context[5],
     )
 
 
@@ -328,9 +331,9 @@ def variant(kind: int, n: int, m: int) -> TwoTerminalGraph:
 # ---------------------------------------------------------------------------
 # closed forms for the balloon's failed-edge counts and its polynomial
 
-def closed_form_F(n: int, m: int, i: int) -> int:
-    """Predicted F_i of a locally most split reliable graph in a bridged class,
-    valid for 1 <= i <= n'-2.
+def closed_form_F_values(n: int, m: int) -> tuple[int, ...]:
+    """Predicted F_1, ..., F_{n'-2} of a locally most split reliable graph in
+    a bridged class.
 
     Below lambda' only bridge failures matter; from lambda' to n'-2 the
     minimum separator at s' contributes, and at i = n'-2 the nonadjacent far
@@ -340,31 +343,47 @@ def closed_form_F(n: int, m: int, i: int) -> int:
         raise ValueError(f"({n},{m}) is not a bridged class")
     prof = balloon_profile(n, m)
     b, mp, lam, n_skel = prof.b, prof.m_skel, prof.lam_skel, prof.n_skel
-    if not 1 <= i <= n_skel - 2:
-        raise ValueError(f"index {i} outside the closed-form range 1..{n_skel - 2}")
-    if i <= lam - 1:
-        return b * comb(mp, i - 1)
-    total = comb(mp - lam, i - lam) + b * sum(
-        comb(lam, j) * comb(mp - lam, i - 1 - j) for j in range(lam)
-    )
-    if i == n_skel - 2:
-        total += 1  # far terminal isolated: its incident edges are one more separator
-    return total
+    values = []
+    for i in range(1, n_skel - 1):
+        if i <= lam - 1:
+            values.append(b * comb(mp, i - 1))
+            continue
+        total = comb(mp - lam, i - lam) + b * sum(
+            comb(lam, j) * comb(mp - lam, i - 1 - j) for j in range(lam)
+        )
+        if i == n_skel - 2:
+            total += 1  # far terminal isolated: its incident edges are one more separator
+        values.append(total)
+    return tuple(values)
 
 
-def sr_composition(n: int, m: int) -> tuple[int, ...]:
-    """Split count vector of the two-terminal balloon assembled from its
-    skeleton.  With b bridges, SR(p) = b(1-p)p^(b-1) R'(p) + p^b SR'(p), where
-    R' and SR' are the skeleton's connectedness and split polynomials; in
-    count vectors, N_i = b*C_{i-b+1} + S'_{i-b} with C and S' the skeleton's
-    connected and split counts."""
-    if not in_I1(n, m):
-        raise ValueError(f"({n},{m}) is bridgeless; compute the polynomial directly")
-    skel = skeleton_two_terminal(two_terminal_balloon(n, m))
-    b = n - skel.graph.n
-    counts = [0] * (m + 1)
+def closed_form_F(n: int, m: int, i: int) -> int:
+    """F_i of `closed_form_F_values`, valid for 1 <= i <= n'-2."""
+    values = closed_form_F_values(n, m)
+    if not 1 <= i <= len(values):
+        raise ValueError(f"index {i} outside the closed-form range 1..{len(values)}")
+    return values[i - 1]
+
+
+def composed_split_counts(g: TwoTerminalGraph) -> tuple[int, ...]:
+    """Split count vector of a two-terminal graph whose b bridges all part
+    its terminals (the balloon's path), from its skeleton: SR(p) =
+    b(1-p)p^(b-1) R'(p) + p^b SR'(p) with R' and SR' the skeleton's
+    connectedness and split polynomials, so N_i = b*C_{i-b+1} + S'_{i-b}
+    with C and S' the skeleton's connected and split counts."""
+    skel = skeleton_two_terminal(g)
+    b = g.graph.n - skel.graph.n
+    counts = [0] * (g.graph.m + 1)
     for j, c in enumerate(connected_coefficients(skel.graph).counts):
         counts[j + b - 1] += b * c
     for j, s in enumerate(split_coefficients(skel).counts):
         counts[j + b] += s
     return tuple(counts)
+
+
+def sr_composition(n: int, m: int) -> tuple[int, ...]:
+    """Split count vector of the two-terminal balloon assembled from its
+    skeleton (see `composed_split_counts`)."""
+    if not in_I1(n, m):
+        raise ValueError(f"({n},{m}) is bridgeless; compute the polynomial directly")
+    return composed_split_counts(two_terminal_balloon(n, m))

@@ -74,10 +74,10 @@ def connected_graphs(draw, min_n: int = 1, max_n: int = 7, max_m: int = 14) -> S
 
 def graph_mask(g: SimpleGraph) -> int:
     """Edge mask of g over the C(n,2) lexicographic vertex pairs."""
-    idx = canon.pair_index_map(g.n)
+    bits = canon._pair_bits(g.n)
     mask = 0
-    for e in g.edges:
-        mask |= 1 << idx[e]
+    for u, v in g.edges:
+        mask |= bits[u][v]
     return mask
 
 
@@ -246,7 +246,8 @@ def sr_value_by_power_basis(counts: Sequence[int], p) -> Fraction:
 
 
 def classify_by_sweep(n: int, edges: Sequence[Edge]) -> SubsetClassification:
-    """Reference classification: union-find over every one of the 2^m edge subsets."""
+    """Reference classification: union-find over every one of the 2^m edge
+    subsets, each side's counts packed m + 1 bits per size."""
     m = len(edges)
     conn = [0] * (m + 1)
     sides: dict[int, list[int]] = {}
@@ -293,20 +294,18 @@ def classify_by_sweep(n: int, edges: Sequence[Edge]) -> SubsetClassification:
                 bucket = [0] * (m + 1)
                 sides[side] = bucket
             bucket[pop] += 1
-    return SubsetClassification(
-        n, m, tuple(conn), {k: tuple(v) for k, v in sides.items()}
-    )
+    packed = {k: sum(c << (m + 1) * i for i, c in enumerate(v)) for k, v in sides.items()}
+    return SubsetClassification(n, m, tuple(conn), packed)
 
 
 def _relabeled_masks(n: int, edges: Sequence[Edge], perms) -> list[int]:
     """Edge mask of the graph under each vertex relabeling in `perms`."""
-    idx = canon.pair_index_map(n)
+    bits = canon._pair_bits(n)
     out = []
     for perm in perms:
         mask = 0
         for u, v in edges:
-            x, y = perm[u], perm[v]
-            mask |= 1 << idx[(x, y) if x < y else (y, x)]
+            mask |= bits[perm[u]][perm[v]]
         out.append(mask)
     return out
 

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from splitrel import checks, families
+from splitrel import checks, families, graphs
 from splitrel.checks import (
     VERIFY_TARGETS,
     check_bogdanowicz,
@@ -73,16 +73,18 @@ def test_prop2_reports_values():
 
 
 def _count_calls(monkeypatch, name: str) -> list:
-    """Record every call of `name` through checks and families."""
+    """Record every call of `name` through checks, families and graphs."""
     calls = []
-    real = getattr(families, name)
+    modules = (checks, families, graphs)
+    real = next(getattr(module, name) for module in modules if hasattr(module, name))
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    for module in (checks, families):
-        monkeypatch.setattr(module, name, counted)
+    for module in modules:
+        if getattr(module, name, None) is real:
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -95,6 +97,21 @@ def test_perturbation_chain_builds_each_graph_once(monkeypatch):
     sweeps = _count_calls(monkeypatch, "split_coefficients")
     assert check_lemma15(7, 8).status == "discrepancy"
     assert len(sweeps) == 2
+
+
+def test_claim_checks_build_each_piece_once(monkeypatch):
+    # prop2's chain takes G's skeleton from the variant's context and H's
+    # bridge count from H's skeleton; the composition checks build each
+    # class's balloon, and read its profile, once
+    skeletons = _count_calls(monkeypatch, "skeleton")
+    bridge_passes = _count_calls(monkeypatch, "bridges")
+    assert check_prop2(9, 15).status == "pass"
+    assert (len(skeletons), len(bridge_passes)) == (2, 2)
+    builds = _count_calls(monkeypatch, "two_terminal_balloon")
+    assert check_composition(8).details["checked"] == len(builds) == 35
+    profiles = _count_calls(monkeypatch, "balloon_profile")
+    assert check_closed_forms(8).status == "pass"
+    assert len(profiles) == 35
 
 
 def test_lemma13():

@@ -93,7 +93,7 @@ def test_descent_runs_on_edge_masks(monkeypatch):
 
     monkeypatch.setattr(canon, "mask_to_graph", refuse)
     monkeypatch.setattr(graphs, "bridges", refuse)
-    levels = _descent.__wrapped__(6)
+    levels, _ = _descent.__wrapped__(6)
     monkeypatch.undo()
     oracle = orbits_by_sweep(6)
     for m, level in enumerate(levels):
@@ -108,31 +108,68 @@ def test_descent_runs_on_edge_masks(monkeypatch):
 def test_descent_n7_pinned():
     # representatives and |Aut| of every n = 7 level, as recorded from the
     # search on edge lists; the search on neighbour masks must not move them
-    levels = [(m, sorted(level.items())) for m, level in enumerate(_descent(7))]
+    levels = [(m, sorted(level.items())) for m, level in enumerate(_descent(7)[0])]
     digest = hashlib.sha256(repr(levels).encode()).hexdigest()
     assert digest == "a00d1ea9d71c8e357273e830acba5e4da7a6e7717bfc4c35ad8e86680ee83133"
+
+
+def test_descent_n8_pinned():
+    # the n = 8 levels as the descent that searched every child passing the
+    # end-degree test recorded them; pruning by Aut(P) edge orbits must not
+    # move them
+    levels = [(m, sorted(level.items())) for m, level in enumerate(_descent(8)[0])]
+    digest = hashlib.sha256(repr(levels).encode()).hexdigest()
+    assert digest == "0a025fcd86f3c86ce70c1e1d4f623838bd186b2e0768ee18d0377de47bc655da"
 
 
 def test_descent_matches_every_child_oracle():
     # skipping the children whose deleted edge is not a best non-edge loses
     # no class and moves no key or |Aut|
     for n in range(2, 8):
-        assert _descent.__wrapped__(n) == descent_by_every_child(n), n
+        assert _descent.__wrapped__(n)[0] == descent_by_every_child(n), n
 
 
 def test_descent_skips_children_before_search(monkeypatch):
-    # the end-degree test rejects most children before any search: 8933
-    # searches at n = 7 without it
+    # the end-degree test and one child per Aut(P) edge orbit reject most
+    # children before any search: 8933 searches at n = 7 without either,
+    # 2036 with the end-degree test alone
     calls = []
-    search = canon.orbit_images
+    search = canon.canonical_group
 
-    def counted(n, mask):
-        calls.append(mask)
-        return search(n, mask)
+    def counted(n, adj):
+        calls.append(adj)
+        return search(n, adj)
 
-    monkeypatch.setattr(canon, "orbit_images", counted)
+    monkeypatch.setattr(canon, "canonical_group", counted)
     _descent.__wrapped__(7)
-    assert 0 < len(calls) <= 2100
+    assert 0 < len(calls) <= 1200
+
+
+def test_descent_generators_match_a_fresh_search():
+    # the generators kept from the descent's search fix each n = 7 key and
+    # give the same pair orbits as a search on the key itself
+    levels, group = _descent(7)
+    bits = canon._pair_bits(7)
+    for level in levels:
+        for mask in level:
+            edges = [p for k, p in enumerate(canon.pair_list(7)) if mask >> k & 1]
+            for perm in group[mask]:
+                assert sum(bits[perm[u]][perm[v]] for u, v in edges) == mask, (mask, perm)
+            fresh = canon.stabilizer_perms(7, mask)
+            assert _pair_orbits(7, group[mask]) == _pair_orbits(7, fresh), mask
+
+
+def test_ledger_runs_no_canonical_search(monkeypatch):
+    # with the descent warm, pair orbits come from the kept generators
+    _descent(7)
+
+    def refuse(*args):
+        raise AssertionError("the ledger must not search")
+
+    monkeypatch.setattr(canon, "_search", refuse)
+    for m in (9, 14):
+        assert refine_chain(7, m).members
+    assert enumerate_two_terminal(7, 10)
 
 
 @given(connected_graphs(max_n=8, max_m=20), st.data())
@@ -181,7 +218,19 @@ def test_pair_orbits_match_relabelings():
                     min(tuple(sorted((p[s], p[t]))) for p in auts)
                     for s, t in canon.pair_list(n)
                 }
-                assert _pair_orbits(n, mask) == sorted(orbits), (n, g.edges)
+                got = _pair_orbits(n, _descent(n)[1][mask])
+                assert got == sorted(orbits), (n, g.edges)
+
+
+def test_mask_to_graph_equals_the_normalized_graph():
+    # the pairs of a mask come sorted, so the graph equals the one that
+    # SimpleGraph builds from the same edges in any order
+    rng = random.Random(5)
+    for n in range(1, 9):
+        for mask in [0, (1 << comb(n, 2)) - 1] + [rng.getrandbits(comb(n, 2)) for _ in range(5)]:
+            g = canon.mask_to_graph(n, mask)
+            again = SimpleGraph(n, tuple((v, u) for u, v in reversed(g.edges)))
+            assert g == again and hash(g) == hash(again) and graph_mask(g) == mask
 
 
 def test_orbit_images_automorphism_counts():
