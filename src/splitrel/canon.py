@@ -9,11 +9,12 @@ until it is equitable, individualize each vertex of the first smallest
 non-singleton cell in turn, and recurse.  A vertex's refinement key packs its
 neighbour counts in every cell into one integer, 4 bits per cell.  A discrete
 leaf relabels every vertex to its position; the key is the least leaf mask.
-A cell of pairwise twins is entered at its first vertex only, with the cell
-size as weight (swapping twins maps one subtree onto the other), so the
-weights of the least leaves sum to |Aut|; the twin swaps and the maps
-between least leaves generate Aut.  A plain graph starts from one cell, a
-two-terminal graph from [{s, t}, rest], so its terminals land on {0, 1}.
+The search starts from one cell.  A cell of pairwise twins is entered at
+its first vertex only, with the cell size as weight (swapping twins maps one
+subtree onto the other), so the weights of the least leaves sum to |Aut|; the
+twin swaps and the maps between least leaves generate Aut.  A two-terminal
+graph's key is its graph key plus the least pair, in the key's labeling, of
+its terminal pair's Aut orbit: the representative the class enumerator lists.
 Exact and deterministic; guarded to n <= 12, so every count is < 16."""
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .graphs import GuardError, SimpleGraph, TwoTerminalGraph, adjacency_masks
 CANON_GUARD_N = 12
 
 CanonicalForm = tuple[int, int, int]  # (n, m, least leaf mask of the search)
+TwoTerminalForm = tuple[int, int, int, int, int]  # (n, m, graph key, s, t)
 
 
 @lru_cache(maxsize=None)
@@ -49,6 +51,13 @@ def mask_to_graph(n: int, mask: int) -> SimpleGraph:
     object.__setattr__(g, "n", n)
     object.__setattr__(g, "edges", tuple(pairs[k] for k in range(len(pairs)) if mask >> k & 1))
     return g
+
+
+def graph_mask(g: SimpleGraph) -> int:
+    """Edge mask of g over the C(n,2) lexicographic vertex pairs, the inverse
+    of `mask_to_graph`."""
+    bits = _pair_bits(g.n)
+    return sum(bits[u][v] for u, v in g.edges)
 
 
 def mask_adjacency(n: int, mask: int) -> list[int]:
@@ -85,20 +94,18 @@ def _refine(adj: Sequence[int], cells: list[int]) -> list[int]:
         cells = out
 
 
-def _search(
-    n: int, adj: Sequence[int], cells: list[int]
-) -> tuple[dict[int, int], list[list[int]], list[tuple[int, int]]]:
-    """The search on the neighbour masks `adj` from the ordered partition
-    `cells`: {leaf mask: summed weight}, the vertex orders of the least
-    leaves, and the twin pairs whose subtrees were taken as one."""
+def _search(n: int, adj: Sequence[int]) -> tuple[int, int, list[list[int]], list[tuple[int, int]]]:
+    """The search on the neighbour masks `adj` from one cell: the least leaf
+    mask, its summed weight (|Aut|), the vertex orders of the least leaves,
+    and the twin pairs whose subtrees were taken as one."""
     if n > CANON_GUARD_N:
         raise GuardError(f"canonical labeling guarded to n <= {CANON_GUARD_N}, got n={n}")
     bits = _pair_bits(n)
     edges = [p for p in pair_list(n) if adj[p[0]] >> p[1] & 1]
-    leaves: dict[int, int] = {}
+    best = aut = 0
     least: list[list[int]] = []
     swaps: list[tuple[int, int]] = []
-    stack = [([c for c in cells if c], 1)]
+    stack = [([(1 << n) - 1] if n else [], 1)]
     while stack:
         cells, weight = stack.pop()
         cells = _refine(adj, cells)
@@ -110,10 +117,10 @@ def _search(
             mask = 0
             for u, v in edges:
                 mask |= bits[pos[u]][pos[v]]
-            leaves[mask] = leaves.get(mask, 0) + weight
             if not least or mask < best:
-                best, least = mask, [order]
+                best, aut, least = mask, weight, [order]
             elif mask == best:
+                aut += weight
                 least.append(order)
             continue
         size, i = min((c.bit_count(), i) for i, c in enumerate(cells) if c & (c - 1))
@@ -124,22 +131,38 @@ def _search(
             members, weight = members[:1], weight * size
         for v in reversed(members):
             stack.append((cells[:i] + [1 << v, cell ^ 1 << v] + cells[i + 1:], weight))
-    return leaves, least, swaps
+    return best, aut, least, swaps
+
+
+def canonical_group(
+    n: int, adj: Sequence[int]
+) -> tuple[int, int, list[tuple[int, ...]], list[int]]:
+    """(canonical key, |Aut|, generators of Aut in the key's labeling, pos) of
+    the graph with neighbour masks `adj`, where pos, the inverse of the first
+    least order, relabels the graph onto its key.  The generators are each
+    further least order and the first with a twin pair swapped, relabeled by
+    pos."""
+    key, aut, least, swaps = _search(n, adj)
+    pos = [0] * n
+    for i, v in enumerate(least[0]):
+        pos[v] = i
+    orders = least[1:] + [[b if w == a else a if w == b else w for w in least[0]] for a, b in swaps]
+    return key, aut, [tuple(pos[w] for w in order) for order in orders], pos
 
 
 def canonical_form_graph(g: SimpleGraph) -> CanonicalForm:
-    """Isomorphism-invariant key of a plain graph: the least leaf mask of the
-    search from one cell."""
-    return (g.n, g.m, min(_search(g.n, adjacency_masks(g.n, g.edges), [(1 << g.n) - 1])[0]))
+    """Isomorphism-invariant key of a plain graph: the least leaf mask."""
+    return (g.n, g.m, _search(g.n, adjacency_masks(g.n, g.edges))[0])
 
 
-def canonical_form(g: TwoTerminalGraph) -> CanonicalForm:
-    """Key of a two-terminal graph: the least leaf mask of the search from
-    [{s, t}, rest], so the terminal set lands on {0, 1}.  Equal keys iff
+def canonical_form(g: TwoTerminalGraph) -> TwoTerminalForm:
+    """Key of a two-terminal graph: its graph key and, in the key's labeling,
+    the least pair of the terminal pair's Aut orbit.  Equal keys iff
     isomorphic with the terminal set respected."""
-    n, ends = g.graph.n, 1 << g.s | 1 << g.t
-    adj = adjacency_masks(n, g.graph.edges)
-    return (n, g.graph.m, min(_search(n, adj, [ends, (1 << n) - 1 ^ ends])[0]))
+    n = g.graph.n
+    key, _, perms, pos = canonical_group(n, adjacency_masks(n, g.graph.edges))
+    orbit = pair_orbit(n, perms, pos[g.s], pos[g.t])
+    return (n, g.graph.m, key, *pair_list(n)[(orbit & -orbit).bit_length() - 1])
 
 
 def isomorphic(a: SimpleGraph, b: SimpleGraph) -> bool:
@@ -147,20 +170,7 @@ def isomorphic(a: SimpleGraph, b: SimpleGraph) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# the search on edge masks, and the automorphism groups of the class enumerator
-
-def canonical_group(n: int, adj: Sequence[int]) -> tuple[int, int, list[tuple[int, ...]]]:
-    """(canonical key, |Aut|, generators of Aut in the key's labeling) of the
-    graph with neighbour masks `adj`: each further least order, and the first
-    with a twin pair swapped, relabeled by pos, the first one's inverse."""
-    leaves, least, swaps = _search(n, adj, [(1 << n) - 1])
-    key = min(leaves)
-    pos = [0] * n
-    for i, v in enumerate(least[0]):
-        pos[v] = i
-    orders = least[1:] + [[b if w == a else a if w == b else w for w in least[0]] for a, b in swaps]
-    return key, leaves[key], [tuple(pos[w] for w in order) for order in orders]
-
+# automorphism groups on vertex pairs, and the benchmark's traced entry points
 
 def pair_orbit(n: int, perms: Sequence[Sequence[int]], u: int, v: int) -> int:
     """Pair mask of the orbit of {u, v} under the group `perms` generate."""
@@ -177,15 +187,15 @@ def pair_orbit(n: int, perms: Sequence[Sequence[int]], u: int, v: int) -> int:
 
 
 def orbit_images(n: int, mask: int) -> dict[int, int]:
-    """{leaf mask: summed weight} of the search on the graph with edge mask
-    `mask`: the least key is its canonical key, and its weight is |Aut|."""
-    return _search(n, mask_adjacency(n, mask), [(1 << n) - 1])[0]
+    """{canonical key: |Aut|} of the graph with edge mask `mask`; kept, with
+    `stabilizer_perms`, as a boundary that perfbench's tracer wraps."""
+    return dict([_search(n, mask_adjacency(n, mask))[:2]])
 
 
 def stabilizer_perms(n: int, mask: int) -> list[tuple[int, ...]]:
     """Generators of the automorphism group of the graph with edge mask
     `mask` (perm[v] is the image of v) from a search of its own, the check on
     `canonical_group`'s: the twin swaps and the maps between least leaves."""
-    _, least, swaps = _search(n, mask_adjacency(n, mask), [(1 << n) - 1])
+    _, _, least, swaps = _search(n, mask_adjacency(n, mask))
     gens = [tuple(b if v == a else a if v == b else v for v in range(n)) for a, b in swaps]
     return gens + [tuple(v for _, v in sorted(zip(least[0], order))) for order in least[1:]]

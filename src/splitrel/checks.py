@@ -181,11 +181,12 @@ def check_thm1(
 
 
 def check_thm3() -> Report:
-    """No uniform winner for n = 7 and m in {7, 8, 9}: explicit rational
-    crossing witness, and the refuter already wins at index n-2 = 5."""
+    """No uniform winner for n = 7 over the nonexistence range (m = 7, 8, 9):
+    explicit rational crossing witness, and the refuter already wins at index
+    n-2 = 5."""
     failures = []
     details = {}
-    for m in (7, 8, 9):
+    for m in filter(lambda m: in_nonexistence_range(7, m), range(7, comb(7, 2) + 1)):
         ledger = refine_chain(7, m)
         verdict = ledger.uniform_verdict()
         entry: dict = {}
@@ -506,6 +507,7 @@ VERIFY_TARGETS = {
     "thm1": (check_thm1, [(), ("n", "m"), ("max_n",)]),
     "thm2": (check_thm2, [(), ("max_n",)]),
     "thm3": (check_thm3, [()]),
+    "skeleton_characterization": (check_skeleton_characterization, [(), ("max_n",)]),
     "lemma13": (check_lemma13, [(), ("n", "m")]),
     "lemma14": (check_lemma14, [(), ("n", "m")]),
     "lemma15": (check_lemma15, [(), ("n", "m")]),
@@ -514,6 +516,7 @@ VERIFY_TARGETS = {
     "remark4": (check_remark4, [(), ("max_n",)]),
     "composition": (check_composition, [(), ("max_n",)]),
     "bogdanowicz": (check_bogdanowicz, [(), ("max_n",)]),
+    "closed_forms": (check_closed_forms, [(), ("max_n",)]),
 }
 
 

@@ -67,7 +67,7 @@ def _descent(n: int) -> tuple[tuple[dict[int, int], ...], dict[int, list[tuple[i
     pairs = canon.pair_list(n)
     star = [sum(1 << k for k, p in enumerate(pairs) if v in p) for v in range(n)]  # pairs at v
     levels: list[dict[int, int]] = [{} for _ in range(size + 1)]
-    key, aut, perms = canon.canonical_group(n, [(1 << n) - 1 ^ 1 << v for v in range(n)])
+    key, aut, perms, _ = canon.canonical_group(n, [(1 << n) - 1 ^ 1 << v for v in range(n)])
     levels[size], group = {key: aut}, {key: perms}
     for m in range(size, 0, -1):
         below = levels[m - 1]
@@ -94,7 +94,7 @@ def _descent(n: int) -> tuple[tuple[dict[int, int], ...], dict[int, list[tuple[i
                 child = adj[:]
                 child[u] ^= 1 << v
                 child[v] ^= 1 << u
-                key, aut, perms = canon.canonical_group(n, child)
+                key, aut, perms, _ = canon.canonical_group(n, child)
                 if key not in below:
                     below[key], group[key] = aut, perms
     return tuple(levels), group
@@ -192,7 +192,9 @@ class ClassLedger:
         }
 
     def to_csv(self) -> str:
-        """One row per representative for spreadsheet inspection."""
+        """One row per representative for spreadsheet inspection.  A member is
+        its own two-terminal canonical form, so its key, written mask:s-t,
+        is read from its edges and terminals."""
         eq_of = {}
         for ci, members in enumerate(self.equivalence_classes):
             for i in members:
@@ -205,7 +207,7 @@ class ClassLedger:
         w = csv.writer(buf)
         w.writerow(["index", "canonical_key", "f_prefix", "equivalence_class", "survives_until"])
         for i, (g, sig) in enumerate(zip(self.members, self.signatures)):
-            key = canon.canonical_form(g)[2]
+            key = f"{canon.graph_mask(g.graph)}:{g.s}-{g.t}"
             prefix = ";".join(str(sig.f_value(j)) for j in range(1, min(self.m, 6) + 1))
             w.writerow([i, key, prefix, eq_of[i], survives[i]])
         return buf.getvalue()
@@ -294,12 +296,10 @@ def uniform_check(n: int, m: int) -> UniformVerdict:
 
 
 def balloon_member_index(ledger: ClassLedger) -> int:
-    """Index of the two-terminal balloon's representative in the ledger."""
-    target = canon.canonical_form(two_terminal_balloon(ledger.n, ledger.m))
-    for i in [*ledger.locally_most, *range(len(ledger.members))]:  # locally-most first
-        if canon.canonical_form(ledger.members[i]) == target:
-            return i
-    raise AssertionError("two-terminal balloon not found among representatives")
+    """Index of the two-terminal balloon's representative in the ledger: its
+    canonical form, which is the member itself."""
+    n, _, key, s, t = canon.canonical_form(two_terminal_balloon(ledger.n, ledger.m))
+    return ledger.members.index(TwoTerminalGraph(canon.mask_to_graph(n, key), s, t))
 
 
 def verify_balloon_characterization(n: int, m: int) -> dict:

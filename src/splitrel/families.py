@@ -20,9 +20,7 @@ from .graphs import (
     TwoTerminalGraph,
     adjacency_masks,
     contract_edge_with_map,
-    distances,
     eccentric_pairs,
-    skeleton,
     skeleton_two_terminal,
     subdivide_edge,
 )
@@ -217,20 +215,10 @@ def bogdanowicz_tree_count(spec: ThresholdSpec) -> int:
 # ---------------------------------------------------------------------------
 # perturbed graphs (bridge contraction + skeleton-edge subdivision)
 
-def _skeleton_context(g: TwoTerminalGraph):
-    """One skeleton pass: the bridges (the edges inside a skeleton class), the
-    vertex map, the low-degree projected terminal s' (terminal order is
-    normalized, so pick by skeleton degree), t', the neighbour mask of s',
-    and the skeleton with the projected terminals."""
-    skel, vmap = skeleton(g.graph)
-    cut = [i for i, (u, v) in enumerate(g.graph.edges) if vmap[u] == vmap[v]]
-    adj = adjacency_masks(skel.n, skel.edges)
-    s_cls, t_cls = sorted((vmap[g.s], vmap[g.t]), key=lambda c: (adj[c].bit_count(), c))
-    return cut, vmap, s_cls, t_cls, adj[s_cls], TwoTerminalGraph(skel, vmap[g.s], vmap[g.t])
-
-
-def _eligible_edges(kind: int, g: TwoTerminalGraph, context) -> list[int]:
-    """Skeleton edges usable for the given perturbation kind.
+def _eligible_edges(kind: int, skel: TwoTerminalGraph) -> list[tuple[int, int]]:
+    """Edges of the balloon's skeleton usable for the given perturbation kind,
+    relative to the low-degree projected terminal s' (terminal order is
+    normalized, so pick by skeleton degree).
 
     Edges incident to the far projected terminal t' are avoided whenever an
     alternative exists: subdividing at t' changes the two-terminal isomorphism
@@ -238,47 +226,30 @@ def _eligible_edges(kind: int, g: TwoTerminalGraph, context) -> list[int]:
     The fallback (needed e.g. when the only nonadjacent pair includes t') still
     satisfies the counting bound the perturbation exists for.
     """
-    cut, vmap, s_cls, t_cls, neigh = context[:5]
-    bridge_set = set(cut)
-    closed = neigh | 1 << s_cls
+    adj = adjacency_masks(skel.graph.n, skel.graph.edges)
+    s, t = sorted(skel.terminals, key=lambda c: (adj[c].bit_count(), c))
+    closed = adj[s] | 1 << s
     out = []
-    for i, (u, v) in enumerate(g.graph.edges):
-        if i in bridge_set:
-            continue
-        ends = 1 << vmap[u] | 1 << vmap[v]
+    for u, v in skel.graph.edges:
+        ends = 1 << u | 1 << v
         if kind == 0:
-            ok = ends >> s_cls & 1
+            ok = ends >> s & 1
         elif kind == 1:
             ok = not ends & closed
         elif kind == 2:
-            ok = ends & neigh == ends
+            ok = ends & adj[s] == ends
         else:
             raise ValueError("kind must be 0, 1 or 2")
         if ok:
-            out.append(i)
-    away = [
-        i
-        for i in out
-        if t_cls not in (vmap[g.graph.edges[i][0]], vmap[g.graph.edges[i][1]])
-    ]
+            out.append((u, v))
+    away = [e for e in out if t not in e]
     return away if away else out
 
 
-def _farthest_bridge(g: SimpleGraph, bridge_idx: list[int]) -> int:
-    """The bridge farthest from the bridgeless core (pendant-path tip)."""
-    cut = set(bridge_idx)
-    core = {x for i, e in enumerate(g.edges) if i not in cut for x in e}
-    if not core:
-        raise ValueError("graph has no bridgeless core")
-    core_dist = distances(g, core)
-    return max(bridge_idx, key=lambda i: (min(core_dist[x] for x in g.edges[i]), -i))
-
-
-def _apply_variant(g: TwoTerminalGraph, bridge_idx: int, edge_idx: int) -> TwoTerminalGraph:
-    u, v = g.graph.edges[edge_idx]
+def _apply_variant(g: TwoTerminalGraph, bridge_idx: int, edge: tuple[int, int]) -> TwoTerminalGraph:
+    """Contract the bridge `bridge_idx` of g, then subdivide `edge`."""
     contracted, vmap = contract_edge_with_map(g.graph, bridge_idx)
-    target = contracted.edge_index(vmap[u], vmap[v])
-    result = subdivide_edge(contracted, target)
+    result = subdivide_edge(contracted, contracted.edge_index(vmap[edge[0]], vmap[edge[1]]))
     return TwoTerminalGraph(result, vmap[g.s], vmap[g.t])
 
 
@@ -293,22 +264,23 @@ class VariantContext:
 
 
 def variant_with_context(kind: int, n: int, m: int) -> VariantContext:
+    """The perturbation of `variant` with the balloon's skeleton and the
+    subdivided edge.  The balloon's skeleton keeps the core's labels
+    0..n'-1, so a skeleton edge is also a balloon edge, and the pendant
+    path's last bridge is the one edge at vertex n - 1."""
     if not in_I1(n, m):
         raise ValueError(f"({n},{m}) has no bridges; perturbation undefined")
     g = two_terminal_balloon(n, m)
-    context = _skeleton_context(g)
-    eligible = _eligible_edges(kind, g, context)
+    skel = skeleton_two_terminal(g)
+    eligible = _eligible_edges(kind, skel)
     if not eligible:
         raise ValueError(f"no eligible edge for kind {kind} at ({n},{m})")
-    edge_idx = eligible[0]
-    u, v = g.graph.edges[edge_idx]
-    cut, vmap = context[:2]
-    x, y = vmap[u], vmap[v]
+    tip = next(i for i, (_, v) in enumerate(g.graph.edges) if v == n - 1)
     return VariantContext(
         balloon=g,
-        result=_apply_variant(g, _farthest_bridge(g.graph, cut), edge_idx),
-        skeleton_edge=(min(x, y), max(x, y)),
-        skeleton=context[5],
+        result=_apply_variant(g, tip, eligible[0]),
+        skeleton_edge=eligible[0],
+        skeleton=skel,
     )
 
 
@@ -322,7 +294,7 @@ def variant(kind: int, n: int, m: int) -> TwoTerminalGraph:
 
     The result has n vertices, m edges and one bridge fewer than the balloon;
     it is independent of the bridge/edge choice (verified in tests).  Default
-    choices: the bridge farthest from the core, the lexicographically least
+    choices: the pendant path's last bridge, the lexicographically least
     eligible edge.
     """
     return variant_with_context(kind, n, m).result

@@ -8,12 +8,12 @@ from typing import Sequence
 from hypothesis import settings, strategies as st
 
 from splitrel import canon
+from splitrel.canon import graph_mask
 from splitrel.counting import SubsetClassification, _laplacian_minor, spanning_tree_count
 from splitrel.enumeration import _graph_orbits
 from splitrel.families import (
     _apply_variant,
     _eligible_edges,
-    _skeleton_context,
     in_I1,
     two_terminal_balloon,
 )
@@ -21,9 +21,11 @@ from splitrel.graphs import (
     Edge,
     SimpleGraph,
     TwoTerminalGraph,
+    bridges,
     components,
     is_bridge,
     is_connected,
+    skeleton_two_terminal,
 )
 
 # Property tests replay the same examples on every run.
@@ -72,15 +74,6 @@ def connected_graphs(draw, min_n: int = 1, max_n: int = 7, max_m: int = 14) -> S
     return SimpleGraph(n, tuple(tree + extra))
 
 
-def graph_mask(g: SimpleGraph) -> int:
-    """Edge mask of g over the C(n,2) lexicographic vertex pairs."""
-    bits = canon._pair_bits(g.n)
-    mask = 0
-    for u, v in g.edges:
-        mask |= bits[u][v]
-    return mask
-
-
 def relabel(g: SimpleGraph, perm: Sequence[int]) -> SimpleGraph:
     """Apply the vertex relabeling v -> perm[v]."""
     return SimpleGraph(g.n, tuple((perm[u], perm[v]) for u, v in g.edges))
@@ -96,11 +89,10 @@ def variant_all_choices(kind: int, n: int, m: int) -> list[TwoTerminalGraph]:
     if not in_I1(n, m):
         raise ValueError(f"({n},{m}) has no bridges; perturbation undefined")
     g = two_terminal_balloon(n, m)
-    context = _skeleton_context(g)
-    eligible = _eligible_edges(kind, g, context)
+    eligible = _eligible_edges(kind, skeleton_two_terminal(g))
     if not eligible:
         raise ValueError(f"no eligible edge for kind {kind} at ({n},{m})")
-    return [_apply_variant(g, b, e) for b in context[0] for e in eligible]
+    return [_apply_variant(g, b, e) for b in bridges(g.graph) for e in eligible]
 
 
 def union_find_roots(n: int, pairs: Sequence[Edge]) -> list[int]:

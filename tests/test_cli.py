@@ -183,6 +183,15 @@ def test_verify_exit_codes(capsys):
     assert json.loads(out)["status"] == "discrepancy"
 
 
+@pytest.mark.parametrize("target", ["skeleton_characterization", "closed_forms"])
+def test_verify_reaches_every_claim_check(capsys, target):
+    code, out = run(capsys, "verify", target, "--max-n", "6")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["claim"], doc["status"]) == (target, "pass")
+    assert main(["verify", target, "--n", "6", "--m", "8"]) == 1
+
+
 def test_verify_report_shape(capsys):
     code, out = run(capsys, "verify", "remark4")
     doc = json.loads(out)

@@ -160,16 +160,37 @@ def test_descent_generators_match_a_fresh_search():
 
 
 def test_ledger_runs_no_canonical_search(monkeypatch):
-    # with the descent warm, pair orbits come from the kept generators
+    # with the descent warm, pair orbits come from the kept generators and
+    # the CSV reads each member's key from its own edges; finding the
+    # balloon's member takes the balloon's one search
     _descent(7)
+    calls = []
+    search = canon._search
 
-    def refuse(*args):
-        raise AssertionError("the ledger must not search")
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
 
-    monkeypatch.setattr(canon, "_search", refuse)
-    for m in (9, 14):
-        assert refine_chain(7, m).members
+    monkeypatch.setattr(canon, "_search", counted)
+    assert refine_chain(7, 9).members
+    ledger = refine_chain(7, 14)
+    assert ledger.to_csv()
     assert enumerate_two_terminal(7, 10)
+    assert calls == []
+    index = balloon_member_index(ledger)
+    assert len(calls) == 1
+    assert canonical_form_by_search(ledger.members[index]) == canonical_form_by_search(
+        two_terminal_balloon(7, 14)
+    )
+
+
+def test_members_are_their_own_canonical_forms():
+    # each two-terminal representative is the graph key with the least
+    # terminal pair of its Aut orbit, so its key is read from its edges
+    classes = [(n, m) for n in range(2, 7) for m in range(n - 1, comb(n, 2) + 1)]
+    for n, m in classes + [(7, 9), (7, 14)]:
+        for h in enumerate_two_terminal(n, m):
+            assert canon.canonical_form(h) == (n, m, graph_mask(h.graph), h.s, h.t), (n, m, h)
 
 
 @given(connected_graphs(max_n=8, max_m=20), st.data())
@@ -259,6 +280,7 @@ def test_canonical_guard():
     for call in (
         lambda: canon.canonical_form_graph(g),
         lambda: canon.canonical_form(TwoTerminalGraph(g, 0, 1)),
+        lambda: canon.canonical_group(13, canon.mask_adjacency(13, graph_mask(g))),
         lambda: canon.orbit_images(13, graph_mask(g)),
         lambda: canon.stabilizer_perms(13, graph_mask(g)),
     ):
@@ -302,7 +324,7 @@ def test_canonical_form_merges_automorphic_pairs():
 @given(connected_graphs(min_n=2, max_n=8), st.data())
 def test_canonical_forms_match_search(g, data):
     # both keys are labeling-invariant, and each key's graph (for a
-    # two-terminal key, with terminals 0 and 1) is in the input's class
+    # two-terminal key, with its terminal pair) is in the input's class
     s, t = data.draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
     perm = data.draw(st.permutations(range(g.n)))
     h = TwoTerminalGraph(g, s, t)
@@ -310,8 +332,8 @@ def test_canonical_forms_match_search(g, data):
     plain_key = canon.canonical_form_graph(g)
     assert canon.canonical_form(relabel_two_terminal(h, perm)) == tt_key
     assert canon.canonical_form_graph(relabel(g, perm)) == plain_key
-    assert tt_key[:2] == plain_key[:2] == (g.n, g.m)
-    tt_graph = TwoTerminalGraph(canon.mask_to_graph(g.n, tt_key[2]), 0, 1)
+    assert tt_key[:3] == plain_key and plain_key[:2] == (g.n, g.m)
+    tt_graph = TwoTerminalGraph(canon.mask_to_graph(g.n, tt_key[2]), *tt_key[3:])
     assert canonical_form_by_search(tt_graph) == canonical_form_by_search(h)
     plain_graph = canon.mask_to_graph(g.n, plain_key[2])
     assert canonical_form_by_search(plain_graph) == canonical_form_by_search(g)
@@ -324,8 +346,11 @@ def test_enumerate_two_terminal_counts():
 
 
 def test_enumerate_two_terminal_no_duplicate_classes():
+    # against the factorial oracle: the library's two-terminal key takes its
+    # pair orbits from the same search as the enumerator, so it could not
+    # catch a fault there
     members = enumerate_two_terminal(5, 6)
-    keys = {canon.canonical_form(g) for g in members}
+    keys = {canonical_form_by_search(g) for g in members}
     assert len(keys) == len(members)
 
 

@@ -1,6 +1,8 @@
 """Constructions and closed forms: balloons, thresholds, perturbations,
 extremal values, failed-edge formulas, count-vector factorization."""
 
+import hashlib
+import json
 from math import comb
 
 import pytest
@@ -25,6 +27,7 @@ from splitrel.families import (
     threshold_graph,
     two_terminal_balloon,
     variant,
+    variant_with_context,
 )
 from splitrel.graphs import (
     SimpleGraph,
@@ -36,7 +39,9 @@ from splitrel.graphs import (
     edge_connectivity,
     min_degree,
     is_connected,
+    skeleton,
     skeleton_two_terminal,
+    to_json_dict,
 )
 from splitrel.signature import SplitSignature, evaluate, sr_polynomial
 
@@ -137,6 +142,40 @@ def test_variant_runs_one_bridge_pass(monkeypatch):
     calls.clear()
     variant_all_choices(1, 9, 15)
     assert calls == [9]
+
+
+def _bridged_classes(max_n: int) -> list[tuple[int, int]]:
+    return [(n, m) for n in range(4, max_n + 1) for m in range(n, comb(n, 2) + 1) if in_I1(n, m)]
+
+
+def test_balloon_skeleton_keeps_core_labels():
+    # the perturbation reads skeleton edges as balloon edges and contracts
+    # the pendant path's last bridge, the one edge at vertex n - 1
+    for n, m in _bridged_classes(12):
+        g = balloon(n, m)
+        skel, vmap = skeleton(g)
+        assert vmap[: skel.n] == tuple(range(skel.n)), (n, m)
+        assert [e for e in g.edges if e[1] < skel.n] == list(skel.edges), (n, m)
+        assert sum(n - 1 in e for e in g.edges) == 1, (n, m)
+
+
+def test_variant_with_context_pinned():
+    # every kind on every bridged class with n <= 12, refusals included, as
+    # recorded when the perturbation ran a skeleton pass of its own and
+    # searched for the bridge farthest from the core
+    out = []
+    for n, m in _bridged_classes(12):
+        for kind in (0, 1, 2):
+            try:
+                ctx = variant_with_context(kind, n, m)
+            except ValueError as exc:
+                out.append([kind, n, m, str(exc)])
+                continue
+            pieces = [to_json_dict(ctx.result), list(ctx.skeleton_edge), to_json_dict(ctx.skeleton)]
+            out.append([kind, n, m, *pieces])
+    assert len(out) == 495
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == "c913811558ba8460f8c767f95351315279ba741843a8b1025c3ec6c761632887"
 
 
 def test_threshold_graph_complete():
