@@ -18,8 +18,6 @@ from .graphs import (
     diameter,
     distance,
     edge_connectivity,
-    is_split_subgraph,
-    min_degree,
     skeleton,
     skeleton_two_terminal,
     subdivide_edge,

@@ -31,6 +31,7 @@ from .enumeration import (
     enumerate_graphs,
 )
 from .families import (
+    KIND_NEEDS,
     ThresholdSpec,
     balloon,
     balloon_profile,
@@ -42,6 +43,7 @@ from .families import (
     in_nonexistence_range,
     max_bridges,
     min_edge_connectivity,
+    perturbation_kind,
     printed_max_bridges,
     composed_split_counts,
     threshold_graph,
@@ -58,7 +60,7 @@ from .graphs import (
     skeleton,
     skeleton_two_terminal,
 )
-from .signature import SplitSignature, evaluate
+from .signature import evaluate
 
 
 @dataclass
@@ -207,22 +209,6 @@ def check_thm3() -> Report:
     return Report("thm3", "fail" if failures else "pass", {"failures": failures, **details})
 
 
-# per perturbation kind: the skeleton shapes (lambda', n') its lemma covers
-_KIND_NEEDS = (
-    (lambda lam, ns: lam >= 3, "skeleton minimum degree >= 3"),
-    (lambda lam, ns: ns >= 5 and lam <= ns - 3, "n' >= 5 and lambda' <= n'-3"),
-    (lambda lam, ns: lam == 2 and ns == 4, "the 4-vertex diamond skeleton"),
-)
-
-
-def _prop2_kind(n: int, m: int) -> Optional[int]:
-    """The first kind whose lemma covers the class's skeleton; None for the
-    triangle skeleton (m == n), which earlier work settles."""
-    prof = balloon_profile(n, m)
-    needs = (holds(prof.lam_skel, prof.n_skel) for holds, _ in _KIND_NEEDS)
-    return next((kind for kind, ok in enumerate(needs) if ok), None)
-
-
 def check_prop2(n: int, m: int) -> Report:
     """Near-zero advantage of the perturbed graph: N_{n-2}(H) > N_{n-2}(G),
     with both routes (subset classification and the two-terminal Laplacian
@@ -230,7 +216,7 @@ def check_prop2(n: int, m: int) -> Report:
     checked."""
     if not (7 <= n <= 9 and in_nonexistence_range(n, m)):
         raise ValueError("claim range is 7 <= n <= 9, n <= m <= C(n-3,2)+3")
-    kind = _prop2_kind(n, m)
+    kind = perturbation_kind(n, m)
     if kind is None:
         return Report(
             "prop2",
@@ -287,7 +273,7 @@ def _perturbation_chain(n: int, m: int, kind: int) -> dict:
     subset classification, b(H) = n - n(H'), and the failed identities.
     """
     prof = balloon_profile(n, m)
-    holds, needs = _KIND_NEEDS[kind]
+    holds, needs = KIND_NEEDS[kind]
     if not holds(prof.lam_skel, prof.n_skel):
         raise ValueError(f"kind-{kind} chain needs {needs}")
     ctx = variant_with_context(kind, n, m)
@@ -464,7 +450,7 @@ def check_closed_forms(max_n: int = 8) -> Report:
     failures = []
     checked = 0
     for n, m in _classes(max_n, in_I1):
-        sig = SplitSignature.from_vector(n, split_coefficients(two_terminal_balloon(n, m)))
+        sig = split_coefficients(two_terminal_balloon(n, m))
         for i, closed in enumerate(closed_form_F_values(n, m), 1):
             checked += 1
             if closed != sig.f_value(i):

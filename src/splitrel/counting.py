@@ -22,14 +22,24 @@ from .graphs import Edge, GuardError, SimpleGraph, TwoTerminalGraph, adjacency_m
 
 @dataclass(frozen=True)
 class CoefficientVector:
-    """counts[i] = number of qualifying spanning subgraphs with i surviving edges."""
+    """counts[i] = number of qualifying spanning subgraphs with i surviving
+    edges, for a graph with n vertices and m edges.  For split subgraphs this
+    is the signature N_0..N_m; F_i = N_{m-i} is the failed-edge view."""
 
+    n: int
     m: int
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if len(self.counts) != self.m + 1:
             raise ValueError("counts must have length m+1")
+
+    def f_value(self, i: int) -> int:
+        """F_i: subgraphs with i failed edges (= N_{m-i})."""
+        return self.counts[self.m - i]
+
+    def f_tuple(self) -> tuple[int, ...]:
+        return tuple(reversed(self.counts))
 
     def to_json_dict(self) -> dict:
         return {"m": self.m, "counts": [str(c) for c in self.counts]}
@@ -133,13 +143,13 @@ def split_coefficients(g: TwoTerminalGraph) -> CoefficientVector:
     Precondition: g valid and connected.
     """
     cls = classify_subsets(g.graph)
-    return CoefficientVector(g.graph.m, cls.split_counts(g.s, g.t))
+    return CoefficientVector(g.graph.n, g.graph.m, cls.split_counts(g.s, g.t))
 
 
 def connected_coefficients(g: SimpleGraph) -> CoefficientVector:
     """Connected spanning subgraph counts by surviving-edge count."""
     cls = classify_subsets(g)
-    return CoefficientVector(g.m, cls.connected)
+    return CoefficientVector(g.n, g.m, cls.connected)
 
 
 # ---------------------------------------------------------------------------

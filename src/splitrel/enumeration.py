@@ -32,10 +32,10 @@ from math import comb, factorial
 from typing import Optional, Sequence
 
 from . import canon
-from .counting import classify_subsets
+from .counting import CoefficientVector, classify_subsets
 from .families import two_terminal_balloon
 from .graphs import GuardError, SimpleGraph, TwoTerminalGraph, is_bridge, to_json_dict
-from .signature import SplitSignature, dominates_on_unit_interval
+from .signature import dominates_on_unit_interval
 
 ENUM_GUARD_N = 8
 
@@ -171,7 +171,7 @@ class ClassLedger:
     n: int
     m: int
     members: list[TwoTerminalGraph]
-    signatures: list[SplitSignature]
+    signatures: list[CoefficientVector]
     equivalence_classes: list[list[int]]
     chain_levels: list[list[int]]
     early_stop_level: int
@@ -238,7 +238,7 @@ class ClassLedger:
 
 
 def refine_members(
-    signatures: Sequence[SplitSignature],
+    signatures: Sequence[CoefficientVector],
 ) -> tuple[list[list[int]], int]:
     """Iteratively keep the maximizers of F_1, F_2, ... until all survivors are
     split-equivalent; returns the nested index levels and the stop level.
@@ -267,10 +267,10 @@ def refine_members(
 def refine_chain(n: int, m: int) -> ClassLedger:
     """Full class ledger for (n, m): enumerate, classify signatures, refine."""
     members = enumerate_two_terminal(n, m)
-    signatures: list[SplitSignature] = []
+    signatures: list[CoefficientVector] = []
     for g, pairs in groupby(members, key=lambda h: h.graph):  # one classification per graph
         cls = classify_subsets(g)
-        signatures += [SplitSignature(n, m, cls.split_counts(h.s, h.t)) for h in pairs]
+        signatures += [CoefficientVector(n, m, cls.split_counts(h.s, h.t)) for h in pairs]
     levels, stop = refine_members(signatures)
     by_sig: dict[tuple[int, ...], list[int]] = {}
     for i, sig in enumerate(signatures):

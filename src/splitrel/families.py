@@ -11,15 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb, isqrt
 
-from .counting import (
-    connected_coefficients,
-    split_coefficients,
-)
+from .counting import classify_subsets
 from .graphs import (
     SimpleGraph,
     TwoTerminalGraph,
     adjacency_masks,
-    contract_edge_with_map,
+    contract_edge,
     eccentric_pairs,
     skeleton_two_terminal,
     subdivide_edge,
@@ -215,6 +212,22 @@ def bogdanowicz_tree_count(spec: ThresholdSpec) -> int:
 # ---------------------------------------------------------------------------
 # perturbed graphs (bridge contraction + skeleton-edge subdivision)
 
+# per perturbation kind: the skeleton shapes (lambda', n') its lemma covers
+KIND_NEEDS = (
+    (lambda lam, ns: lam >= 3, "skeleton minimum degree >= 3"),
+    (lambda lam, ns: ns >= 5 and lam <= ns - 3, "n' >= 5 and lambda' <= n'-3"),
+    (lambda lam, ns: lam == 2 and ns == 4, "the 4-vertex diamond skeleton"),
+)
+
+
+def perturbation_kind(n: int, m: int) -> int | None:
+    """The first kind whose lemma covers the class's skeleton; None for the
+    triangle skeleton (m == n), which earlier work settles."""
+    prof = balloon_profile(n, m)
+    needs = (holds(prof.lam_skel, prof.n_skel) for holds, _ in KIND_NEEDS)
+    return next((kind for kind, ok in enumerate(needs) if ok), None)
+
+
 def _eligible_edges(kind: int, skel: TwoTerminalGraph) -> list[tuple[int, int]]:
     """Edges of the balloon's skeleton usable for the given perturbation kind,
     relative to the low-degree projected terminal s' (terminal order is
@@ -248,7 +261,7 @@ def _eligible_edges(kind: int, skel: TwoTerminalGraph) -> list[tuple[int, int]]:
 
 def _apply_variant(g: TwoTerminalGraph, bridge_idx: int, edge: tuple[int, int]) -> TwoTerminalGraph:
     """Contract the bridge `bridge_idx` of g, then subdivide `edge`."""
-    contracted, vmap = contract_edge_with_map(g.graph, bridge_idx)
+    contracted, vmap = contract_edge(g.graph, bridge_idx)
     result = subdivide_edge(contracted, contracted.edge_index(vmap[edge[0]], vmap[edge[1]]))
     return TwoTerminalGraph(result, vmap[g.s], vmap[g.t])
 
@@ -344,11 +357,12 @@ def composed_split_counts(g: TwoTerminalGraph) -> tuple[int, ...]:
     connectedness and split polynomials, so N_i = b*C_{i-b+1} + S'_{i-b}
     with C and S' the skeleton's connected and split counts."""
     skel = skeleton_two_terminal(g)
+    cls = classify_subsets(skel.graph)
     b = g.graph.n - skel.graph.n
     counts = [0] * (g.graph.m + 1)
-    for j, c in enumerate(connected_coefficients(skel.graph).counts):
+    for j, c in enumerate(cls.connected):
         counts[j + b - 1] += b * c
-    for j, s in enumerate(split_coefficients(skel).counts):
+    for j, s in enumerate(cls.split_counts(skel.s, skel.t)):
         counts[j + b] += s
     return tuple(counts)
 

@@ -138,10 +138,6 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def min_degree(g: SimpleGraph) -> int:
-    return min((a.bit_count() for a in adjacency_masks(g.n, g.edges)), default=0)
-
-
 def components(g: SimpleGraph, kept: EdgeSubset) -> list[list[int]]:
     """Connected components of the spanning subgraph keeping only `kept` edges.
 
@@ -168,15 +164,6 @@ def is_connected(g: SimpleGraph) -> bool:
     if g.n == 0:
         return False
     return _reach(adjacency_masks(g.n, g.edges), 1) == (1 << g.n) - 1
-
-
-def is_split_subgraph(g: TwoTerminalGraph, kept: EdgeSubset) -> bool:
-    """True iff keeping `kept` leaves exactly 2 components, one per terminal."""
-    comps = components(g.graph, kept)
-    if len(comps) != 2:
-        return False
-    first = set(comps[0])
-    return (g.s in first) != (g.t in first)
 
 
 def validate(g: TwoTerminalGraph | SimpleGraph) -> list[str]:
@@ -221,8 +208,12 @@ def is_bridge(adj: list[int], u: int, v: int) -> bool:
 
 
 def bridges(g: SimpleGraph) -> list[int]:
-    """Indices of bridge edges, ascending.  Only the edges of a breadth-first
-    spanning tree are tested: any other edge closes a cycle with the tree.
+    """Indices of bridge edges, ascending, from one bottom-up pass over a
+    breadth-first spanning tree (any other edge closes a cycle with the tree).
+
+    The tree edge from v up to its parent u is a bridge iff u is the only
+    neighbour of v's subtree outside it.  A breadth-first edge joins layers
+    at most one apart, so no vertex of the subtree below v touches u.
 
     Precondition: g connected.
     """
@@ -231,12 +222,16 @@ def bridges(g: SimpleGraph) -> list[int]:
     if not layers or sum(layers) != (1 << g.n) - 1:
         raise ValueError("bridges requires a connected graph")
     index = {e: i for i, e in enumerate(g.edges)}
+    subtree = [1 << v for v in range(g.n)]
+    near = adj[:]  # per vertex, the neighbours of its subtree so far
     out = []
-    for above, layer in zip(layers, layers[1:]):
+    for above, layer in reversed(list(zip(layers, layers[1:]))):
         for v in _bits(layer):
             u = (adj[v] & above).bit_length() - 1  # v's parent in the tree
-            if is_bridge(adj, u, v):
+            if near[v] & ~subtree[v] == 1 << u:
                 out.append(index[(u, v) if u < v else (v, u)])
+            subtree[u] |= subtree[v]
+            near[u] |= near[v]
     return sorted(out)
 
 
@@ -275,18 +270,13 @@ def count_min_separators(g: SimpleGraph) -> int:
     return _min_cuts(g)[1]
 
 
-def contract_edge(g: SimpleGraph, e: int) -> SimpleGraph:
-    """Contract edge e: delete it and identify its endpoints.
+def contract_edge(g: SimpleGraph, e: int) -> tuple[SimpleGraph, tuple[int, ...]]:
+    """Contract edge e: delete it and identify its endpoints.  Returns the
+    quotient and the surjection old vertex -> new vertex.
 
     Parallel edges created by the identification are merged (simple quotient);
     the result has n-1 vertices.
     """
-    g2, _ = contract_edge_with_map(g, e)
-    return g2
-
-
-def contract_edge_with_map(g: SimpleGraph, e: int) -> tuple[SimpleGraph, tuple[int, ...]]:
-    """contract_edge plus the surjection old vertex -> new vertex."""
     if not 0 <= e < g.m:
         raise IndexError(f"edge index {e} out of range")
     a, b = g.edges[e]
@@ -351,23 +341,12 @@ def skeleton_two_terminal(g: TwoTerminalGraph) -> TwoTerminalGraph:
     return TwoTerminalGraph(skel, vmap[g.s], vmap[g.t])
 
 
-def distances(g: SimpleGraph, sources: Iterable[int]) -> list[int]:
-    """Per vertex, the edge count of a shortest path to the nearest source;
-    -1 where no source is reachable."""
-    adj = adjacency_masks(g.n, g.edges)
-    dist = [-1] * g.n
-    for d, layer in enumerate(_bfs_layers(adj, sum(1 << s for s in set(sources)))):
-        for v in _bits(layer):
-            dist[v] = d
-    return dist
-
-
 def distance(g: SimpleGraph, u: int, v: int) -> int:
     """Shortest-path edge count; raises on disconnected pairs."""
-    d = distances(g, (u,))[v]
-    if d < 0:
-        raise ValueError(f"vertices {u} and {v} are not connected")
-    return d
+    for d, layer in enumerate(_bfs_layers(adjacency_masks(g.n, g.edges), 1 << u)):
+        if layer >> v & 1:
+            return d
+    raise ValueError(f"vertices {u} and {v} are not connected")
 
 
 def _eccentric_layers(g: SimpleGraph):

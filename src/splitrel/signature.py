@@ -1,7 +1,7 @@
 """Split-reliability signatures, evaluation and exact dominance.
 
-A signature holds the exact split-subgraph counts N_0..N_m of a two-terminal
-graph; F_i = N_{m-i} is the failed-edge view.  Since
+A signature is the split count vector N_0..N_m of a two-terminal graph, a
+`counting.CoefficientVector`; F_i = N_{m-i} is the failed-edge view.  Since
 SR(p) = sum_i N_i p^i (1-p)^(m-i), the count vector is the polynomial (an
 unnormalised Bernstein vector), and it is the only representation used:
 evaluation at k/q is an integer sum over q^m, and the dominance decision on
@@ -26,31 +26,12 @@ from .counting import CoefficientVector
 # ---------------------------------------------------------------------------
 # signatures
 
-@dataclass(frozen=True)
-class SplitSignature:
-    """Exact split-subgraph coefficient vector of a two-terminal graph."""
-
-    n: int
-    m: int
-    counts: tuple[int, ...]  # N_i, indexed by surviving edges
-
-    def __post_init__(self) -> None:
-        if len(self.counts) != self.m + 1:
-            raise ValueError("counts must have length m+1")
-
-    @classmethod
-    def from_vector(cls, n: int, vec: CoefficientVector) -> "SplitSignature":
-        return cls(n, vec.m, vec.counts)
-
-    def f_value(self, i: int) -> int:
-        """F_i: split subgraphs with i failed edges (= N_{m-i})."""
-        return self.counts[self.m - i]
-
-    def f_tuple(self) -> tuple[int, ...]:
-        return tuple(reversed(self.counts))
+# A signature is the split count vector of a two-terminal graph; the name
+# stays for callers that build one directly.
+SplitSignature = CoefficientVector
 
 
-def sr_polynomial(sig: SplitSignature) -> tuple[int, ...]:
+def sr_polynomial(sig: CoefficientVector) -> tuple[int, ...]:
     """The split reliability polynomial of a signature: its count vector, the
     coefficients of SR in the basis p^i (1-p)^(m-i)."""
     return sig.counts

@@ -21,6 +21,7 @@ from splitrel.graphs import (
     Edge,
     SimpleGraph,
     TwoTerminalGraph,
+    adjacency_masks,
     bridges,
     components,
     is_bridge,
@@ -60,6 +61,20 @@ def path_n(n: int) -> SimpleGraph:
 
 def cycle_n(n: int) -> SimpleGraph:
     return SimpleGraph(n, tuple((i, (i + 1) % n) for i in range(n)))
+
+
+def min_degree(g: SimpleGraph) -> int:
+    return min((a.bit_count() for a in adjacency_masks(g.n, g.edges)), default=0)
+
+
+def is_split_subgraph(g: TwoTerminalGraph, kept: Sequence[int]) -> bool:
+    """True iff keeping the edges with indices `kept` leaves exactly 2
+    components, one per terminal."""
+    comps = components(g.graph, kept)
+    if len(comps) != 2:
+        return False
+    first = set(comps[0])
+    return (g.s in first) != (g.t in first)
 
 
 @st.composite

@@ -47,7 +47,6 @@ from splitrel.enumeration import (
 from splitrel.families import closed_form_F
 from splitrel.graphs import bridges
 from splitrel.signature import (
-    SplitSignature,
     dominates_on_unit_interval,
     evaluate,
     sr_polynomial,
@@ -291,7 +290,7 @@ def test_criterion_10_monte_carlo_sanity():
         p = rng.choice([Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(3, 4)])
         cases.append((g, p))
     for i, (g, p) in enumerate(cases):
-        sig = SplitSignature.from_vector(g.graph.n, split_coefficients(g))
+        sig = split_coefficients(g)
         exact = evaluate(sr_polynomial(sig), p)
         est, _ = monte_carlo_sr(g, p, trials, RandomSource(5000 + i))
         # the tolerance band uses the true standard error at the exact value

@@ -229,9 +229,15 @@ def test_enumeration_needs_two_vertices(capsys, command):
     assert capsys.readouterr().err == "error: enumeration needs n >= 2\n"
 
 
-def test_import_loads_no_numpy():
+def test_import_loads_only_the_standard_library():
+    # the README's "no runtime dependency": every top-level module that
+    # importing the CLI adds is splitrel's own or the standard library's
     src = str(Path(splitrel.__file__).resolve().parents[1])
-    code = "import sys, splitrel.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    code = (
+        "import sys; before = set(sys.modules); import splitrel.cli; "
+        "tops = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(tops - set(sys.stdlib_module_names) - {'splitrel'}))"
+    )
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout == "[]\n"

@@ -42,7 +42,7 @@ from splitrel.graphs import (
     components,
     subdivide_edge,
 )
-from splitrel.signature import SplitSignature, evaluate, sr_polynomial
+from splitrel.signature import evaluate, sr_polynomial
 
 
 def test_split_coefficients_triangle():
@@ -309,7 +309,7 @@ def test_lane_sampler_matches_union_find_past_a_group():
 def test_monte_carlo_close_to_exact():
     g = TwoTerminalGraph(k_n(3), 0, 1)
     est, err = monte_carlo_sr(g, "1/2", 100000, RandomSource(2024))
-    sig = SplitSignature.from_vector(3, split_coefficients(g))
+    sig = split_coefficients(g)
     exact = evaluate(sr_polynomial(sig), "1/2")
     assert exact == 0.25
     assert abs(est - 0.25) <= 4 * err

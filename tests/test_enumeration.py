@@ -21,6 +21,7 @@ from conftest import (
     graph_mask,
     k_n,
     labeled_connected_count,
+    min_degree,
     orbits_by_sweep,
     relabel,
     relabel_two_terminal,
@@ -46,7 +47,6 @@ from splitrel.graphs import (
     TwoTerminalGraph,
     bridges,
 )
-from splitrel.signature import SplitSignature
 
 
 def test_enumerate_graphs_counts():
@@ -382,9 +382,7 @@ def test_refine_members_on_hand_built_sample():
         variant(0, 9, 15),  # one bridge fewer
         TwoTerminalGraph(g.graph, 0, 1),  # bridges exist but are not terminal cuts
     ]
-    sigs = [
-        SplitSignature.from_vector(9, split_coefficients(x)) for x in [g, *rivals]
-    ]
+    sigs = [split_coefficients(x) for x in [g, *rivals]]
     assert sigs[0].f_value(1) == 3
     assert all(s.f_value(1) < 3 for s in sigs[1:])
     levels, stop = refine_members(sigs)
@@ -458,7 +456,7 @@ def test_seven_vertex_oracle_equivalences():
     connectivity = minimum degree."""
     from splitrel.counting import two_tree_count
     from splitrel.families import in_I0
-    from splitrel.graphs import edge_connectivity, min_degree
+    from splitrel.graphs import edge_connectivity
 
     for m in range(7, comb(7, 2) + 1):
         ledger = refine_chain(7, m)

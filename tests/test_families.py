@@ -3,13 +3,14 @@ extremal values, failed-edge formulas, count-vector factorization."""
 
 import hashlib
 import json
+from collections import Counter
 from math import comb
 
 import pytest
 
-from conftest import balloon_by_recursion, k_n, variant_all_choices
+from conftest import balloon_by_recursion, k_n, min_degree, variant_all_choices
 from splitrel import canon
-from splitrel.counting import spanning_tree_count, split_coefficients
+from splitrel.counting import spanning_tree_count, split_coefficients, two_tree_count
 from splitrel.families import (
     BalloonProfile,
     ThresholdSpec,
@@ -20,8 +21,10 @@ from splitrel.families import (
     in_I,
     in_I0,
     in_I1,
+    in_nonexistence_range,
     max_bridges,
     min_edge_connectivity,
+    perturbation_kind,
     printed_max_bridges,
     sr_composition,
     threshold_graph,
@@ -37,13 +40,12 @@ from splitrel.graphs import (
     distance,
     eccentric_pairs,
     edge_connectivity,
-    min_degree,
     is_connected,
     skeleton,
     skeleton_two_terminal,
     to_json_dict,
 )
-from splitrel.signature import SplitSignature, evaluate, sr_polynomial
+from splitrel.signature import evaluate, sr_polynomial
 
 
 def test_index_sets():
@@ -178,6 +180,24 @@ def test_variant_with_context_pinned():
     assert digest == "c913811558ba8460f8c767f95351315279ba741843a8b1025c3ec6c761632887"
 
 
+def test_perturbation_raises_two_tree_count_up_to_n16():
+    # the no-winner theorem past check_prop2's n <= 9 window: on every class
+    # of its range with m > n, the kind the skeleton picks beats the balloon
+    # at N_{n-2}, the two-tree count
+    kinds = Counter()
+    for n in range(7, 17):
+        assert perturbation_kind(n, n) is None  # the triangle skeleton
+        for m in range(n + 1, comb(n, 2) + 1):
+            if not in_nonexistence_range(n, m):
+                continue
+            kind = perturbation_kind(n, m)
+            assert kind is not None, (n, m)
+            kinds[kind] += 1
+            gain = two_tree_count(variant(kind, n, m)) - two_tree_count(two_terminal_balloon(n, m))
+            assert gain > 0, (n, m, kind)
+    assert kinds == {0: 220, 1: 45, 2: 10}
+
+
 def test_threshold_graph_complete():
     assert threshold_graph(ThresholdSpec(5, ())) == k_n(5)
 
@@ -271,9 +291,7 @@ def test_closed_form_F_values():
 def test_closed_form_F_matches_sweep_small():
     for n, m in [(4, 4), (5, 5), (5, 6), (5, 7), (6, 6), (6, 9), (7, 8)]:
         assert in_I1(n, m)
-        sig = SplitSignature.from_vector(
-            n, split_coefficients(two_terminal_balloon(n, m))
-        )
+        sig = split_coefficients(two_terminal_balloon(n, m))
         prof = balloon_profile(n, m)
         for i in range(1, prof.n_skel - 1):
             assert closed_form_F(n, m, i) == sig.f_value(i), (n, m, i)
@@ -284,7 +302,7 @@ def test_sr_composition_matches_direct():
     assert len(bridged) == 56
     for n, m in bridged:
         g = two_terminal_balloon(n, m)
-        direct = sr_polynomial(SplitSignature.from_vector(n, split_coefficients(g)))
+        direct = sr_polynomial(split_coefficients(g))
         composed = sr_composition(n, m)
         assert type(composed) is tuple and composed == direct, (n, m)
         assert evaluate(composed, 1) == 0

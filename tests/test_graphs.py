@@ -11,7 +11,9 @@ from hypothesis import given, strategies as st
 from conftest import (
     connected_graphs,
     cycle_n,
+    is_split_subgraph,
     k_n,
+    min_degree,
     min_separators_by_search,
     path_n,
     random_connected_graph,
@@ -28,14 +30,11 @@ from splitrel.graphs import (
     count_min_separators,
     diameter,
     distance,
-    distances,
     dumps,
     eccentric_pairs,
     edge_connectivity,
     is_connected,
-    is_split_subgraph,
     loads,
-    min_degree,
     skeleton,
     skeleton_two_terminal,
     subdivide_edge,
@@ -125,16 +124,14 @@ def test_skeleton_vertex_map_matches_union_find(g):
     assert vmap == tuple(order.index(r) for r in roots)
 
 
-@given(connected_graphs(max_n=8, max_m=20), st.data())
-def test_distance_layers_agree(g, data):
+@given(connected_graphs(max_n=8, max_m=20))
+def test_distance_layers_agree(g):
     dist = [[distance(g, u, v) for v in range(g.n)] for u in range(g.n)]
     dia = max(max(row) for row in dist)
     assert diameter(g) == dia
     assert eccentric_pairs(g) == [
         (u, v) for u in range(g.n) for v in range(u + 1, g.n) if dist[u][v] == dia
     ]
-    sources = data.draw(st.sets(st.integers(0, g.n - 1), min_size=1))
-    assert distances(g, sources) == [min(dist[s][v] for s in sources) for v in range(g.n)]
 
 
 def test_components_full_cycle():
@@ -184,23 +181,22 @@ def test_is_split_subgraph_k3_exhaustive():
 def test_bridges_path_and_complete():
     assert bridges(path_n(5)) == [0, 1, 2, 3]
     assert bridges(k_n(4)) == []
+    # a long path is one pass, not one search per edge
+    assert bridges(path_n(2000)) == list(range(1999))
 
 
-def test_bridges_test_only_tree_edges(monkeypatch):
-    # only the n - 1 edges of a breadth-first spanning tree can be bridges,
-    # so K_8's 28 edges cost at most 8 reachability searches
+def test_bridges_run_no_reachability_search(monkeypatch):
+    # one bottom-up pass over the breadth-first tree decides every tree
+    # edge, with no per-edge search and no edit of the adjacency masks
     from splitrel import graphs
 
-    calls = []
-    real = graphs._reach
+    def refuse(*args):
+        raise AssertionError("bridges ran a per-edge search")
 
-    def counted(adj, sources):
-        calls.append(sources)
-        return real(adj, sources)
-
-    monkeypatch.setattr(graphs, "_reach", counted)
+    monkeypatch.setattr(graphs, "is_bridge", refuse)
+    monkeypatch.setattr(graphs, "_reach", refuse)
     assert bridges(k_n(8)) == []
-    assert 0 < len(calls) <= 8
+    assert bridges(balloon(9, 15)) == [12, 13, 14]  # the pendant path 5-6-7-8
     with pytest.raises(ValueError, match="connected"):
         bridges(SimpleGraph(4, ((0, 1), (2, 3))))
 
@@ -271,16 +267,17 @@ def test_min_cuts_match_search():
 
 def test_contract_edge():
     p3 = path_n(3)
-    assert contract_edge(p3, 0).edges == ((0, 1),)
+    assert contract_edge(p3, 0)[0].edges == ((0, 1),)
     c3 = cycle_n(3)
-    g = contract_edge(c3, 0)
+    g, vmap = contract_edge(c3, 0)
     assert (g.n, g.edges) == (2, ((0, 1),))  # parallel pair merged
+    assert vmap == (0, 0, 1)
 
 
 def test_contract_pendant_bridge_of_balloon():
     g = balloon(9, 15)
     pendant = next(i for i in bridges(g) if 8 in g.edges[i])
-    assert isomorphic(contract_edge(g, pendant), balloon(8, 14))
+    assert isomorphic(contract_edge(g, pendant)[0], balloon(8, 14))
 
 
 def test_subdivide_edge():
@@ -362,7 +359,7 @@ def test_binomial_split_bound():
 def test_contract_then_subdivide_pendant_preserves_shape():
     g = balloon(7, 8)
     pendant = bridges(g)[-1]
-    contracted = contract_edge(g, pendant)
+    contracted, _ = contract_edge(g, pendant)
     rebuilt = subdivide_edge(contracted, 0)
     assert (rebuilt.n, rebuilt.m) == (g.n, g.m)
     assert is_connected(rebuilt)

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from conftest import cycle_n, relabel_two_terminal, sr_value_by_power_basis as sr_value
 from splitrel import signature
-from splitrel.counting import split_coefficients
+from splitrel.counting import CoefficientVector, split_coefficients
 from splitrel.families import two_terminal_balloon, variant
 from splitrel.graphs import SimpleGraph, TwoTerminalGraph
 from splitrel.signature import (
@@ -24,12 +24,20 @@ from splitrel.signature import (
 
 
 def sig_of(g: TwoTerminalGraph) -> SplitSignature:
-    return SplitSignature.from_vector(g.graph.n, split_coefficients(g))
+    return split_coefficients(g)
 
 
 def first_difference(xs, ys):
     """The first index where two equal-length vectors differ (None if equal)."""
     return next((i for i, (a, b) in enumerate(zip(xs, ys)) if a != b), None)
+
+
+def test_signature_is_the_count_vector():
+    # one count-vector class: a signature is what split_coefficients returns
+    assert SplitSignature is CoefficientVector
+    sig = split_coefficients(TwoTerminalGraph(cycle_n(3), 0, 1))
+    assert sig == SplitSignature(3, 3, (0, 2, 0, 0))
+    assert sig.to_json_dict() == {"m": 3, "counts": ["0", "2", "0", "0"]}
 
 
 def test_f_view():
