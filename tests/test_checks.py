@@ -26,6 +26,7 @@ from splitrel.checks import (
     check_thm2,
     run_target,
 )
+from splitrel.counting import CoefficientVector
 from splitrel.families import in_I1, sr_composition, variant
 from splitrel.graphs import to_json_dict
 
@@ -61,6 +62,9 @@ def test_prop2_kinds():
     assert check_prop2(8, 10).status == "pass"  # high-degree branch
     assert check_prop2(9, 12).status == "pass"  # nonadjacent-pair branch
     assert check_prop2(7, 7).details["branch"] == "m equals n"
+    for n, m in [(10, 18), (12, 26)]:  # no upper bound on n below the n <= 16 guard
+        rep = check_prop2(n, m)
+        assert (rep.status, rep.details["routes_agree"]) == ("pass", True), (n, m)
     with pytest.raises(ValueError):
         check_prop2(6, 6)
 
@@ -70,6 +74,25 @@ def test_prop2_reports_values():
     assert rep.details["N_balloon"] == "32"
     assert rep.details["N_perturbed"] == "36"
     assert rep.details["routes_agree"]
+
+
+def test_prop2_fails_with_the_chain(monkeypatch):
+    # prop2's verdict is the chain's: one tree count off by one breaks its
+    # identities, and a subset sweep off the chain's minors breaks the routes
+    real_trees = checks.spanning_tree_count
+    monkeypatch.setattr(checks, "spanning_tree_count", lambda g: real_trees(g) + 1)
+    for n, m in [(7, 8), (8, 10), (9, 12), (9, 15)]:
+        assert check_prop2(n, m).status == "fail", (n, m)
+    monkeypatch.setattr(checks, "spanning_tree_count", real_trees)
+    real_sweep = checks.split_coefficients
+
+    def off_sweep(g):
+        sig = real_sweep(g)
+        return CoefficientVector(sig.n, sig.m, tuple(c + 1 for c in sig.counts))
+
+    monkeypatch.setattr(checks, "split_coefficients", off_sweep)
+    rep = check_prop2(9, 15)
+    assert (rep.status, rep.details["routes_agree"]) == ("fail", False)
 
 
 def _count_calls(monkeypatch, name: str) -> list:
@@ -89,13 +112,16 @@ def _count_calls(monkeypatch, name: str) -> list:
 
 
 def test_perturbation_chain_builds_each_graph_once(monkeypatch):
-    # prop2 takes G's skeleton from the balloon it already holds, and lemma15
-    # reads N_{n-2} of G and H from the chain instead of classifying again
+    # prop2 takes G's skeleton from the balloon it already holds; the chain
+    # reads N_{n-2} of G and H from Laplacian minors, so only prop2's
+    # cross-check classifies subsets, once for G and once for H
     builds = _count_calls(monkeypatch, "two_terminal_balloon")
     assert check_prop2(9, 15).status == "pass"
     assert len(builds) == 1
     sweeps = _count_calls(monkeypatch, "split_coefficients")
     assert check_lemma15(7, 8).status == "discrepancy"
+    assert len(sweeps) == 0
+    assert check_prop2(9, 15).status == "pass"
     assert len(sweeps) == 2
 
 

@@ -192,6 +192,18 @@ def test_verify_reaches_every_claim_check(capsys, target):
     assert main(["verify", target, "--n", "6", "--m", "8"]) == 1
 
 
+def test_verify_prop2_range(capsys):
+    # any class of the theorem range with n >= 7; for m > n the subset
+    # cross-check's n <= 16 guard refuses n = 17, and classes outside the
+    # range are bad input
+    code, out = run(capsys, "verify", "prop2", "--n", "10", "--m", "18")
+    assert (code, json.loads(out)["status"]) == (0, "pass")
+    assert main(["verify", "prop2", "--n", "17", "--m", "20"]) == 2
+    assert "n=17" in capsys.readouterr().err
+    assert main(["verify", "prop2", "--n", "6", "--m", "6"]) == 1
+    assert main(["verify", "prop2", "--n", "7", "--m", "20"]) == 1
+
+
 def test_verify_report_shape(capsys):
     code, out = run(capsys, "verify", "remark4")
     doc = json.loads(out)

@@ -10,7 +10,8 @@ import pytest
 
 from conftest import balloon_by_recursion, k_n, min_degree, variant_all_choices
 from splitrel import canon
-from splitrel.counting import spanning_tree_count, split_coefficients, two_tree_count
+from splitrel.checks import _perturbation_chain
+from splitrel.counting import spanning_tree_count, split_coefficients
 from splitrel.families import (
     BalloonProfile,
     ThresholdSpec,
@@ -181,9 +182,9 @@ def test_variant_with_context_pinned():
 
 
 def test_perturbation_raises_two_tree_count_up_to_n16():
-    # the no-winner theorem past check_prop2's n <= 9 window: on every class
-    # of its range with m > n, the kind the skeleton picks beats the balloon
-    # at N_{n-2}, the two-tree count
+    # the no-winner theorem on every class of its range with m > n: the kind
+    # the skeleton picks passes the whole perturbation chain, so it beats the
+    # balloon at N_{n-2}, the two-tree count
     kinds = Counter()
     for n in range(7, 17):
         assert perturbation_kind(n, n) is None  # the triangle skeleton
@@ -193,8 +194,7 @@ def test_perturbation_raises_two_tree_count_up_to_n16():
             kind = perturbation_kind(n, m)
             assert kind is not None, (n, m)
             kinds[kind] += 1
-            gain = two_tree_count(variant(kind, n, m)) - two_tree_count(two_terminal_balloon(n, m))
-            assert gain > 0, (n, m, kind)
+            assert _perturbation_chain(n, m, kind)["errors"] == [], (n, m, kind)
     assert kinds == {0: 220, 1: 45, 2: 10}
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from conftest import cycle_n, relabel_two_terminal, sr_value_by_power_basis as sr_value
 from splitrel import signature
-from splitrel.counting import CoefficientVector, split_coefficients
+from splitrel.counting import CoefficientVector, split_coefficients, two_tree_count
 from splitrel.families import two_terminal_balloon, variant
 from splitrel.graphs import SimpleGraph, TwoTerminalGraph
 from splitrel.signature import (
@@ -329,3 +329,22 @@ def test_near_zero_comparator_implies_small_p_advantage():
             assert diff(1 - eps) > 0
         elif a.f_tuple() < b.f_tuple():
             assert diff(1 - eps) < 0
+
+
+def test_two_tree_advantage_wins_at_the_closed_form_witness():
+    # the witness lemma behind the no-winner certificates: every N_i with
+    # i < n - 2 is 0, so a larger N_{n-2} = two_tree_count beats any rival in
+    # the class at p = 1/(2^(m+1)+1), where the tail sum C(m, i) r^i is small
+    from conftest import random_two_terminal
+
+    rng = random.Random(18)
+    checked = 0
+    while checked < 200:
+        n = rng.randint(4, 9)
+        m = rng.randint(n - 1, comb(n, 2))
+        g, h = sorted((random_two_terminal(rng, n, m) for _ in range(2)), key=two_tree_count)
+        if two_tree_count(h) == two_tree_count(g):
+            continue
+        p = Fraction(1, 2 ** (m + 1) + 1)
+        assert evaluate(sig_of(h).counts, p) > evaluate(sig_of(g).counts, p), (g, h)
+        checked += 1
