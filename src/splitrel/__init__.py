@@ -7,7 +7,6 @@ unit interval.
 """
 
 from .graphs import (
-    EdgeSubset,
     GuardError,
     SimpleGraph,
     TwoTerminalGraph,
@@ -15,8 +14,6 @@ from .graphs import (
     components,
     contract_edge,
     count_min_separators,
-    diameter,
-    distance,
     edge_connectivity,
     skeleton,
     skeleton_two_terminal,
@@ -47,7 +44,6 @@ from .families import (
     balloon,
     balloon_profile,
     bogdanowicz_tree_count,
-    closed_form_F,
     in_I,
     in_I0,
     in_I1,

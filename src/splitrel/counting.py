@@ -242,6 +242,11 @@ class RandomSource:
 
     seed: int
 
+    def __post_init__(self) -> None:
+        # a negative seed would alias its absolute value in random.Random
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+
     def block_seed(self, block: int) -> int:
         return (int(self.seed) << 64) | block
 

@@ -165,8 +165,8 @@ class UniformVerdict:
 @dataclass
 class ClassLedger:
     """Everything computed for one (n, m) class: representatives with exact
-    signatures, the split-equivalence partition, the failed-edge refinement
-    chain with its early-stop level and the locally-most set."""
+    signatures, the split-equivalence partition and the failed-edge
+    refinement chain, whose last level is the locally-most set."""
 
     n: int
     m: int
@@ -174,9 +174,15 @@ class ClassLedger:
     signatures: list[CoefficientVector]
     equivalence_classes: list[list[int]]
     chain_levels: list[list[int]]
-    early_stop_level: int
-    locally_most: list[int]
     labeled_connected: int
+
+    @property
+    def early_stop_level(self) -> int:
+        return len(self.chain_levels) - 1
+
+    @property
+    def locally_most(self) -> list[int]:
+        return self.chain_levels[-1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -237,31 +243,22 @@ class ClassLedger:
         return UniformVerdict(winner=candidate_idx)
 
 
-def refine_members(
-    signatures: Sequence[CoefficientVector],
-) -> tuple[list[list[int]], int]:
-    """Iteratively keep the maximizers of F_1, F_2, ... until all survivors are
-    split-equivalent; returns the nested index levels and the stop level.
-
-    The stop is guaranteed at level m at the latest (all F-values compared).
+def refine_members(signatures: Sequence[CoefficientVector]) -> list[list[int]]:
+    """The refinement chain read off the lexicographically largest (F_1, ...,
+    F_m): level i keeps the members of level i - 1 that share its F_i, up to
+    the first level whose members are split-equivalent.  By level m only N_m
+    can differ, and it is 0 in every connected class.
     """
     if not signatures:
         raise ValueError("no members to refine")
-    m = signatures[0].m
-    current = list(range(len(signatures)))
-    levels = [current[:]]
-    stop = 0
-    if len({signatures[i].counts for i in current}) > 1:
-        for i in range(1, m + 1):
-            best = max(signatures[j].f_value(i) for j in current)
-            current = [j for j in current if signatures[j].f_value(i) == best]
-            levels.append(current[:])
-            stop = i
-            if len({signatures[j].counts for j in current}) == 1:
-                break
-        else:
+    best = max(sig.f_tuple()[1:] for sig in signatures)
+    levels = [list(range(len(signatures)))]
+    while len({signatures[j].counts for j in levels[-1]}) > 1:
+        i = len(levels)
+        if i > len(best):
             raise AssertionError("refinement did not converge by level m")
-    return levels, stop
+        levels.append([j for j in levels[-1] if signatures[j].f_value(i) == best[i - 1]])
+    return levels
 
 
 def refine_chain(n: int, m: int) -> ClassLedger:
@@ -271,7 +268,7 @@ def refine_chain(n: int, m: int) -> ClassLedger:
     for g, pairs in groupby(members, key=lambda h: h.graph):  # one classification per graph
         cls = classify_subsets(g)
         signatures += [CoefficientVector(n, m, cls.split_counts(h.s, h.t)) for h in pairs]
-    levels, stop = refine_members(signatures)
+    levels = refine_members(signatures)
     by_sig: dict[tuple[int, ...], list[int]] = {}
     for i, sig in enumerate(signatures):
         by_sig.setdefault(sig.counts, []).append(i)
@@ -283,8 +280,6 @@ def refine_chain(n: int, m: int) -> ClassLedger:
         signatures=signatures,
         equivalence_classes=eq_classes,
         chain_levels=levels,
-        early_stop_level=stop,
-        locally_most=levels[-1],
         labeled_connected=_graph_orbits(n, m)[2],
     )
 

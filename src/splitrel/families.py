@@ -342,14 +342,6 @@ def closed_form_F_values(n: int, m: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-def closed_form_F(n: int, m: int, i: int) -> int:
-    """F_i of `closed_form_F_values`, valid for 1 <= i <= n'-2."""
-    values = closed_form_F_values(n, m)
-    if not 1 <= i <= len(values):
-        raise ValueError(f"index {i} outside the closed-form range 1..{len(values)}")
-    return values[i - 1]
-
-
 def composed_split_counts(g: TwoTerminalGraph) -> tuple[int, ...]:
     """Split count vector of a two-terminal graph whose b bridges all part
     its terminals (the balloon's path), from its skeleton: SR(p) =

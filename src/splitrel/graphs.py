@@ -1,15 +1,15 @@
 """Simple graphs with an optional terminal pair, and the structural primitives
 everything else is built on: bridges, edge connectivity, contraction,
-subdivision, skeletons, distances.
+subdivision, skeletons, eccentric pairs.
 
 Vertices are 0..n-1.  Edges are unordered pairs stored as (u, v) with u < v,
 sorted lexicographically; edge *indices* into that list are the stable handles
 used by subset operations.  All values are immutable and all functions are
 pure, so everything here is safe to share across workers.
 
-Connectivity, components, bridges, skeletons and distances all run on one
-representation, a neighbour bitmask per vertex (`adjacency_masks`), and one
-breadth-first closure over it.
+Connectivity, components, bridges, skeletons and eccentric pairs all run on
+one representation, a neighbour bitmask per vertex (`adjacency_masks`), and
+one breadth-first closure over it.
 """
 
 from __future__ import annotations
@@ -50,14 +50,6 @@ class SimpleGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return sum(1 for a, b in self.edges if v in (a, b))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        if u > v:
-            u, v = v, u
-        return (u, v) in set(self.edges)
-
     def edge_index(self, u: int, v: int) -> int:
         if u > v:
             u, v = v, u
@@ -81,10 +73,6 @@ class TwoTerminalGraph:
     @property
     def terminals(self) -> tuple[int, int]:
         return (self.s, self.t)
-
-
-# An EdgeSubset is a collection of indices into graph.edges.
-EdgeSubset = Sequence[int]
 
 
 class GuardError(RuntimeError):
@@ -138,7 +126,7 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def components(g: SimpleGraph, kept: EdgeSubset) -> list[list[int]]:
+def components(g: SimpleGraph, kept: Iterable[int]) -> list[list[int]]:
     """Connected components of the spanning subgraph keeping only `kept` edges.
 
     Isolated vertices appear as singleton components.  Components are sorted
@@ -305,14 +293,13 @@ def subdivide_edge(g: SimpleGraph, e: int) -> SimpleGraph:
     return SimpleGraph(g.n + 1, tuple(edges))
 
 
-def skeleton(g: SimpleGraph | TwoTerminalGraph) -> tuple[SimpleGraph, tuple[int, ...]]:
+def skeleton(graph: SimpleGraph) -> tuple[SimpleGraph, tuple[int, ...]]:
     """Contract every bridge; returns the bridgeless quotient and the vertex map.
 
     Quotient classes are the components of the bridge forest; the result has
     n - b(G) vertices and m - b(G) edges.  A tree collapses to a single vertex.
     Precondition: connected.
     """
-    graph = g.graph if isinstance(g, TwoTerminalGraph) else g
     bridge_idx = bridges(graph)
     forest = components(graph, bridge_idx)
     cls = [0] * graph.n
@@ -341,34 +328,15 @@ def skeleton_two_terminal(g: TwoTerminalGraph) -> TwoTerminalGraph:
     return TwoTerminalGraph(skel, vmap[g.s], vmap[g.t])
 
 
-def distance(g: SimpleGraph, u: int, v: int) -> int:
-    """Shortest-path edge count; raises on disconnected pairs."""
-    for d, layer in enumerate(_bfs_layers(adjacency_masks(g.n, g.edges), 1 << u)):
-        if layer >> v & 1:
-            return d
-    raise ValueError(f"vertices {u} and {v} are not connected")
-
-
-def _eccentric_layers(g: SimpleGraph):
-    """(u, BFS layers from u) for every vertex u; raises on a disconnected g."""
+def eccentric_pairs(g: SimpleGraph) -> list[tuple[int, int]]:
+    """All vertex pairs (u < v) at distance exactly the diameter of g, in one
+    BFS per vertex; raises ValueError on a disconnected g."""
     adj = adjacency_masks(g.n, g.edges)
-    full = (1 << g.n) - 1
+    best, pairs = 0, []
     for u in range(g.n):
         layers = _bfs_layers(adj, 1 << u)
-        if sum(layers) != full:
-            raise ValueError("diameter requires a connected graph")
-        yield u, layers
-
-
-def diameter(g: SimpleGraph) -> int:
-    return max((len(layers) - 1 for _, layers in _eccentric_layers(g)), default=0)
-
-
-def eccentric_pairs(g: SimpleGraph) -> list[tuple[int, int]]:
-    """All vertex pairs (u < v) at distance exactly diameter(g), in one BFS
-    per vertex."""
-    best, pairs = 0, []
-    for u, layers in _eccentric_layers(g):
+        if sum(layers) != (1 << g.n) - 1:
+            raise ValueError("eccentric pairs require a connected graph")
         if len(layers) - 1 > best:
             best, pairs = len(layers) - 1, []
         if len(layers) - 1 == best:
@@ -391,6 +359,8 @@ def to_json_dict(g: SimpleGraph | TwoTerminalGraph) -> dict:
 
 def _parse_int(value, field: str) -> int:
     try:
+        if isinstance(value, (bool, float)):
+            raise TypeError  # int() would truncate a float and read a bool as 0 or 1
         return int(value)
     except (TypeError, ValueError):
         raise ValueError(f"{field}: expected an integer, got {value!r}") from None

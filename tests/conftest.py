@@ -9,7 +9,12 @@ from hypothesis import settings, strategies as st
 
 from splitrel import canon
 from splitrel.canon import graph_mask
-from splitrel.counting import SubsetClassification, _laplacian_minor, spanning_tree_count
+from splitrel.counting import (
+    CoefficientVector,
+    SubsetClassification,
+    _laplacian_minor,
+    spanning_tree_count,
+)
 from splitrel.enumeration import _graph_orbits
 from splitrel.families import (
     _apply_variant,
@@ -63,8 +68,44 @@ def cycle_n(n: int) -> SimpleGraph:
     return SimpleGraph(n, tuple((i, (i + 1) % n) for i in range(n)))
 
 
+def degree(g: SimpleGraph, v: int) -> int:
+    return sum(v in e for e in g.edges)
+
+
 def min_degree(g: SimpleGraph) -> int:
     return min((a.bit_count() for a in adjacency_masks(g.n, g.edges)), default=0)
+
+
+def distances_by_floyd(g: SimpleGraph) -> list[list[float]]:
+    """Reference all-pairs edge-count distances by Floyd-Warshall; inf
+    between vertices in different components."""
+    dist = [[0 if u == v else float("inf") for v in range(g.n)] for u in range(g.n)]
+    for u, v in g.edges:
+        dist[u][v] = dist[v][u] = 1
+    for k in range(g.n):
+        for u in range(g.n):
+            for v in range(g.n):
+                if dist[u][k] + dist[k][v] < dist[u][v]:
+                    dist[u][v] = dist[u][k] + dist[k][v]
+    return dist
+
+
+def refine_by_filter(signatures: Sequence[CoefficientVector]) -> list[list[int]]:
+    """Reference refinement chain: level i keeps the survivors of level
+    i - 1 that maximize F_i among them, until the survivors are
+    split-equivalent."""
+    current = list(range(len(signatures)))
+    levels = [current]
+    if len({signatures[j].counts for j in current}) > 1:
+        for i in range(1, signatures[0].m + 1):
+            best = max(signatures[j].f_value(i) for j in current)
+            current = [j for j in current if signatures[j].f_value(i) == best]
+            levels.append(current)
+            if len({signatures[j].counts for j in current}) == 1:
+                break
+        else:
+            raise AssertionError("refinement did not converge by level m")
+    return levels
 
 
 def is_split_subgraph(g: TwoTerminalGraph, kept: Sequence[int]) -> bool:
@@ -233,7 +274,7 @@ def balloon_by_recursion(n: int, m: int) -> SimpleGraph:
     if (n, m) == (4, 4):
         return SimpleGraph(4, ((0, 1), (0, 2), (1, 2), (0, 3)))
     prev = balloon_by_recursion(n - 1, m - 1)
-    degs = [prev.degree(v) for v in range(prev.n)]
+    degs = [degree(prev, v) for v in range(prev.n)]
     return SimpleGraph(n, prev.edges + ((degs.index(min(degs)), n - 1),))
 
 

@@ -44,7 +44,7 @@ from splitrel.enumeration import (
     uniform_check,
     verify_balloon_characterization,
 )
-from splitrel.families import closed_form_F
+from splitrel.families import closed_form_F_values
 from splitrel.graphs import bridges
 from splitrel.signature import (
     dominates_on_unit_interval,
@@ -202,7 +202,7 @@ def test_criterion_05_threshold_tree_formula():
 
 def test_criterion_06_closed_form_failed_edge_counts():
     rep = check_closed_forms(max_n=8)
-    pinned = closed_form_F(9, 15, 2) == 37 and closed_form_F(9, 15, 3) == 205
+    pinned = closed_form_F_values(9, 15)[1:3] == (37, 205)
     ok = rep.status == "pass" and pinned
     _line(6, ok, f"closed-form F values match sweeps at "
                  f"{rep.details['values_checked']} indices; "

@@ -287,6 +287,19 @@ K3 = '{"n": 3, "edges": [[0, 1], [0, 2], [1, 2]], "terminals": [0, 1]}'
         (K3, ["verify", "remark2", "--n", "9", "--m", "3"], "got --n --m"),
         (K3, ["verify", "prop2", "--m", "8"], "verify prop2 accepts --n --m; got --m"),
         (K3, ["verify", "thm1", "--n", "5", "--m", "6", "--max-n", "7"], "got --n --m --max-n"),
+        # JSON numbers that are not integers are refused, not truncated
+        (
+            '{"n": 3, "edges": [[0, 1], [1, 2.5]], "terminals": [0, 2]}',
+            ["sr-coeffs", "{path}"],
+            "edges[1]: expected an integer, got 2.5",
+        ),
+        (
+            '{"n": 3, "edges": [[0, 1], [1, 2]], "terminals": [true, 2]}',
+            ["sr-coeffs", "{path}"],
+            "terminals: expected an integer, got True",
+        ),
+        # a negative seed would replay the stream of its absolute value
+        (K3, ["mc-estimate", "{path}", "1/2", "--seed", "-4"], "seed must be nonnegative"),
     ],
 )
 def test_malformed_input_exit_code(capsys, tmp_path, content, argv, field):

@@ -260,6 +260,13 @@ def test_monte_carlo_degenerate_probabilities():
     assert monte_carlo_sr(g, 1, 500, RandomSource(1))[0] == 0.0
 
 
+def test_random_source_refuses_negative_seeds():
+    # random.Random seeds from the absolute value, so -4 would replay 4
+    with pytest.raises(ValueError, match="nonnegative"):
+        RandomSource(-4)
+    assert RandomSource(0).block_seed(3) == 3
+
+
 def test_monte_carlo_deterministic():
     g = TwoTerminalGraph(k_n(3), 0, 1)
     a = monte_carlo_sr(g, "1/3", 70000, RandomSource(42))

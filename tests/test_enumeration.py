@@ -16,6 +16,7 @@ from conftest import (
     canonical_form_by_search,
     connected_graphs,
     cycle_n,
+    degree,
     deletion_contraction_check,
     descent_by_every_child,
     graph_mask,
@@ -23,12 +24,14 @@ from conftest import (
     labeled_connected_count,
     min_degree,
     orbits_by_sweep,
+    refine_by_filter,
     relabel,
     relabel_two_terminal,
 )
 from splitrel import canon
-from splitrel.counting import split_coefficients
+from splitrel.counting import CoefficientVector, split_coefficients
 from splitrel.enumeration import (
+    ClassLedger,
     _descent,
     _pair_orbits,
     balloon_member_index,
@@ -385,8 +388,41 @@ def test_refine_members_on_hand_built_sample():
     sigs = [split_coefficients(x) for x in [g, *rivals]]
     assert sigs[0].f_value(1) == 3
     assert all(s.f_value(1) < 3 for s in sigs[1:])
-    levels, stop = refine_members(sigs)
+    levels = refine_members(sigs)
     assert levels[1] == [0]
+
+
+def test_refine_members_matches_filter_on_every_class():
+    # the chain read off the largest F-tuple against the level-by-level
+    # filter, and its last level against the maximum of the whole F-tuple
+    for n in range(2, 8):
+        for m in range(n - 1, comb(n, 2) + 1):
+            ledger = refine_chain(n, m)
+            assert ledger.chain_levels == refine_by_filter(ledger.signatures), (n, m)
+            top = max(sig.f_tuple() for sig in ledger.signatures)
+            assert ledger.locally_most == [
+                i for i, sig in enumerate(ledger.signatures) if sig.f_tuple() == top
+            ], (n, m)
+            assert ledger.early_stop_level == len(ledger.chain_levels) - 1
+
+
+@given(
+    st.integers(1, 6).flatmap(
+        lambda m: st.lists(
+            st.lists(st.integers(0, 3), min_size=m, max_size=m), min_size=1, max_size=8
+        )
+    )
+)
+def test_refine_members_matches_filter_on_random_vectors(rows):
+    # N_0..N_{m-1} drawn from a small range so that ties are common; N_m = 0
+    m = len(rows[0])
+    sigs = [CoefficientVector(m + 1, m, tuple(r) + (0,)) for r in rows]
+    assert refine_members(sigs) == refine_by_filter(sigs)
+
+
+def test_ledger_stores_only_the_chain():
+    names = {f.name for f in ClassLedger.__dataclass_fields__.values()}
+    assert names.isdisjoint({"early_stop_level", "locally_most"})
 
 
 def test_verify_balloon_characterization_small():
@@ -425,9 +461,9 @@ def test_tree_classes_have_path_winners():
         assert verdict.winner is not None
         ledger = refine_chain(n, n - 1)
         win = ledger.members[verdict.winner]
-        degs = sorted(win.graph.degree(v) for v in range(n))
+        degs = sorted(degree(win.graph, v) for v in range(n))
         assert degs == [1, 1] + [2] * (n - 2)  # a path
-        assert win.graph.degree(win.s) == 1 and win.graph.degree(win.t) == 1
+        assert degree(win.graph, win.s) == 1 and degree(win.graph, win.t) == 1
 
 
 def test_balloon_always_among_locally_most():

@@ -8,7 +8,14 @@ from math import comb
 
 import pytest
 
-from conftest import balloon_by_recursion, k_n, min_degree, variant_all_choices
+from conftest import (
+    balloon_by_recursion,
+    degree,
+    distances_by_floyd,
+    k_n,
+    min_degree,
+    variant_all_choices,
+)
 from splitrel import canon
 from splitrel.checks import _perturbation_chain
 from splitrel.counting import spanning_tree_count, split_coefficients
@@ -18,7 +25,7 @@ from splitrel.families import (
     balloon,
     balloon_profile,
     bogdanowicz_tree_count,
-    closed_form_F,
+    closed_form_F_values,
     in_I,
     in_I0,
     in_I1,
@@ -37,8 +44,6 @@ from splitrel.graphs import (
     SimpleGraph,
     TwoTerminalGraph,
     bridges,
-    diameter,
-    distance,
     eccentric_pairs,
     edge_connectivity,
     is_connected,
@@ -60,23 +65,23 @@ def test_balloon_dense_case():
     g = balloon(6, 12)
     assert (g.n, g.m) == (6, 12)
     assert min_degree(g) == 2
-    assert g.degree(5) == 2  # attached vertex keeps the minimum degree
+    assert degree(g, 5) == 2  # attached vertex keeps the minimum degree
     assert edge_connectivity(g) == 2
     assert balloon(4, 6) == k_n(4)
 
 
 def test_balloon_base_case():
     g = balloon(4, 4)
-    assert sorted(g.degree(v) for v in range(4)) == [1, 2, 2, 3]
+    assert sorted(degree(g, v) for v in range(4)) == [1, 2, 2, 3]
 
 
 def test_balloon_recursive_case():
     g = balloon(9, 15)
     assert (g.n, g.m) == (9, 15)
     assert len(bridges(g)) == 3
-    assert diameter(g) == 5
+    assert max(map(max, distances_by_floyd(g))) == 5
     # the pendant path hangs off the dense part one vertex at a time
-    assert g.degree(8) == 1 and g.degree(7) == 2 and g.degree(6) == 2
+    assert degree(g, 8) == 1 and degree(g, 7) == 2 and degree(g, 6) == 2
 
 
 def test_balloon_matches_recursive_construction():
@@ -95,12 +100,12 @@ def test_two_terminal_balloon_diametral():
             assert len(keys) == 1, (n, m)
             assert two_terminal_balloon(n, m) == TwoTerminalGraph(g, *pairs[0]), (n, m)
     g = two_terminal_balloon(9, 15)
-    assert distance(g.graph, g.s, g.t) == diameter(g.graph) == 5
+    dist = distances_by_floyd(g.graph)
+    assert dist[g.s][g.t] == max(map(max, dist)) == 5
     g44 = two_terminal_balloon(4, 4)
-    assert distance(g44.graph, g44.s, g44.t) == 2
+    assert distances_by_floyd(g44.graph)[g44.s][g44.t] == 2
     g612 = two_terminal_balloon(6, 12)
-    assert distance(g612.graph, g612.s, g612.t) == 2
-    assert not g612.graph.has_edge(g612.s, g612.t)
+    assert distances_by_floyd(g612.graph)[g612.s][g612.t] == 2  # so not adjacent
 
 
 def test_two_terminal_balloon_deterministic():
@@ -213,7 +218,7 @@ def test_threshold_graph_two_spur_shape():
     e = next(
         i
         for i, (u, v) in enumerate(skel.edges)
-        if skel.degree(u) == 4 and skel.degree(v) == 4
+        if degree(skel, u) == 4 and degree(skel, v) == 4
     )
     reduced = SimpleGraph(skel.n, tuple(p for i, p in enumerate(skel.edges) if i != e))
     assert canon.isomorphic(reduced, threshold_graph(ThresholdSpec(6, (3, 2))))
@@ -279,13 +284,9 @@ def test_balloon_profile():
 
 
 def test_closed_form_F_values():
-    assert closed_form_F(9, 15, 1) == 3
-    assert closed_form_F(9, 15, 2) == 37
-    assert closed_form_F(9, 15, 3) == 205
+    assert closed_form_F_values(9, 15)[:3] == (3, 37, 205)
     with pytest.raises(ValueError):
-        closed_form_F(9, 15, 5)  # beyond n'-2
-    with pytest.raises(ValueError):
-        closed_form_F(6, 12, 1)  # bridgeless class
+        closed_form_F_values(6, 12)  # bridgeless class
 
 
 def test_closed_form_F_matches_sweep_small():
@@ -294,7 +295,7 @@ def test_closed_form_F_matches_sweep_small():
         sig = split_coefficients(two_terminal_balloon(n, m))
         prof = balloon_profile(n, m)
         for i in range(1, prof.n_skel - 1):
-            assert closed_form_F(n, m, i) == sig.f_value(i), (n, m, i)
+            assert closed_form_F_values(n, m)[i - 1] == sig.f_value(i), (n, m, i)
 
 
 def test_sr_composition_matches_direct():

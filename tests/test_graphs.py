@@ -1,5 +1,5 @@
 """Structural primitives: validation, components, bridges, connectivity,
-contraction/subdivision, skeletons, distances, interchange formats."""
+contraction/subdivision, skeletons, eccentric pairs, interchange formats."""
 
 import random
 import tracemalloc
@@ -11,6 +11,8 @@ from hypothesis import given, strategies as st
 from conftest import (
     connected_graphs,
     cycle_n,
+    degree,
+    distances_by_floyd,
     is_split_subgraph,
     k_n,
     min_degree,
@@ -28,8 +30,6 @@ from splitrel.graphs import (
     components,
     contract_edge,
     count_min_separators,
-    diameter,
-    distance,
     dumps,
     eccentric_pairs,
     edge_connectivity,
@@ -126,9 +126,8 @@ def test_skeleton_vertex_map_matches_union_find(g):
 
 @given(connected_graphs(max_n=8, max_m=20))
 def test_distance_layers_agree(g):
-    dist = [[distance(g, u, v) for v in range(g.n)] for u in range(g.n)]
+    dist = distances_by_floyd(g)
     dia = max(max(row) for row in dist)
-    assert diameter(g) == dia
     assert eccentric_pairs(g) == [
         (u, v) for u in range(g.n) for v in range(u + 1, g.n) if dist[u][v] == dia
     ]
@@ -287,7 +286,7 @@ def test_subdivide_edge():
     k4e = SimpleGraph(4, ((0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
     h = subdivide_edge(k4e, k4e.edge_index(2, 3))
     assert (h.n, h.m) == (5, 6)
-    assert h.degree(4) == 2
+    assert degree(h, 4) == 2
 
 
 def test_skeleton_tree_and_bridgeless():
@@ -318,13 +317,14 @@ def test_skeleton_counts_on_randoms():
         assert len(vmap) == n and max(vmap) == sk.n - 1
 
 
-def test_distance_and_diameter():
-    assert diameter(k_n(5)) == 1
-    assert diameter(path_n(6)) == 5
-    assert diameter(balloon(9, 15)) == 5
-    g = SimpleGraph(4, ((0, 1), (2, 3)))
+def test_eccentric_pairs_small_cases():
+    assert eccentric_pairs(k_n(5)) == [(u, v) for u in range(5) for v in range(u + 1, 5)]
+    assert eccentric_pairs(path_n(6)) == [(0, 5)]
+    g = balloon(9, 15)
+    dist = distances_by_floyd(g)
+    assert {dist[u][v] for u, v in eccentric_pairs(g)} == {5}
     with pytest.raises(ValueError):
-        distance(g, 0, 2)
+        eccentric_pairs(SimpleGraph(4, ((0, 1), (2, 3))))
 
 
 def test_degrees():
@@ -338,7 +338,7 @@ def test_skeleton_two_terminal():
     sk = skeleton_two_terminal(g)
     assert sk.graph == skeleton(g.graph)[0]
     # the pendant-side projection has the skeleton's minimum degree (2)
-    degs = sorted(sk.graph.degree(v) for v in sk.terminals)
+    degs = sorted(degree(sk.graph, v) for v in sk.terminals)
     assert degs[0] == 2
     # bridgeless: identity
     tt = TwoTerminalGraph(k_n(4), 1, 3)
