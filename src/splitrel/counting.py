@@ -15,7 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .graphs import Edge, GuardError, SimpleGraph, TwoTerminalGraph, adjacency_masks
 
@@ -221,8 +221,6 @@ def two_tree_count(g: TwoTerminalGraph) -> int:
 # Monte Carlo estimator
 
 _MC_BLOCK = 65536
-_LANES = 2048  # trials per drawn chunk; eight chunks share one set of lane masks
-_DRAW_WORDS = 4096  # words per bulk draw; small draws keep the peak memory flat
 
 
 @dataclass(frozen=True)
@@ -231,13 +229,17 @@ class RandomSource:
 
     Backed by Python's Mersenne Twister (`random.Random`), whose seeded
     stream is stable across releases.  Trials are consumed in fixed blocks of
-    65536; block j draws from its own `random.Random((seed << 64) | j)`.
-    Within a block, trials draw one after another and each trial draws one
-    Bernoulli flag per edge, in edge order.  A flag with exact rational
-    probability a/b is one getrandbits(k) draw x, k the bit length of b - 1
-    (at least 1): for b <= 2^32 that is one 32-bit word's top k bits.  A draw
-    x >= b is rejected and redrawn, and the edge survives when x < a.  No
-    floating point enters the sampling.
+    65536; block j draws from its own `random.Random((seed << 64) | j)`, and
+    its T <= 65536 trials are the T lanes (bits) of big integers.  A survival
+    flag with exact rational probability a/b is a k-bit draw x per lane,
+    k = bit_length(b - 1), so k = 0 and nothing is drawn when b = 1 (p is 0
+    or 1).  Edge by edge, in edge order, the block draws k planes of T bits
+    with one getrandbits(T) call each, most significant bit of x first.  A
+    lane with x >= b is rejected, and while any lane of the edge is rejected
+    the edge draws k more planes for those lanes (b = 2^k never rejects).
+    The edge survives in a lane when its accepted x < a.  No floating point
+    enters the sampling.  Earlier versions drew one 32-bit word per flag, so
+    their seeded estimates differ from these.
     """
 
     seed: int
@@ -249,47 +251,6 @@ class RandomSource:
 
     def block_seed(self, block: int) -> int:
         return (int(self.seed) << 64) | block
-
-
-def _survival_flags(rng: random.Random, num: int, den: int) -> Callable[[int], bytes]:
-    """take(count) returns the next count survival flags of rng's stream, one
-    byte (0 or 1) per flag, in draw order.
-
-    For den <= 256 the draws are the top bytes of 32-bit words taken
-    _DRAW_WORDS at a time: getrandbits(32 * w) holds the w words that w
-    getrandbits(32) calls would return, the first in the lowest bits, so byte
-    4i + 3 of its little-endian bytes is word i's top byte.  One
-    `bytes.translate` drops the rejected draws and maps the others to flags.
-    Flags drawn past count are kept for the next call.
-    """
-    k = (den - 1).bit_length() if den > 1 else 1
-    if k > 8:
-        getrandbits = rng.getrandbits
-
-        def take(count: int) -> bytes:
-            out = bytearray()
-            while len(out) < count:
-                x = getrandbits(k)
-                if x < den:
-                    out.append(x < num)
-            return bytes(out)
-
-        return take
-
-    shift = 8 - k
-    table = bytes((b >> shift) < num for b in range(256))
-    rejected = bytes(b for b in range(256) if b >> shift >= den)
-    pending = b""
-
-    def take(count: int) -> bytes:
-        nonlocal pending
-        while len(pending) < count:
-            raw = rng.getrandbits(32 * _DRAW_WORDS).to_bytes(4 * _DRAW_WORDS, "little")
-            pending += raw[3::4].translate(table, rejected)
-        out, pending = pending[:count], pending[count:]
-        return out
-
-    return take
 
 
 def _split_lanes(
@@ -331,26 +292,44 @@ def _sample_block(
     block_seed: int,
     trials: int,
 ) -> int:
-    """Number of splits among the block's first `trials` trials.
+    """Number of splits among the block's first `trials` trials, each trial
+    one lane of the edge masks, drawn as `RandomSource` describes.
 
-    Trials are drawn in chunks of _LANES.  Each trial is one bit (lane) of
-    the edge masks: chunk c of a group of eight consecutive chunks puts its
-    trial i at bit 8i + c.
+    x < den and x < num are decided for all lanes at once, plane by plane:
+    `tie` holds the lanes whose x agrees with the bound on every plane so
+    far, and a lane drops below the bound at the first plane where the bound
+    has a 1 and x a 0.
     """
-    take = _survival_flags(random.Random(block_seed), num, den)
-    m = len(edges)
-    hits = 0
-    for group in range(0, trials, 8 * _LANES):
-        masks = [0] * m
-        lanes = 0
-        for c, start in enumerate(range(group, min(group + 8 * _LANES, trials), _LANES)):
-            count = min(_LANES, trials - start)
-            flags = take(count * m)
-            for e in range(m):
-                masks[e] |= int.from_bytes(flags[e::m], "little") << c
-            lanes |= int.from_bytes(b"\x01" * count, "little") << c
-        hits += _split_lanes(n, edges, s, t, masks, lanes)
-    return hits
+    getrandbits = random.Random(block_seed).getrandbits
+    k = (den - 1).bit_length()
+    lanes = (1 << trials) - 1
+    masks = []
+    for _ in edges:
+        alive = 0
+        pending = lanes
+        while pending:
+            # a bound of 2^k (den = 2^k, or num = den = 1) is above every x
+            tie_den = tie_num = pending
+            below_den = pending if den >> k else 0
+            below_num = pending if num >> k else 0
+            for bit in reversed(range(k)):
+                plane = getrandbits(trials)
+                hit = tie_den & plane
+                if den >> bit & 1:
+                    below_den |= tie_den ^ hit
+                    tie_den = hit
+                else:
+                    tie_den ^= hit
+                hit = tie_num & plane
+                if num >> bit & 1:
+                    below_num |= tie_num ^ hit
+                    tie_num = hit
+                else:
+                    tie_num ^= hit
+            alive |= below_num  # x < num <= den, so these lanes are accepted
+            pending ^= below_den
+        masks.append(alive)
+    return _split_lanes(n, edges, s, t, masks, lanes)
 
 
 def monte_carlo_sr(

@@ -186,21 +186,38 @@ def sample_block_by_union_find(
     block_seed: int,
     trials: int,
 ) -> int:
-    """Reference Monte Carlo block: one trial at a time, one getrandbits(k)
-    draw per edge in edge order (redrawn while >= den, surviving when < num),
-    and a union-find over the survivors; counts the trials that leave exactly
+    """Reference Monte Carlo block, one lane at a time: for each edge, rounds
+    of k = bit_length(den - 1) getrandbits(trials) planes (most significant
+    first) until every lane holds an x < den, each lane's x read off the
+    planes bit by bit, the edge surviving where x < num; then a union-find
+    per trial over its surviving edges.  Counts the trials that leave exactly
     two components with s and t apart."""
     getrandbits = random.Random(block_seed).getrandbits
-    k = (den - 1).bit_length() if den > 1 else 1
+    k = (den - 1).bit_length()
+    survives = []
+    for _ in edges:
+        alive = [False] * trials
+        pending = range(trials)
+        while pending:
+            # lane i is character i of each plane's binary digits, lowest first
+            planes = [format(getrandbits(trials), f"0{trials}b")[::-1] for _ in range(k)]
+            rejected = []
+            for lane in pending:
+                x = 0
+                for plane in planes:
+                    x = 2 * x + int(plane[lane])
+                if x >= den:
+                    rejected.append(lane)
+                else:
+                    alive[lane] = x < num
+            pending = rejected
+        survives.append(alive)
     hits = 0
-    for _ in range(trials):
+    for trial in range(trials):
         parent = list(range(n))
         merges = 0
-        for u, v in edges:
-            x = getrandbits(k)
-            while x >= den:
-                x = getrandbits(k)
-            if x >= num:
+        for (u, v), alive in zip(edges, survives):
+            if not alive[trial]:
                 continue
             while parent[u] != u:
                 parent[u] = parent[parent[u]]

@@ -22,8 +22,8 @@ from conftest import (
     relabel_two_terminal,
     sample_block_by_union_find,
 )
+from splitrel import counting
 from splitrel.counting import (
-    _LANES,
     RandomSource,
     _sample_block,
     classify_subsets,
@@ -254,10 +254,25 @@ def test_top_coefficient_counts_cut_edges():
         assert cut_edges <= len(bridges(g.graph))
 
 
-def test_monte_carlo_degenerate_probabilities():
-    g = TwoTerminalGraph(k_n(4), 0, 1)
-    assert monte_carlo_sr(g, 0, 500, RandomSource(1))[0] == 0.0
-    assert monte_carlo_sr(g, 1, 500, RandomSource(1))[0] == 0.0
+def test_monte_carlo_degenerate_probabilities(monkeypatch):
+    # p = 0 and p = 1 have denominator 1: no plane is drawn and every
+    # trial has the same subgraph, so the estimate is the exact value
+    generators = []
+    plain = random.Random
+
+    class Recording(plain):
+        def __init__(self, seed):
+            super().__init__(seed)
+            generators.append((seed, self))
+
+    monkeypatch.setattr(counting.random, "Random", Recording)
+    for g in (TwoTerminalGraph(k_n(4), 0, 1), TwoTerminalGraph(path_n(2), 0, 1)):
+        for p in (0, 1):
+            exact = evaluate(split_coefficients(g).counts, p)
+            assert monte_carlo_sr(g, p, 70000, RandomSource(1)) == (exact, 0.0)
+    assert len(generators) == 8  # two blocks per call
+    for seed, rng in generators:
+        assert rng.getstate() == plain(seed).getstate()
 
 
 def test_random_source_refuses_negative_seeds():
@@ -275,42 +290,72 @@ def test_monte_carlo_deterministic():
 
 
 def test_monte_carlo_stream_pinned():
-    # 100000 trials span two blocks; any change to the block seeds, the draw
+    # 100000 trials span two blocks; any change to the block seeds, the plane
     # order or the rejection rule moves this estimate
     g = two_terminal_balloon(8, 18)
     est, err = monte_carlo_sr(g, "1/2", 100000, RandomSource(7))
-    assert (est, err) == (0.43249, 0.001566660141511234)
+    assert (est, err) == (0.43651, 0.0015683399500746006)
 
 
-# 1000/2999 draws 12 bits per flag, past the bulk byte route
+# 1/4 and 3/8 have den = 2^k and never reject; 1000/2999 draws 12 planes
 MC_PROBABILITIES = [
     Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(3, 4),
-    Fraction(200, 251), Fraction(1000, 2999),
+    Fraction(1, 4), Fraction(3, 8), Fraction(200, 251), Fraction(1000, 2999),
 ]
 
 
 @given(
     two_terminal_graphs(),
     st.sampled_from(MC_PROBABILITIES),
-    st.integers(0, 9),
-    st.integers(1, _LANES - 1),
+    st.integers(1, 3000),
     st.integers(0, 2**70),
 )
-def test_lane_sampler_matches_union_find(g, p, chunks, extra, seed):
-    trials = chunks * _LANES + extra
+def test_lane_sampler_matches_union_find(g, p, trials, seed):
     args = (g.graph.n, g.graph.edges, g.s, g.t, p.numerator, p.denominator, seed, trials)
     assert _sample_block(*args) == sample_block_by_union_find(*args)
 
 
-def test_lane_sampler_matches_union_find_past_a_group():
-    # denser graphs than the property draws, one trial count past eight chunks
+def test_lane_sampler_matches_union_find_on_dense_graphs():
+    # denser graphs than the property draws, at trial counts that are not
+    # multiples of 32 or of a machine word
     rng = random.Random(10)
-    for n, m in ((6, 9), (7, 14)):
+    for (n, m), trials in (((6, 9), 4099), ((7, 14), 1000)):
         g = random_two_terminal(rng, n, m)
         for p in MC_PROBABILITIES:
             seed = rng.getrandbits(70)
-            args = (n, g.graph.edges, g.s, g.t, p.numerator, p.denominator, seed, 8 * _LANES + 3)
+            args = (n, g.graph.edges, g.s, g.t, p.numerator, p.denominator, seed, trials)
             assert _sample_block(*args) == sample_block_by_union_find(*args), (n, m, p)
+
+
+def test_monte_carlo_spans_blocks_like_union_find():
+    # block 1 starts a fresh stream from its own seed
+    g = TwoTerminalGraph(k_n(3), 0, 1)
+    trials = 65536 + 37
+    source = RandomSource(9)
+    hits = sum(
+        sample_block_by_union_find(3, g.graph.edges, 0, 1, 1, 3, source.block_seed(b), size)
+        for b, size in ((0, 65536), (1, 37))
+    )
+    assert monte_carlo_sr(g, "1/3", trials, source)[0] == hits / trials
+
+
+def test_lane_survival_counts_near_p(monkeypatch):
+    # every edge's survivals over one full block, against a binomial count
+    masks = []
+
+    def recording(n, edges, s, t, alive, lanes):
+        masks.extend(alive)
+        return split_lanes(n, edges, s, t, alive, lanes)
+
+    split_lanes = counting._split_lanes
+    monkeypatch.setattr(counting, "_split_lanes", recording)
+    g = two_terminal_balloon(8, 18)
+    p = Fraction(1000, 2999)
+    monte_carlo_sr(g, p, 65536, RandomSource(3))
+    assert len(masks) == g.graph.m
+    sigma = (65536 * p * (1 - p)) ** 0.5
+    for alive in masks:
+        assert abs(alive.bit_count() - 65536 * p) <= 5 * sigma
 
 
 def test_monte_carlo_close_to_exact():
