@@ -1,6 +1,7 @@
 """Signatures: count vectors as polynomials, evaluation, the near-0 and near-1
 tuple orders, exact dominance of count vectors on the unit interval."""
 
+import hashlib
 import random
 from fractions import Fraction
 from math import comb
@@ -201,6 +202,49 @@ def _convolve(xs, ys):
         for j, y in enumerate(ys):
             out[i + j] += x * y
     return out
+
+
+def _sturm_pin_vectors():
+    """Seeded difference vectors for the Sturm path: random count vectors with
+    zero end counts, vectors of +-prod (q x - k) with squared factors and x or
+    (1 - x) factors, the all-zero vector and the pinned double-root case."""
+    rng = random.Random(2121)
+    out = []
+    for _ in range(1000):
+        d = [rng.randint(-20, 20) for _ in range(rng.randint(2, 13))]
+        if rng.random() < 0.3:
+            d[0] = 0
+        if rng.random() < 0.3:
+            d[-1] = 0
+        out.append(d)
+    for _ in range(1000):
+        c = [rng.choice((-1, 1))]  # power basis, lowest degree first
+        for _ in range(rng.randint(1, 4)):
+            q = rng.randint(2, 12)
+            factor = [-rng.randint(1, q - 1), q]
+            c = _convolve(c, factor)
+            if rng.random() < 0.5:
+                c = _convolve(c, factor)
+        if rng.random() < 0.3:
+            c = _convolve(c, [0, 1])
+        if rng.random() < 0.3:
+            c = _convolve(c, [1, -1])
+        # x^j = sum_i C(m - j, i - j) x^i (1 - x)^(m - i), so
+        # d_i = C(m, i) sum_j c_j C(i, j) / C(m, j) in integers
+        m = len(c) - 1 + rng.randint(0, 2)
+        out.append([sum(cj * comb(m - j, i - j) for j, cj in enumerate(c[: i + 1])) for i in range(m + 1)])
+    return out + [[0, 0, 0, 0], [-32, 144, -162]]
+
+
+def test_sturm_dominance_pinned():
+    # the complete path alone, on vectors with repeated interior roots and
+    # roots at 0 and 1; the digest was computed before the path was rewritten
+    verdicts = [_sturm_dominance(d) for d in _sturm_pin_vectors()]
+    assert len(verdicts) == 2002
+    pairs = [(v.dominates, str(v.witness)) for v in verdicts]
+    assert pairs[-2:] == [(True, "None"), (False, "13/49")]
+    digest = hashlib.sha256(repr(pairs).encode()).hexdigest()
+    assert digest == "b4aadd4250ec789f25540927a8686e0d572a1e07f49530fdcf8e4b1def13d1b8"
 
 
 @st.composite
