@@ -17,7 +17,7 @@ from .graphs import (
     TwoTerminalGraph,
     adjacency_masks,
     contract_edge,
-    eccentric_pairs,
+    farthest_vertices,
     skeleton_two_terminal,
     subdivide_edge,
 )
@@ -84,13 +84,21 @@ def balloon(n: int, m: int) -> SimpleGraph:
 
 
 def two_terminal_balloon(n: int, m: int) -> TwoTerminalGraph:
-    """The balloon equipped with a diametral terminal pair.
+    """The balloon equipped with its lowest diametral terminal pair.
 
     All diametral pairs give isomorphic two-terminal graphs, so the lowest
     pair is taken; no canonical search runs and serialization is fixed.
+    Below K_n every diametral pair contains vertex n - 1: with bridges, the
+    core's diameter is at most 2 and the path tip n - 1 is at least as far
+    (when b = 1 and the diameter is 2 the core is complete); without bridges,
+    n - 1 is the only vertex with a non-neighbour.  So the lowest pair is the
+    least vertex farthest from n - 1, with n - 1, from one search; K_n keeps
+    (0, 1).
     """
     g = balloon(n, m)
-    return TwoTerminalGraph(g, *eccentric_pairs(g)[0])
+    if m == comb(n, 2):
+        return TwoTerminalGraph(g, 0, 1)
+    return TwoTerminalGraph(g, farthest_vertices(g, n - 1)[0], n - 1)
 
 
 def max_bridges(n: int, m: int) -> int:

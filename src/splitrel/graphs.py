@@ -1,13 +1,13 @@
 """Simple graphs with an optional terminal pair, and the structural primitives
 everything else is built on: bridges, edge connectivity, contraction,
-subdivision, skeletons, eccentric pairs.
+subdivision, skeletons, farthest vertices.
 
 Vertices are 0..n-1.  Edges are unordered pairs stored as (u, v) with u < v,
 sorted lexicographically; edge *indices* into that list are the stable handles
 used by subset operations.  All values are immutable and all functions are
 pure, so everything here is safe to share across workers.
 
-Connectivity, components, bridges, skeletons and eccentric pairs all run on
+Connectivity, components, bridges, skeletons and farthest vertices all run on
 one representation, a neighbour bitmask per vertex (`adjacency_masks`), and
 one breadth-first closure over it.
 """
@@ -328,20 +328,13 @@ def skeleton_two_terminal(g: TwoTerminalGraph) -> TwoTerminalGraph:
     return TwoTerminalGraph(skel, vmap[g.s], vmap[g.t])
 
 
-def eccentric_pairs(g: SimpleGraph) -> list[tuple[int, int]]:
-    """All vertex pairs (u < v) at distance exactly the diameter of g, in one
-    BFS per vertex; raises ValueError on a disconnected g."""
-    adj = adjacency_masks(g.n, g.edges)
-    best, pairs = 0, []
-    for u in range(g.n):
-        layers = _bfs_layers(adj, 1 << u)
-        if sum(layers) != (1 << g.n) - 1:
-            raise ValueError("eccentric pairs require a connected graph")
-        if len(layers) - 1 > best:
-            best, pairs = len(layers) - 1, []
-        if len(layers) - 1 == best:
-            pairs += [(u, v) for v in _bits(layers[-1] >> (u + 1) << (u + 1))]
-    return pairs
+def farthest_vertices(g: SimpleGraph, v: int) -> list[int]:
+    """The vertices at the largest distance from v, ascending, from one
+    breadth-first search; raises ValueError on a disconnected g."""
+    layers = _bfs_layers(adjacency_masks(g.n, g.edges), 1 << v)
+    if sum(layers) != (1 << g.n) - 1:
+        raise ValueError("farthest vertices require a connected graph")
+    return _bits(layers[-1])
 
 
 # ---------------------------------------------------------------------------

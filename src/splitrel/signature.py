@@ -94,14 +94,16 @@ def _pseudo_rem(f: list[int], g: list[int]) -> tuple[list[int], int]:
 
 
 def _sturm_chain(f: list[int]) -> list[list[int]]:
-    """Sturm chain of a squarefree integer polynomial.
+    """Sturm chain of an integer polynomial f of degree >= 1: f, f' and the
+    negated pseudo-remainders, down to gcd(f, f').  At a point where f does
+    not vanish, its sign variations count the distinct real roots of f.
 
     Each element is a positive rational multiple of the textbook chain entry,
     which leaves all sign variations intact; the lc^steps scaling introduced
     by pseudo-division is compensated by its sign.
     """
     chain = [_iprimitive(f), _iprimitive(_ideriv(f))]
-    while chain[-1] and _ideg(chain[-1]) > 0:
+    while _ideg(chain[-1]) > 0:
         rem, steps = _pseudo_rem(chain[-2], chain[-1])
         if not rem:
             break
@@ -109,7 +111,7 @@ def _sturm_chain(f: list[int]) -> list[list[int]]:
         sign = 1 if (lc > 0 or steps % 2 == 0) else -1
         nxt = [-c * sign for c in rem]
         chain.append(_iprimitive(nxt))
-    return [c for c in chain if c]
+    return chain
 
 
 def _sign_at(p: list[int], x: Fraction) -> int:
@@ -135,9 +137,9 @@ def _count_roots(chain: list[list[int]], a: Fraction, b: Fraction) -> int:
     return va - vb
 
 
-def _nonroot_split(f: list[int], a: Fraction, b: Fraction) -> Fraction:
-    """A point strictly inside (a, b) where f does not vanish."""
-    d = len(f)  # more candidates than f has roots
+def _nonroot_split(f: list[int], d: int, a: Fraction, b: Fraction) -> Fraction:
+    """A point strictly inside (a, b) where f does not vanish, when f has
+    fewer than d distinct roots."""
     for k in range(1, 2 * d + 3):
         x = a + (b - a) * Fraction(k, 2 * d + 3)
         if _sign_at(f, x) != 0:
@@ -145,29 +147,24 @@ def _nonroot_split(f: list[int], a: Fraction, b: Fraction) -> Fraction:
     raise AssertionError("no non-root split point found")
 
 
-def _isolate(
-    f: list[int], chain: list[list[int]], a: Fraction, b: Fraction, count: int
-) -> list[tuple[Fraction, Fraction]]:
-    if count == 0:
-        return []
-    if count == 1:
-        return [(a, b)]
-    mid = _nonroot_split(f, a, b)
-    left = _count_roots(chain, a, mid)
-    return _isolate(f, chain, a, mid, left) + _isolate(f, chain, mid, b, count - left)
+def _isolate(f: list[int], chain: list[list[int]], count: int) -> list[tuple[Fraction, Fraction]]:
+    """Ascending intervals inside (0, 1) that each hold one of its `count`
+    distinct roots of f and end neither at 0 nor at 1.
 
-
-def _refine_interior(
-    f: list[int], chain: list[list[int]], lo: Fraction, hi: Fraction, away_from: Fraction
-) -> tuple[Fraction, Fraction]:
-    """Shrink an isolating interval until `away_from` is no longer an endpoint."""
-    while lo == away_from or hi == away_from:
-        mid = _nonroot_split(f, lo, hi)
-        if _count_roots(chain, lo, mid) == 1:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
+    The splits run from a work list, not by recursion: a root near 1 can take
+    thousands of splits to keep its interval off 1."""
+    # chain[-1] is gcd(f, f'): f has len(f) - len(chain[-1]) distinct complex roots
+    d = len(f) - len(chain[-1]) + 1
+    out, todo = [], [(Fraction(0), Fraction(1), count)]
+    while todo:
+        a, b, count = todo.pop()
+        if count == 1 and a != 0 and b != 1:
+            out.append((a, b))
+        elif count:
+            mid = _nonroot_split(f, d, a, b)
+            left = _count_roots(chain, a, mid)
+            todo += [(mid, b, count - left), (a, mid, left)]
+    return out
 
 
 def _power_basis(d: Sequence[int]) -> list[int]:
@@ -181,52 +178,6 @@ def _power_basis(d: Sequence[int]) -> list[int]:
             for k in range(rest + 1):
                 out[i + k] += c * comb(rest, k) * (-1) ** k
     return _istrip(out)
-
-
-def _exact_div(f: list[int], g: list[int]) -> list[int]:
-    """f / g for integer polynomials whose quotient is integral."""
-    f = f[:]
-    q = [0] * (len(f) - len(g) + 1)
-    for shift in reversed(range(len(q))):
-        c, r = divmod(f[shift + _ideg(g)], g[-1])
-        if r:
-            raise AssertionError("gcd does not divide the polynomial")
-        q[shift] = c
-        for i, gc in enumerate(g):
-            f[i + shift] -= c * gc
-    if any(f):
-        raise AssertionError("gcd does not divide the polynomial")
-    return q
-
-
-def _squarefree(e: list[int]) -> list[int]:
-    """Integer squarefree part (same root set, multiplicity one): f / gcd(f, f')
-    with the gcd from a primitive pseudo-remainder sequence.  The gcd is
-    primitive, so by Gauss's lemma the quotient is integral."""
-    f = _iprimitive(e)
-    a, b = f, _iprimitive(_ideriv(f))
-    while b:
-        a, b = b, _iprimitive(_pseudo_rem(a, b)[0])
-    if _ideg(a) < 1:
-        return f
-    return _iprimitive(_exact_div(f, a))
-
-
-def _deflate_endpoints(e: list[int]) -> list[int]:
-    """Divide out all roots at 0 and 1; sign on (0,1) is unchanged."""
-    e = list(e)
-    while e and e[0] == 0:
-        e.pop(0)
-    while e and sum(e) == 0:
-        # synthetic division by (x - 1), then flip sign for the (1 - x) factor
-        out = []
-        acc = 0
-        for c in reversed(e):
-            acc += c
-            out.append(acc)
-        out.pop()  # remainder (zero)
-        e = [-c for c in reversed(out)]
-    return e
 
 
 # Refutation points k/q, in the order their witnesses are reported.
@@ -285,30 +236,26 @@ def dominates_on_unit_interval(a: Sequence[int], b: Sequence[int]) -> DominanceV
 def _sturm_dominance(d: Sequence[int]) -> DominanceVerdict:
     """Complete decision of SR_d(p) >= 0 on [0, 1] for an integer difference
     vector d: Sturm isolation of the real roots in (0, 1) of its power-basis
-    expansion, with exact sign evaluations between consecutive roots."""
-    e = _deflate_endpoints(_power_basis(d))
+    expansion, with exact sign evaluations between consecutive roots.
+
+    A zero first or last count is a factor p or (1 - p), positive on (0, 1),
+    so the zero end counts are stripped first and e has no root at 0 or 1."""
+    nonzero = [i for i, c in enumerate(d) if c]
+    e = _power_basis(d[nonzero[0] : nonzero[-1] + 1]) if nonzero else []
     if _ideg(e) <= 0:
         if not e or e[0] >= 0:
             return DominanceVerdict(True, None)
         return DominanceVerdict(False, Fraction(1, 2))
-    f = _squarefree(e)
-    chain = _sturm_chain(f)
-    zero, one = Fraction(0), Fraction(1)
-    total = _count_roots(chain, zero, one)
-    intervals = _isolate(f, chain, zero, one, total)
-    refined = []
-    for lo, hi in intervals:
-        lo, hi = _refine_interior(f, chain, lo, hi, zero)
-        lo, hi = _refine_interior(f, chain, lo, hi, one)
-        refined.append((lo, hi))
+    chain = _sturm_chain(e)
+    intervals = _isolate(e, chain, _count_roots(chain, Fraction(0), Fraction(1)))
     samples: list[Fraction] = []
-    if not refined:
+    if not intervals:
         samples.append(Fraction(1, 2))
     else:
-        samples.append(refined[0][0])
-        for (_, hi), (lo2, _) in zip(refined, refined[1:]):
+        samples.append(intervals[0][0])
+        for (_, hi), (lo2, _) in zip(intervals, intervals[1:]):
             samples.append(hi if hi == lo2 else (hi + lo2) / 2)
-        samples.append(refined[-1][1])
+        samples.append(intervals[-1][1])
     for x in samples:
         if _sign_at(e, x) < 0:
             return DominanceVerdict(False, x)

@@ -26,6 +26,8 @@ from splitrel.graphs import (
     Edge,
     SimpleGraph,
     TwoTerminalGraph,
+    _bfs_layers,
+    _bits,
     adjacency_masks,
     bridges,
     components,
@@ -88,6 +90,23 @@ def distances_by_floyd(g: SimpleGraph) -> list[list[float]]:
                 if dist[u][k] + dist[k][v] < dist[u][v]:
                     dist[u][v] = dist[u][k] + dist[k][v]
     return dist
+
+
+def eccentric_pairs(g: SimpleGraph) -> list[tuple[int, int]]:
+    """Reference diametral pairs: all vertex pairs (u < v) at distance exactly
+    the diameter of g, in one BFS per vertex; raises ValueError on a
+    disconnected g."""
+    adj = adjacency_masks(g.n, g.edges)
+    best, pairs = 0, []
+    for u in range(g.n):
+        layers = _bfs_layers(adj, 1 << u)
+        if sum(layers) != (1 << g.n) - 1:
+            raise ValueError("eccentric pairs require a connected graph")
+        if len(layers) - 1 > best:
+            best, pairs = len(layers) - 1, []
+        if len(layers) - 1 == best:
+            pairs += [(u, v) for v in _bits(layers[-1] >> (u + 1) << (u + 1))]
+    return pairs
 
 
 def refine_by_filter(signatures: Sequence[CoefficientVector]) -> list[list[int]]:

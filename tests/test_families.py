@@ -12,11 +12,12 @@ from conftest import (
     balloon_by_recursion,
     degree,
     distances_by_floyd,
+    eccentric_pairs,
     k_n,
     min_degree,
     variant_all_choices,
 )
-from splitrel import canon
+from splitrel import canon, graphs
 from splitrel.checks import _perturbation_chain
 from splitrel.counting import spanning_tree_count, split_coefficients
 from splitrel.families import (
@@ -44,7 +45,6 @@ from splitrel.graphs import (
     SimpleGraph,
     TwoTerminalGraph,
     bridges,
-    eccentric_pairs,
     edge_connectivity,
     is_connected,
     skeleton,
@@ -92,12 +92,13 @@ def test_balloon_matches_recursive_construction():
 
 def test_two_terminal_balloon_diametral():
     # every diametral pair gives one two-terminal class, so the lowest is taken
-    for n in range(4, 10):
+    for n in range(4, 25):
         for m in range(n, comb(n, 2) + 1):
             g = balloon(n, m)
             pairs = eccentric_pairs(g)
-            keys = {canon.canonical_form(TwoTerminalGraph(g, u, v)) for u, v in pairs}
-            assert len(keys) == 1, (n, m)
+            if n < 10:
+                keys = {canon.canonical_form(TwoTerminalGraph(g, u, v)) for u, v in pairs}
+                assert len(keys) == 1, (n, m)
             assert two_terminal_balloon(n, m) == TwoTerminalGraph(g, *pairs[0]), (n, m)
     g = two_terminal_balloon(9, 15)
     dist = distances_by_floyd(g.graph)
@@ -106,6 +107,21 @@ def test_two_terminal_balloon_diametral():
     assert distances_by_floyd(g44.graph)[g44.s][g44.t] == 2
     g612 = two_terminal_balloon(6, 12)
     assert distances_by_floyd(g612.graph)[g612.s][g612.t] == 2  # so not adjacent
+
+
+def test_two_terminal_balloon_runs_one_search(monkeypatch):
+    # the terminals come from one breadth-first search from the path tip
+    calls = []
+    original = graphs._bfs_layers
+
+    def counting(adj, sources):
+        calls.append(sources)
+        return original(adj, sources)
+
+    monkeypatch.setattr(graphs, "_bfs_layers", counting)
+    g = two_terminal_balloon(1500, 1600)
+    assert calls == [1 << 1499]
+    assert g.t == 1499
 
 
 def test_two_terminal_balloon_deterministic():

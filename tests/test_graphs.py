@@ -13,6 +13,7 @@ from conftest import (
     cycle_n,
     degree,
     distances_by_floyd,
+    eccentric_pairs,
     is_split_subgraph,
     k_n,
     min_degree,
@@ -31,8 +32,8 @@ from splitrel.graphs import (
     contract_edge,
     count_min_separators,
     dumps,
-    eccentric_pairs,
     edge_connectivity,
+    farthest_vertices,
     is_connected,
     loads,
     skeleton,
@@ -131,6 +132,8 @@ def test_distance_layers_agree(g):
     assert eccentric_pairs(g) == [
         (u, v) for u in range(g.n) for v in range(u + 1, g.n) if dist[u][v] == dia
     ]
+    for v in range(g.n):
+        assert farthest_vertices(g, v) == [u for u in range(g.n) if dist[v][u] == max(dist[v])]
 
 
 def test_components_full_cycle():
@@ -325,6 +328,15 @@ def test_eccentric_pairs_small_cases():
     assert {dist[u][v] for u, v in eccentric_pairs(g)} == {5}
     with pytest.raises(ValueError):
         eccentric_pairs(SimpleGraph(4, ((0, 1), (2, 3))))
+
+
+def test_farthest_vertices_small_cases():
+    assert farthest_vertices(k_n(5), 2) == [0, 1, 3, 4]
+    assert farthest_vertices(path_n(6), 2) == [5]
+    assert farthest_vertices(balloon(9, 15), 8) == [2, 3, 4]  # distance 5
+    assert farthest_vertices(SimpleGraph(1, ()), 0) == [0]
+    with pytest.raises(ValueError):
+        farthest_vertices(SimpleGraph(4, ((0, 1), (2, 3))), 0)
 
 
 def test_degrees():

@@ -188,10 +188,20 @@ def test_dominance_touching_interior_root(monkeypatch):
     assert len(calls) == 1  # no presample refutes it, no certificate holds
     v = dominates_on_unit_interval(zero, touch)
     assert not v.dominates
-    # -2(4 - 13x)^2: the Sturm path isolates the double root of the squarefree
-    # part, and its crossing witness is pinned
+    # -2(4 - 13x)^2: the Sturm path isolates the double root on the chain of
+    # the expansion itself, and its crossing witness is pinned
     v = sturm_only((-32, 144, -162), zero)
     assert (v.dominates, v.witness) == (False, Fraction(13, 49))
+
+
+def test_sturm_isolates_a_root_near_one():
+    # the root lies within 10^-100 of 1, so keeping its isolating interval off
+    # 1 takes about 1,500 splits
+    d = [10**100, -1]
+    v = _sturm_dominance(d)
+    assert not v.dominates
+    assert 1 - Fraction(1, 10**99) < v.witness < 1
+    assert sr_value(d, v.witness) < 0
 
 
 def _convolve(xs, ys):
