@@ -45,7 +45,7 @@ from .families import (
     min_edge_connectivity,
     perturbation_kind,
     printed_max_bridges,
-    composed_split_counts,
+    sr_composition,
     threshold_graph,
     two_terminal_balloon,
     variant_with_context,
@@ -432,8 +432,7 @@ def check_composition(max_n: int = 8) -> Report:
     checked = 0
     for n, m in _classes(max_n, in_I1):
         checked += 1
-        g = two_terminal_balloon(n, m)
-        if composed_split_counts(g) != split_coefficients(g).counts:
+        if sr_composition(n, m) != split_coefficients(two_terminal_balloon(n, m)).counts:
             failures.append({"n": n, "m": m})
     return Report(
         "composition", "fail" if failures else "pass", {"failures": failures, "checked": checked}

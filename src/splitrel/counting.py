@@ -2,7 +2,8 @@
 recurrence over vertex subsets, spanning-tree and two-disjoint-trees counts
 as integer-exact Laplacian minors (one pivot-free determinant each, since a
 Laplacian minor is positive semidefinite; independent of the recurrence), and
-a seed-stable Monte Carlo estimator.
+a seed-stable Monte Carlo estimator.  It compares uniform bits with p's binary
+expansion (no rejection); dyadic p keep the rejection sampler's seeded stream.
 
 Everything on the exact side is integer/rational arithmetic only.  The
 coefficient vectors have one route, guarded to n <= 16; the tests check it
@@ -231,15 +232,19 @@ class RandomSource:
     stream is stable across releases.  Trials are consumed in fixed blocks of
     65536; block j draws from its own `random.Random((seed << 64) | j)`, and
     its T <= 65536 trials are the T lanes (bits) of big integers.  A survival
-    flag with exact rational probability a/b is a k-bit draw x per lane,
-    k = bit_length(b - 1), so k = 0 and nothing is drawn when b = 1 (p is 0
-    or 1).  Edge by edge, in edge order, the block draws k planes of T bits
-    with one getrandbits(T) call each, most significant bit of x first.  A
-    lane with x >= b is rejected, and while any lane of the edge is rejected
-    the edge draws k more planes for those lanes (b = 2^k never rejects).
-    The edge survives in a lane when its accepted x < a.  No floating point
-    enters the sampling.  Earlier versions drew one 32-bit word per flag, so
-    their seeded estimates differ from these.
+    flag with exact rational probability p = a/b compares a uniform U in
+    [0, 1) with p: lane i reads bit i of successive getrandbits(T) planes as
+    U's binary digits, most significant first, and the edge survives in lane
+    i iff U < p.  Edge by edge, in edge order, the block draws one plane per
+    digit of p's binary expansion (long division of a by b) until no lane
+    still equals p or the expansion ends; a lane equal to p where it ends has
+    U >= p.  So p = 0 and p = 1 draw nothing, and a dyadic p = a/2^k draws k
+    planes unless every lane leaves the tie sooner, which a block of T lanes
+    does with probability (1 - 2^(1-k))^T per edge.  No floating point enters
+    the sampling.  Earlier versions drew one 32-bit word per flag; later ones
+    drew a k-bit x < b per lane by rejection, k planes per round, which at a
+    dyadic p gives these planes and flags whenever some lane stays tied to
+    the last digit.  Seeded estimates at other p differ from both.
     """
 
     seed: int
@@ -295,40 +300,26 @@ def _sample_block(
     """Number of splits among the block's first `trials` trials, each trial
     one lane of the edge masks, drawn as `RandomSource` describes.
 
-    x < den and x < num are decided for all lanes at once, plane by plane:
-    `tie` holds the lanes whose x agrees with the bound on every plane so
-    far, and a lane drops below the bound at the first plane where the bound
-    has a 1 and x a 0.
+    U < p is decided for all lanes at once, digit by digit: `tie` holds the
+    lanes whose digits so far equal p's, and a tied lane drops below p at
+    the first 1-digit of p where its own digit is 0.
     """
     getrandbits = random.Random(block_seed).getrandbits
-    k = (den - 1).bit_length()
     lanes = (1 << trials) - 1
     masks = []
     for _ in edges:
-        alive = 0
-        pending = lanes
-        while pending:
-            # a bound of 2^k (den = 2^k, or num = den = 1) is above every x
-            tie_den = tie_num = pending
-            below_den = pending if den >> k else 0
-            below_num = pending if num >> k else 0
-            for bit in reversed(range(k)):
-                plane = getrandbits(trials)
-                hit = tie_den & plane
-                if den >> bit & 1:
-                    below_den |= tie_den ^ hit
-                    tie_den = hit
-                else:
-                    tie_den ^= hit
-                hit = tie_num & plane
-                if num >> bit & 1:
-                    below_num |= tie_num ^ hit
-                    tie_num = hit
-                else:
-                    tie_num ^= hit
-            alive |= below_num  # x < num <= den, so these lanes are accepted
-            pending ^= below_den
-        masks.append(alive)
+        # every U < 1, so p = 1 leaves no lane tied and draws nothing
+        alive, tie, rest = (lanes, 0, 0) if num == den else (0, lanes, num)
+        while tie and rest:
+            plane = getrandbits(trials)
+            rest <<= 1
+            if rest >= den:  # p's next digit is 1
+                rest -= den
+                alive |= tie & ~plane
+                tie &= plane
+            else:
+                tie &= ~plane
+        masks.append(alive)  # lanes still tied have U >= p
     return _split_lanes(n, edges, s, t, masks, lanes)
 
 

@@ -30,7 +30,7 @@ def in_I(n: int, m: int) -> bool:
 
 def in_I0(n: int, m: int) -> bool:
     """Dense part: C(n-1,2)+2 <= m <= C(n,2) (bridgeless balloons)."""
-    return n >= 4 and comb(n - 1, 2) + 2 <= m <= comb(n, 2)
+    return n >= 4 and in_dense_extended(n, m)
 
 
 def in_I1(n: int, m: int) -> bool:
@@ -350,26 +350,20 @@ def closed_form_F_values(n: int, m: int) -> tuple[int, ...]:
     return tuple(values)
 
 
-def composed_split_counts(g: TwoTerminalGraph) -> tuple[int, ...]:
-    """Split count vector of a two-terminal graph whose b bridges all part
-    its terminals (the balloon's path), from its skeleton: SR(p) =
+def sr_composition(n: int, m: int) -> tuple[int, ...]:
+    """Split count vector of the two-terminal balloon assembled from its
+    skeleton.  The balloon's b bridges all part its terminals, so SR(p) =
     b(1-p)p^(b-1) R'(p) + p^b SR'(p) with R' and SR' the skeleton's
-    connectedness and split polynomials, so N_i = b*C_{i-b+1} + S'_{i-b}
+    connectedness and split polynomials, and N_i = b*C_{i-b+1} + S'_{i-b}
     with C and S' the skeleton's connected and split counts."""
-    skel = skeleton_two_terminal(g)
+    if not in_I1(n, m):
+        raise ValueError(f"({n},{m}) is bridgeless; compute the polynomial directly")
+    skel = skeleton_two_terminal(two_terminal_balloon(n, m))
     cls = classify_subsets(skel.graph)
-    b = g.graph.n - skel.graph.n
-    counts = [0] * (g.graph.m + 1)
+    b = n - skel.graph.n
+    counts = [0] * (m + 1)
     for j, c in enumerate(cls.connected):
         counts[j + b - 1] += b * c
     for j, s in enumerate(cls.split_counts(skel.s, skel.t)):
         counts[j + b] += s
     return tuple(counts)
-
-
-def sr_composition(n: int, m: int) -> tuple[int, ...]:
-    """Split count vector of the two-terminal balloon assembled from its
-    skeleton (see `composed_split_counts`)."""
-    if not in_I1(n, m):
-        raise ValueError(f"({n},{m}) is bridgeless; compute the polynomial directly")
-    return composed_split_counts(two_terminal_balloon(n, m))

@@ -205,31 +205,32 @@ def sample_block_by_union_find(
     block_seed: int,
     trials: int,
 ) -> int:
-    """Reference Monte Carlo block, one lane at a time: for each edge, rounds
-    of k = bit_length(den - 1) getrandbits(trials) planes (most significant
-    first) until every lane holds an x < den, each lane's x read off the
-    planes bit by bit, the edge surviving where x < num; then a union-find
-    per trial over its surviving edges.  Counts the trials that leave exactly
-    two components with s and t apart."""
+    """Reference Monte Carlo block, one lane at a time: lane i reads bit i of
+    successive getrandbits(trials) planes as the binary digits of a uniform
+    U, most significant first, and compares them digit by digit with those
+    of p = num/den from long division; the edge survives in the lane iff
+    U < p (always for p = 1), and a lane that equals p where the expansion
+    ends fails.  A plane is drawn the first time some lane needs its digit.
+    Then a union-find per trial over its surviving edges.  Counts the trials
+    that leave exactly two components with s and t apart."""
     getrandbits = random.Random(block_seed).getrandbits
-    k = (den - 1).bit_length()
     survives = []
     for _ in edges:
-        alive = [False] * trials
-        pending = range(trials)
-        while pending:
-            # lane i is character i of each plane's binary digits, lowest first
-            planes = [format(getrandbits(trials), f"0{trials}b")[::-1] for _ in range(k)]
-            rejected = []
-            for lane in pending:
-                x = 0
-                for plane in planes:
-                    x = 2 * x + int(plane[lane])
-                if x >= den:
-                    rejected.append(lane)
-                else:
-                    alive[lane] = x < num
-            pending = rejected
+        planes = []  # lane i is character i of each plane's binary digits, lowest first
+        alive = []
+        for lane in range(trials):
+            below = num == den
+            rest, j = (0 if below else num), 0
+            while rest:
+                if j == len(planes):
+                    planes.append(format(getrandbits(trials), f"0{trials}b")[::-1])
+                digit, rest = divmod(2 * rest, den)
+                bit = int(planes[j][lane])
+                j += 1
+                if bit != digit:
+                    below = bit < digit
+                    break
+            alive.append(below)
         survives.append(alive)
     hits = 0
     for trial in range(trials):

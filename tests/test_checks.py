@@ -127,14 +127,16 @@ def test_perturbation_chain_builds_each_graph_once(monkeypatch):
 
 def test_claim_checks_build_each_piece_once(monkeypatch):
     # prop2's chain takes G's skeleton from the variant's context and H's
-    # bridge count from H's skeleton; the composition checks build each
-    # class's balloon, and read its profile, once
+    # bridge count from H's skeleton; the composition check builds each
+    # class's balloon twice, once inside sr_composition(n, m) and once for
+    # the direct count, and the closed forms read each profile once
     skeletons = _count_calls(monkeypatch, "skeleton")
     bridge_passes = _count_calls(monkeypatch, "bridges")
     assert check_prop2(9, 15).status == "pass"
     assert (len(skeletons), len(bridge_passes)) == (2, 2)
     builds = _count_calls(monkeypatch, "two_terminal_balloon")
-    assert check_composition(8).details["checked"] == len(builds) == 35
+    assert check_composition(8).details["checked"] == 35
+    assert len(builds) == 70
     profiles = _count_calls(monkeypatch, "balloon_profile")
     assert check_closed_forms(8).status == "pass"
     assert len(profiles) == 35

@@ -316,7 +316,7 @@ def test_mc_estimate_deterministic(capsys, k3_file):
     assert code == 0
     _, out2 = run(capsys, "mc-estimate", k3_file, "1/2", "--trials", "30000", "--seed", "5")
     assert out1 == out2
-    # the exact output pins the random stream: block seeds, plane order, rejection
+    # the exact output pins the random stream: block seeds, plane order, digit rule
     assert out1 == (
         '{"p": "1/2", "trials": 30000, "seed": 5, '
         '"estimate": 0.24753333333333333, "std_error": 0.002491723514773273}\n'

@@ -291,17 +291,38 @@ def test_monte_carlo_deterministic():
 
 def test_monte_carlo_stream_pinned():
     # 100000 trials span two blocks; any change to the block seeds, the plane
-    # order or the rejection rule moves this estimate
+    # order or the comparison with p's digits moves this estimate
     g = two_terminal_balloon(8, 18)
     est, err = monte_carlo_sr(g, "1/2", 100000, RandomSource(7))
     assert (est, err) == (0.43651, 0.0015683399500746006)
 
 
-# 1/4 and 3/8 have den = 2^k and never reject; 1000/2999 draws 12 planes
+# 1/4 and 3/8 have finite binary expansions (at most 2 and 3 planes per
+# edge); 1/3 and 1000/2999 have infinite ones, and stop once no lane is tied
 MC_PROBABILITIES = [
     Fraction(0), Fraction(1), Fraction(1, 2), Fraction(1, 3), Fraction(3, 4),
     Fraction(1, 4), Fraction(3, 8), Fraction(200, 251), Fraction(1000, 2999),
 ]
+
+
+def test_monte_carlo_draws_one_plane_per_digit(monkeypatch):
+    # 3/8 = 0.011 in binary: a 65536-lane block keeps a tied lane through
+    # all three digits; 1000/2999 never ends, and stops when no lane is
+    # tied, after about 17 digits
+    calls = []
+
+    class Counting(random.Random):
+        def getrandbits(self, k):
+            calls.append(k)
+            return super().getrandbits(k)
+
+    monkeypatch.setattr(counting.random, "Random", Counting)
+    g = two_terminal_balloon(8, 18)
+    monte_carlo_sr(g, Fraction(3, 8), 65536, RandomSource(5))
+    assert calls == [65536] * 3 * 18
+    calls.clear()
+    monte_carlo_sr(g, Fraction(1000, 2999), 65536, RandomSource(5))
+    assert 0 < len(calls) <= 32 * 18
 
 
 @given(
