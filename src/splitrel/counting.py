@@ -1,9 +1,11 @@
 """Exact counting machinery: split and connected coefficient vectors by a
 recurrence over vertex subsets, spanning-tree and two-disjoint-trees counts
 as integer-exact Laplacian minors (one pivot-free determinant each, since a
-Laplacian minor is positive semidefinite; independent of the recurrence), and
-a seed-stable Monte Carlo estimator.  It compares uniform bits with p's binary
-expansion (no rejection); dyadic p keep the rejection sampler's seeded stream.
+Laplacian minor is positive semidefinite; independent of the recurrence),
+the two-disjoint-trees counts of every terminal pair from one Gauss-Jordan
+pass, and a seed-stable Monte Carlo estimator.  It compares uniform bits with
+p's binary expansion (no rejection); dyadic p keep the rejection sampler's
+seeded stream.
 
 Everything on the exact side is integer/rational arithmetic only.  The
 coefficient vectors have one route, guarded to n <= 16; the tests check it
@@ -15,7 +17,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence
 
 from .graphs import Edge, GuardError, SimpleGraph, TwoTerminalGraph, adjacency_masks
@@ -76,12 +80,38 @@ class SubsetClassification:
     def split_sides(self) -> dict[int, tuple[int, ...]]:
         return {side: _unpack(c, self.m) for side, c in self.packed_sides.items()}
 
+    @cached_property
+    def _superset_sums(self) -> list[int]:
+        """sums[X] adds the packed sides that hold vertex 0 and every vertex
+        of X, a mask over vertices 1..n-1 shifted down by one."""
+        size = 1 << (self.n - 1)
+        sums = [0] * size
+        for side, c in self.packed_sides.items():
+            sums[side >> 1] = c
+        bit = 1
+        while bit < size:
+            # every x without `bit` gains sums[x + bit]; those x make `bit`
+            # strided slices or size / step blocks, whichever are fewer
+            step = 2 * bit
+            if bit * step <= size:
+                for j in range(bit):
+                    sums[j::step] = map(add, sums[j::step], sums[j + bit :: step])
+            else:
+                for j in range(0, size, step):
+                    sums[j : j + bit] = map(add, sums[j : j + bit], sums[j + bit : j + step])
+            bit = step
+        return sums
+
     def split_counts(self, s: int, t: int) -> tuple[int, ...]:
         """Split-subgraph counts for the terminal pair {s, t}: the packed sum
-        over the sides that separate s from t (still distinct edge subsets of
-        each size, so no coefficient carries), unpacked once."""
-        rows = (c for side, c in self.packed_sides.items() if (side >> s ^ side >> t) & 1)
-        return _unpack(sum(rows), self.m)
+        over the sides that hold exactly one of s and t, read from the
+        superset sums as A(s) + A(t) - 2 B(s, t), where A(v) sums the sides
+        that hold v and B(s, t) those that hold both.  The sum is exact over
+        the integers, and each of its coefficients counts distinct edge
+        subsets of one size, so it unpacks with no carry."""
+        sums = self._superset_sums
+        a, b = (1 << s) >> 1, (1 << t) >> 1  # vertex 0 is in every side
+        return _unpack(sums[a] + sums[b] - 2 * sums[a | b], self.m)
 
 
 def classify_subsets(g: SimpleGraph) -> SubsetClassification:
@@ -96,8 +126,12 @@ def classify_subsets(g: SimpleGraph) -> SubsetClassification:
 
         conn[S] = all[S] - sum over such T of conn[T] * all[S - T]
 
-    where * convolves over surviving-edge counts.  A split with side S (the
-    component of vertex 0) is conn[S] * conn[V - S].
+    where * convolves over surviving-edge counts.  It runs in push form: the
+    sets are taken in increasing order, so every such T comes before S, and
+    each T with conn[T] nonzero (G[T] connected) adds conn[T] * all[U] into
+    T + U for every nonempty U of vertices above min(T) and outside T.  A
+    set S whose G[S] is disconnected then costs one subtraction.  A split
+    with side S (the component of vertex 0) is conn[S] * conn[V - S].
 
     A vector of counts is packed into one integer, `width` bits per
     coefficient, so that * is integer multiplication.  Every packed
@@ -117,20 +151,22 @@ def classify_subsets(g: SimpleGraph) -> SubsetClassification:
 
     adj = adjacency_masks(n, g.edges)
     full = (1 << n) - 1
-    induced = [0] * (full + 1)
+    induced = [0]  # induced[S] = e(S); the sets holding v come after those below v
+    for row in adj:
+        induced += [e + (row & S).bit_count() for S, e in enumerate(induced)]
+    every = [binomial[e] for e in induced]  # every[S] = all[S], packed
     conn = [0] * (full + 1)
-    for S in range(1, full + 1):
-        low = S & -S
-        rest = S ^ low
-        induced[S] = induced[rest] + (adj[low.bit_length() - 1] & rest).bit_count()
-        split = 0
-        sub = rest
-        while sub:  # T = low | sub for every proper subset sub of rest, 0 last
-            sub = (sub - 1) & rest
-            c = conn[low | sub]
-            if c:
-                split += c * binomial[induced[rest ^ sub]]
-        conn[S] = binomial[induced[S]] - split
+    for T in range(1, full + 1):
+        c = every[T] - conn[T]  # conn[T] held the pushed sum until now
+        conn[T] = c
+        if not c:
+            continue
+        low = T & -T
+        free = full ^ (T | (low << 1) - 1)  # vertices above min(T), outside T
+        U = free
+        while U:
+            conn[T | U] += c * every[U]
+            U = (U - 1) & free
 
     sides = {
         S: conn[S] * conn[full ^ S] for S in range(1, full, 2) if conn[S] and conn[full ^ S]
@@ -216,6 +252,50 @@ def two_tree_count(g: TwoTerminalGraph) -> int:
     Equals split_coefficients(g).counts[n-2].
     """
     return _laplacian_minor(g.graph.n, g.graph.edges, (g.s, g.t))
+
+
+def two_tree_counts(g: SimpleGraph) -> dict[tuple[int, int], int]:
+    """two_tree_count for every terminal pair s < t of a connected g, from
+    one fraction-free Gauss-Jordan pass over [L_0 | I], where L_0 is the
+    Laplacian without vertex 0.
+
+    The pass ends at [tau I | M] with tau = det L_0 and M = adj L_0.  A
+    minor of L_0 is a cofactor, so N(0, t) = M_tt, and tau times the
+    effective resistance gives N(s, t) = M_ss + M_tt - 2 M_st.  Each step
+    divides exactly by the previous pivot (Bareiss); L_0 of a connected
+    graph is positive definite, so every pivot is a positive leading
+    principal minor and none needs pivoting.
+    """
+    n, size = g.n, g.n - 1
+    adj = adjacency_masks(n, g.edges)
+    rows = [[-(adj[u] >> v & 1) for v in range(1, n)] + [0] * size for u in range(1, n)]
+    for k, row in enumerate(rows):
+        row[k] = adj[k + 1].bit_count()
+    prev = 1
+    for k, row_k in enumerate(rows):
+        pivot = row_k[k]
+        if pivot == 0:
+            raise ValueError("two_tree_counts needs a connected graph")
+        # Column size + j of I stays 0 outside row j until step j, where its
+        # 1 has been scaled to the previous pivot; so step k touches only the
+        # columns k + 1 .. size + k.
+        row_k[size + k] = prev
+        stop = size + k + 1
+        tail = row_k[k + 1 : stop]
+        for i, row_i in enumerate(rows):
+            if i != k:
+                lead = row_i[k]
+                row_i[k + 1 : stop] = [
+                    (x * pivot - lead * y) // prev for x, y in zip(row_i[k + 1 : stop], tail)
+                ]
+        prev = pivot
+    cof = [row[size:] for row in rows]  # M, indexed from vertex 1
+    out = {}
+    for t in range(1, n):
+        out[0, t] = cof[t - 1][t - 1]
+        for s in range(1, t):
+            out[s, t] = cof[s - 1][s - 1] + cof[t - 1][t - 1] - 2 * cof[s - 1][t - 1]
+    return out
 
 
 # ---------------------------------------------------------------------------

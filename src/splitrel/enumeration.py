@@ -13,6 +13,14 @@ terminal-respecting isomorphism.  Signatures are computed once per underlying
 graph (the subset classification is shared by all its terminal pairs);
 nothing is stored between runs.
 
+The uniform verdict is decided from two-tree counts first.  Every member has
+N_i = 0 for i < n - 2, and by thm1 a winner has the two-terminal balloon's
+counts, so a member whose N_{n-2} beats the balloon's refutes the class near
+p = 0.  `uniform_check` reads every member's N_{n-2} from one Gauss-Jordan
+pass per graph and, when the top one beats the balloon's, classifies only
+the graphs that hold it; otherwise it builds the full ledger, whose
+`uniform_verdict` tests the locally-most candidate against every rival.
+
 Conventions: "locally most split reliable" is the per-competitor form (for
 each rival there is a neighborhood of p = 1 where the candidate is at least
 as good); over a finite class this coincides with a single uniform
@@ -32,8 +40,14 @@ from math import comb, factorial
 from typing import Optional, Sequence
 
 from . import canon
-from .counting import CoefficientVector, classify_subsets
-from .families import two_terminal_balloon
+from .counting import (
+    CoefficientVector,
+    classify_subsets,
+    split_coefficients,
+    two_tree_count,
+    two_tree_counts,
+)
+from .families import in_I, two_terminal_balloon
 from .graphs import GuardError, SimpleGraph, TwoTerminalGraph, is_bridge, to_json_dict
 from .signature import dominates_on_unit_interval
 
@@ -261,9 +275,18 @@ def refine_members(signatures: Sequence[CoefficientVector]) -> list[list[int]]:
     return levels
 
 
-def refine_chain(n: int, m: int) -> ClassLedger:
-    """Full class ledger for (n, m): enumerate, classify signatures, refine."""
+def _class_members(n: int, m: int) -> list[TwoTerminalGraph]:
+    """The members of T_{n,m}, refusing an empty class."""
     members = enumerate_two_terminal(n, m)
+    if not members:
+        raise ValueError(
+            f"T_{{{n},{m}}} has no members: m = {m} is below n - 1 = {n - 1}, "
+            f"the fewest edges of a connected graph on {n} vertices"
+        )
+    return members
+
+
+def _ledger(n: int, m: int, members: list[TwoTerminalGraph]) -> ClassLedger:
     signatures: list[CoefficientVector] = []
     for g, pairs in groupby(members, key=lambda h: h.graph):  # one classification per graph
         cls = classify_subsets(g)
@@ -284,10 +307,48 @@ def refine_chain(n: int, m: int) -> ClassLedger:
     )
 
 
+def refine_chain(n: int, m: int) -> ClassLedger:
+    """Full class ledger for (n, m): enumerate, classify signatures, refine."""
+    return _ledger(n, m, _class_members(n, m))
+
+
 def uniform_check(n: int, m: int) -> UniformVerdict:
-    """Decide whether the class has a uniformly most split reliable graph
-    (see ClassLedger.uniform_verdict)."""
-    return refine_chain(n, m).uniform_verdict()
+    """Decide whether the class has a uniformly most split reliable graph,
+    with the verdict and witness of ClassLedger.uniform_verdict.
+
+    A split subgraph keeps at least n - 2 edges, so every member has
+    N_i = 0 for i < n - 2, and by thm1 a winner has the two-terminal
+    balloon's counts.  For (n, m) in I every member's N_{n-2} is read from
+    one Gauss-Jordan pass per graph (`two_tree_counts`).  If the largest
+    beats the balloon's, the first member with the lexicographically
+    largest counts beats the balloon near p = 0, and it is the first rival
+    the full ledger tries; so only the graphs that hold that largest N_{n-2}
+    are classified.  Otherwise the full ledger decides.
+    """
+    members = _class_members(n, m)
+    if not in_I(n, m):
+        return _ledger(n, m, members).uniform_verdict()
+    groups = [list(pairs) for _, pairs in groupby(members, key=lambda h: h.graph)]
+    trees: list[int] = []
+    for pairs in groups:
+        table = two_tree_counts(pairs[0].graph)
+        trees += [table[h.s, h.t] for h in pairs]
+    top = max(trees)
+    balloon = two_terminal_balloon(n, m)
+    if top <= two_tree_count(balloon):
+        return _ledger(n, m, members).uniform_verdict()
+    rival, best, start = 0, (), 0
+    for pairs in groups:
+        holders = [j for j in range(start, start + len(pairs)) if trees[j] == top]
+        start += len(pairs)
+        if holders:
+            cls = classify_subsets(pairs[0].graph)
+            for j in holders:
+                counts = cls.split_counts(members[j].s, members[j].t)
+                if counts > best:
+                    rival, best = j, counts
+    witness = dominates_on_unit_interval(split_coefficients(balloon).counts, best).witness
+    return UniformVerdict(winner=None, rival=rival, witness=witness)
 
 
 def balloon_member_index(ledger: ClassLedger) -> int:

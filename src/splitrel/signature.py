@@ -212,14 +212,16 @@ def dominates_on_unit_interval(a: Sequence[int], b: Sequence[int]) -> DominanceV
     a and b are count vectors N_0..N_m of one class.
 
     On the integer difference d = a - b: d_0 and d_m are the endpoint
-    values, nonnegative coefficients after degree elevation certify (so no
-    presample point could refute), and the presample refutes.  What is left
+    values; nonnegative coefficients certify, first of d itself and then
+    after degree elevation (which keeps nonnegative coefficients
+    nonnegative, so the first test only skips the lift), and no presample
+    point could refute a certified d; the presample refutes.  What is left
     goes to Sturm root isolation.
     """
     if len(a) != len(b):
         raise ValueError(f"count vectors of different lengths: {len(a)} vs {len(b)}")
     d = [x - y for x, y in zip(a, b)]
-    if not any(d):
+    if all(c >= 0 for c in d):
         return DominanceVerdict(True, None)
     if d[0] < 0:
         return DominanceVerdict(False, Fraction(0))

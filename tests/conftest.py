@@ -383,6 +383,17 @@ def classify_by_sweep(n: int, edges: Sequence[Edge]) -> SubsetClassification:
     return SubsetClassification(n, m, tuple(conn), packed)
 
 
+def split_counts_by_side_scan(cls: SubsetClassification, s: int, t: int) -> tuple[int, ...]:
+    """Reference split counts for the terminal pair {s, t}: the sum of the
+    unpacked counts of every side that holds exactly one of s and t, scanned
+    side by side."""
+    total = [0] * (cls.m + 1)
+    for side, counts in cls.split_sides.items():
+        if (side >> s ^ side >> t) & 1:
+            total = [a + b for a, b in zip(total, counts)]
+    return tuple(total)
+
+
 def _relabeled_masks(n: int, edges: Sequence[Edge], perms) -> list[int]:
     """Edge mask of the graph under each vertex relabeling in `perms`."""
     bits = canon._pair_bits(n)

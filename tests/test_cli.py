@@ -241,6 +241,21 @@ def test_enumeration_needs_two_vertices(capsys, command):
     assert capsys.readouterr().err == "error: enumeration needs n >= 2\n"
 
 
+@pytest.mark.parametrize(
+    "argv", [("uniform-check", "7", "5"), ("refine", "7", "3"), ("locally-most", "7", "5")]
+)
+def test_empty_class_refusal(capsys, argv):
+    # T_{n,m} with m < n - 1 holds no connected graph: exit 1, one line
+    assert main(list(argv)) == 1
+    captured = capsys.readouterr()
+    m = argv[2]
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: T_{{7,{m}}} has no members: m = {m} is below n - 1 = 6, "
+        "the fewest edges of a connected graph on 7 vertices\n"
+    )
+
+
 def test_import_loads_only_the_standard_library():
     # the README's "no runtime dependency": every top-level module that
     # importing the CLI adds is splitrel's own or the standard library's

@@ -21,6 +21,7 @@ from conftest import (
     random_two_terminal,
     relabel_two_terminal,
     sample_block_by_union_find,
+    split_counts_by_side_scan,
 )
 from splitrel import counting
 from splitrel.counting import (
@@ -32,7 +33,9 @@ from splitrel.counting import (
     spanning_tree_count,
     split_coefficients,
     two_tree_count,
+    two_tree_counts,
 )
+from splitrel.enumeration import enumerate_graphs
 from splitrel.families import balloon, bogdanowicz_tree_count, ThresholdSpec, two_terminal_balloon
 from splitrel.graphs import (
     GuardError,
@@ -107,6 +110,35 @@ def test_tree_counts_property(g):
     cls = classify_subsets(g.graph)
     assert cls.split_counts(g.s, g.t)[n - 2] == two_tree_count(g)
     assert cls.connected[n - 1] == spanning_tree_count(g.graph)
+
+
+@given(connected_graphs(min_n=2, max_n=8, max_m=20))
+def test_split_counts_match_side_scan(g):
+    # every pair read from the superset sums equals the per-side scan
+    cls = classify_subsets(g)
+    for s, t in combinations(range(g.n), 2):
+        assert cls.split_counts(s, t) == split_counts_by_side_scan(cls, s, t), (s, t)
+
+
+def _minor_table(g: SimpleGraph) -> dict[tuple[int, int], int]:
+    return {(s, t): two_tree_count(TwoTerminalGraph(g, s, t)) for s, t in combinations(range(g.n), 2)}
+
+
+def test_two_tree_counts_match_minors_on_every_small_graph():
+    for n in range(2, 8):
+        for m in range(n - 1, comb(n, 2) + 1):
+            for g in enumerate_graphs(n, m):
+                assert two_tree_counts(g) == _minor_table(g), (n, m, g)
+
+
+@given(connected_graphs(min_n=2, max_n=9, max_m=30))
+def test_two_tree_counts_match_minors_property(g):
+    assert two_tree_counts(g) == _minor_table(g)
+
+
+def test_two_tree_counts_refuse_a_disconnected_graph():
+    with pytest.raises(ValueError, match="connected"):
+        two_tree_counts(SimpleGraph(3, ((0, 1),)))
 
 
 def test_connected_coefficients():

@@ -28,8 +28,8 @@ from conftest import (
     relabel,
     relabel_two_terminal,
 )
-from splitrel import canon
-from splitrel.counting import CoefficientVector, split_coefficients
+from splitrel import canon, counting, enumeration
+from splitrel.counting import CoefficientVector, split_coefficients, two_tree_count
 from splitrel.enumeration import (
     ClassLedger,
     _descent,
@@ -123,6 +123,13 @@ def test_descent_n8_pinned():
     levels = [(m, sorted(level.items())) for m, level in enumerate(_descent(8)[0])]
     digest = hashlib.sha256(repr(levels).encode()).hexdigest()
     assert digest == "0a025fcd86f3c86ce70c1e1d4f623838bd186b2e0768ee18d0377de47bc655da"
+
+
+def test_uniform_verdicts_n8():
+    # the n = 8 table on the descent above: winners exactly at the tree
+    # class and the dense end C(8, 2) - 8 <= m <= C(8, 2)
+    winners = [m for m in range(7, comb(8, 2) + 1) if uniform_check(8, m).winner is not None]
+    assert winners == [7, *range(20, 29)]
 
 
 def test_descent_matches_every_child_oracle():
@@ -452,6 +459,47 @@ def test_uniform_check_six_six_none_with_witness():
     assert evaluate(sr_polynomial(rv), verdict.witness) > evaluate(
         sr_polynomial(cand), verdict.witness
     )
+
+
+def test_uniform_check_matches_the_full_ledger():
+    # the two-tree shortcut gives the full ledger's winner, rival and witness
+    for n in range(2, 8):
+        for m in range(n - 1, comb(n, 2) + 1):
+            got = uniform_check(n, m)
+            want = refine_chain(n, m).uniform_verdict()
+            assert got == want, (n, m)
+
+
+def test_uniform_check_classifies_only_the_top_two_tree_holders(monkeypatch):
+    n, m = 7, 9
+    members = enumerate_two_terminal(n, m)
+    trees = [two_tree_count(h) for h in members]
+    top = max(trees)
+    holders = []
+    for h, count in zip(members, trees):
+        if count == top and h.graph not in holders:
+            holders.append(h.graph)
+    balloon = two_terminal_balloon(n, m)
+    assert top > two_tree_count(balloon)
+    seen = []
+    real = counting.classify_subsets
+
+    def counted(g):
+        seen.append(g)
+        return real(g)
+
+    monkeypatch.setattr(counting, "classify_subsets", counted)
+    monkeypatch.setattr(enumeration, "classify_subsets", counted)
+    verdict = uniform_check(n, m)
+    assert verdict.winner is None
+    assert seen == holders + [balloon.graph]
+    assert len(holders) < len(enumerate_graphs(n, m))
+
+
+def test_empty_classes_are_refused_by_name():
+    for call in (uniform_check, refine_chain):
+        with pytest.raises(ValueError, match=r"^T_\{7,5\} has no members: m = 5 is below n - 1 = 6"):
+            call(7, 5)
 
 
 def test_tree_classes_have_path_winners():

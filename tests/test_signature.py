@@ -15,6 +15,7 @@ from splitrel.counting import CoefficientVector, split_coefficients, two_tree_co
 from splitrel.families import two_terminal_balloon, variant
 from splitrel.graphs import SimpleGraph, TwoTerminalGraph
 from splitrel.signature import (
+    DominanceVerdict,
     SplitSignature,
     _power_basis,
     _sturm_dominance,
@@ -285,6 +286,21 @@ def test_dominance_matches_sturm_only(d):
     for v in (fast, slow):
         if not v.dominates:
             assert sr_value(d, v.witness) < 0
+
+
+@given(st.lists(st.integers(0, 50), min_size=1, max_size=14), st.data())
+def test_coefficientwise_certificate_matches_sturm(d, data):
+    # a - b >= 0 in every count dominates before any lift; Sturm agrees
+    b = data.draw(st.lists(st.integers(0, 10**6), min_size=len(d), max_size=len(d)))
+    a = [x + y for x, y in zip(b, d)]
+
+    def no_lift(_):
+        raise AssertionError("degree elevation ran on a coefficientwise difference")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(signature, "_lifted", no_lift)
+        assert dominates_on_unit_interval(a, b) == DominanceVerdict(True, None)
+    assert _sturm_dominance(d) == DominanceVerdict(True, None)
 
 
 def test_comparators_match_exact_evaluation_on_all_small_classes():
