@@ -25,10 +25,10 @@ from .counting import (
     two_tree_count,
 )
 from .enumeration import (
-    near_zero_refuter,
-    refine_chain,
-    verify_balloon_characterization,
     enumerate_graphs,
+    enumerate_two_terminal,
+    uniform_check,
+    verify_balloon_characterization,
 )
 from .families import (
     KIND_NEEDS,
@@ -189,19 +189,18 @@ def check_thm3() -> Report:
     failures = []
     details = {}
     for m in filter(lambda m: in_nonexistence_range(7, m), range(7, comb(7, 2) + 1)):
-        ledger = refine_chain(7, m)
-        verdict = ledger.uniform_verdict()
+        verdict = uniform_check(7, m)
         entry: dict = {}
         if verdict.winner is not None:
             failures.append({"m": m, "unexpected_winner": verdict.winner})
             continue
-        cand = ledger.locally_most[0]
-        diff = evaluate(ledger.signatures[verdict.rival].counts, verdict.witness) - evaluate(
-            ledger.signatures[cand].counts, verdict.witness
-        )
+        members = enumerate_two_terminal(7, m)
+        rival = split_coefficients(members[verdict.rival]).counts
+        cand = split_coefficients(members[verdict.candidate]).counts
+        diff = evaluate(rival, verdict.witness) - evaluate(cand, verdict.witness)
         entry["witness"] = str(verdict.witness)
         entry["rival_margin_at_witness"] = str(diff)
-        _, idx = near_zero_refuter(ledger)
+        idx = next((i for i, (a, b) in enumerate(zip(rival, cand)) if a != b), None)
         entry["near_zero_index"] = idx
         if diff <= 0 or idx != 5:
             failures.append({"m": m, **entry})

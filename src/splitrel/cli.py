@@ -147,15 +147,15 @@ def _cmd_locally_most(args) -> int:
 
 
 def _cmd_uniform_check(args) -> int:
-    ledger = enumeration.refine_chain(args.n, args.m)
-    verdict = ledger.uniform_verdict()
+    verdict = enumeration.uniform_check(args.n, args.m)
+    members = enumeration.enumerate_two_terminal(args.n, args.m)
     doc = verdict.to_json_dict()
     if verdict.winner is not None:
-        doc["winner"] = graphs.to_json_dict(ledger.members[verdict.winner])
+        doc["winner"] = graphs.to_json_dict(members[verdict.winner])
         head = "WINNER"
     else:
-        doc["rival"] = graphs.to_json_dict(ledger.members[verdict.rival])
-        doc["candidate"] = graphs.to_json_dict(ledger.members[ledger.locally_most[0]])
+        doc["rival"] = graphs.to_json_dict(members[verdict.rival])
+        doc["candidate"] = graphs.to_json_dict(members[verdict.candidate])
         head = "NONE"
     _emit(head + "\n" + json.dumps(doc, indent=2), args.out)
     return 0

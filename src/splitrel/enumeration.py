@@ -13,13 +13,13 @@ terminal-respecting isomorphism.  Signatures are computed once per underlying
 graph (the subset classification is shared by all its terminal pairs);
 nothing is stored between runs.
 
-The uniform verdict is decided from two-tree counts first.  Every member has
-N_i = 0 for i < n - 2, and by thm1 a winner has the two-terminal balloon's
-counts, so a member whose N_{n-2} beats the balloon's refutes the class near
-p = 0.  `uniform_check` reads every member's N_{n-2} from one Gauss-Jordan
-pass per graph and, when the top one beats the balloon's, classifies only
-the graphs that hold it; otherwise it builds the full ledger, whose
-`uniform_verdict` tests the locally-most candidate against every rival.
+The uniform verdict has one route, `uniform_check`.  Its candidate is the
+first locally-most member, which by thm1 has the two-terminal balloon's
+counts.  Every member has N_i = 0 for i < n - 2, so a member whose N_{n-2}
+beats the balloon's refutes the class near p = 0; N_{n-2} of every member
+comes from one Gauss-Jordan pass per graph, and when the top one beats the
+balloon's only the graphs that can hold the rival or the candidate are
+classified.
 
 Conventions: "locally most split reliable" is the per-competitor form (for
 each rival there is a neighborhood of p = 1 where the candidate is at least
@@ -159,10 +159,13 @@ def enumerate_two_terminal(n: int, m: int) -> list[TwoTerminalGraph]:
 
 @dataclass
 class UniformVerdict:
-    """Winner holds the index of a locally-most representative that dominates
-    the whole class; otherwise a rival index and an exact crossing point."""
+    """Candidate is the index of the first locally-most representative.
+    Winner holds it when the candidate dominates the whole class; otherwise
+    rival is the first member with the largest counts the candidate does not
+    dominate, with an exact point where the rival is strictly more reliable."""
 
     winner: Optional[int]
+    candidate: int
     rival: Optional[int] = None
     witness: Optional[Fraction] = None
 
@@ -232,30 +235,6 @@ class ClassLedger:
             w.writerow([i, key, prefix, eq_of[i], survives[i]])
         return buf.getvalue()
 
-    def uniform_verdict(self) -> UniformVerdict:
-        """Decide whether the class has a uniformly most split reliable graph.
-
-        Any winner must be locally most (dominance near p=1 is necessary), so
-        the candidate is the locally-most class; it is tested against every
-        distinct rival signature, most promising first (lexicographically
-        largest N-vector, the likely near-0 refuter).
-        """
-        candidate_idx = self.locally_most[0]
-        cand_sig = self.signatures[candidate_idx]
-        rivals = sorted(
-            self.equivalence_classes,
-            key=lambda cls: self.signatures[cls[0]].counts,
-            reverse=True,
-        )
-        for cls in rivals:
-            sig = self.signatures[cls[0]]
-            if sig.counts == cand_sig.counts:
-                continue
-            res = dominates_on_unit_interval(cand_sig.counts, sig.counts)
-            if not res.dominates:
-                return UniformVerdict(winner=None, rival=cls[0], witness=res.witness)
-        return UniformVerdict(winner=candidate_idx)
-
 
 def refine_members(signatures: Sequence[CoefficientVector]) -> list[list[int]]:
     """The refinement chain read off the lexicographically largest (F_1, ...,
@@ -286,69 +265,74 @@ def _class_members(n: int, m: int) -> list[TwoTerminalGraph]:
     return members
 
 
-def _ledger(n: int, m: int, members: list[TwoTerminalGraph]) -> ClassLedger:
+def refine_chain(n: int, m: int) -> ClassLedger:
+    """Full class ledger for (n, m): enumerate, classify signatures, refine."""
+    members = _class_members(n, m)
     signatures: list[CoefficientVector] = []
     for g, pairs in groupby(members, key=lambda h: h.graph):  # one classification per graph
         cls = classify_subsets(g)
         signatures += [CoefficientVector(n, m, cls.split_counts(h.s, h.t)) for h in pairs]
-    levels = refine_members(signatures)
     by_sig: dict[tuple[int, ...], list[int]] = {}
     for i, sig in enumerate(signatures):
         by_sig.setdefault(sig.counts, []).append(i)
-    eq_classes = sorted(by_sig.values(), key=lambda c: c[0])
     return ClassLedger(
         n=n,
         m=m,
         members=members,
         signatures=signatures,
-        equivalence_classes=eq_classes,
-        chain_levels=levels,
+        equivalence_classes=sorted(by_sig.values(), key=lambda c: c[0]),
+        chain_levels=refine_members(signatures),
         labeled_connected=_graph_orbits(n, m)[2],
     )
 
 
-def refine_chain(n: int, m: int) -> ClassLedger:
-    """Full class ledger for (n, m): enumerate, classify signatures, refine."""
-    return _ledger(n, m, _class_members(n, m))
-
-
 def uniform_check(n: int, m: int) -> UniformVerdict:
-    """Decide whether the class has a uniformly most split reliable graph,
-    with the verdict and witness of ClassLedger.uniform_verdict.
+    """Decide whether the class has a uniformly most split reliable graph.
+
+    Any winner is locally most (dominance near p = 1 is necessary), so the
+    candidate is the first member with the lexicographically largest
+    (F_1, ..., F_m), the ledger's `locally_most[0]`; it is tested against
+    every distinct classified count vector, largest first, and the first it
+    does not dominate is the rival.
 
     A split subgraph keeps at least n - 2 edges, so every member has
-    N_i = 0 for i < n - 2, and by thm1 a winner has the two-terminal
+    N_i = 0 for i < n - 2, and by thm1 the candidate has the two-terminal
     balloon's counts.  For (n, m) in I every member's N_{n-2} is read from
     one Gauss-Jordan pass per graph (`two_tree_counts`).  If the largest
-    beats the balloon's, the first member with the lexicographically
-    largest counts beats the balloon near p = 0, and it is the first rival
-    the full ledger tries; so only the graphs that hold that largest N_{n-2}
-    are classified.  Otherwise the full ledger decides.
+    beats the balloon's, the members that hold it beat the candidate near
+    p = 0, so only the graphs holding it are classified, together with the
+    graphs holding the balloon's N_{n-2}, in member order, up to the first
+    member with the balloon's counts: the candidate.  Otherwise every graph
+    is classified.
     """
     members = _class_members(n, m)
-    if not in_I(n, m):
-        return _ledger(n, m, members).uniform_verdict()
-    groups = [list(pairs) for _, pairs in groupby(members, key=lambda h: h.graph)]
-    trees: list[int] = []
-    for pairs in groups:
-        table = two_tree_counts(pairs[0].graph)
-        trees += [table[h.s, h.t] for h in pairs]
-    top = max(trees)
-    balloon = two_terminal_balloon(n, m)
-    if top <= two_tree_count(balloon):
-        return _ledger(n, m, members).uniform_verdict()
-    rival, best, start = 0, (), 0
-    for pairs in groups:
-        holders = [j for j in range(start, start + len(pairs)) if trees[j] == top]
-        start += len(pairs)
-        if holders:
-            cls = classify_subsets(pairs[0].graph)
-            for j in holders:
-                counts = cls.split_counts(members[j].s, members[j].t)
-                if counts > best:
-                    rival, best = j, counts
-    witness = dominates_on_unit_interval(split_coefficients(balloon).counts, best).witness
-    return UniformVerdict(winner=None, rival=rival, witness=witness)
+    groups = [list(run) for _, run in groupby(enumerate(members), key=lambda jh: jh[1].graph)]
+    target = None  # the candidate's counts, once known
+    if in_I(n, m):
+        tables = (two_tree_counts(run[0][1].graph) for run in groups)
+        held = [{table[h.s, h.t] for _, h in run} for run, table in zip(groups, tables)]
+        balloon = two_terminal_balloon(n, m)
+        top, base = max(map(max, held)), two_tree_count(balloon)
+        if top > base:
+            target = split_coefficients(balloon).counts
+    first: dict[tuple[int, ...], int] = {}  # classified count vector: its first member
+    for k, run in enumerate(groups):
+        if target is None or top in held[k] or base in held[k] and target not in first:
+            cls = classify_subsets(run[0][1].graph)
+            for j, h in run:
+                first.setdefault(cls.split_counts(h.s, h.t), j)
+    if target is None:
+        target = max(first, key=lambda c: c[::-1])  # the largest (F_0, ..., F_m)
+    elif target not in first:
+        raise AssertionError(f"thm1 fails: no member of T_{{{n},{m}}} has the balloon's counts")
+    candidate = first[target]
+    for counts in sorted(first, reverse=True):
+        res = dominates_on_unit_interval(target, counts)
+        if not res.dominates:
+            return UniformVerdict(
+                winner=None, candidate=candidate, rival=first[counts], witness=res.witness
+            )
+    return UniformVerdict(winner=candidate, candidate=candidate)
 
 
 def balloon_member_index(ledger: ClassLedger) -> int:
@@ -386,13 +370,3 @@ def verify_balloon_characterization(n: int, m: int) -> dict:
         "early_stop_level": ledger.early_stop_level,
         "shared_f_prefix": list(f_tuple[: min(len(f_tuple), 8)]),
     }
-
-
-def near_zero_refuter(ledger: ClassLedger) -> tuple[int, Optional[int]]:
-    """The N-lexicographically largest member and the first index where its
-    N-vector differs from the locally-most candidate's (None if equal)."""
-    sigs = ledger.signatures
-    best = max(range(len(sigs)), key=lambda i: sigs[i].counts)
-    cand = sigs[ledger.locally_most[0]].counts
-    diff = (i for i, (a, b) in enumerate(zip(sigs[best].counts, cand)) if a != b)
-    return best, next(diff, None)

@@ -3,7 +3,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial
-from typing import Sequence
+from typing import Optional, Sequence
 
 from hypothesis import settings, strategies as st
 
@@ -15,7 +15,7 @@ from splitrel.counting import (
     _laplacian_minor,
     spanning_tree_count,
 )
-from splitrel.enumeration import _graph_orbits
+from splitrel.enumeration import ClassLedger, UniformVerdict, _graph_orbits
 from splitrel.families import (
     _apply_variant,
     _eligible_edges,
@@ -35,6 +35,7 @@ from splitrel.graphs import (
     is_connected,
     skeleton_two_terminal,
 )
+from splitrel.signature import dominates_on_unit_interval
 
 # Property tests replay the same examples on every run.
 settings.register_profile(
@@ -125,6 +126,40 @@ def refine_by_filter(signatures: Sequence[CoefficientVector]) -> list[list[int]]
         else:
             raise AssertionError("refinement did not converge by level m")
     return levels
+
+
+def uniform_verdict_by_ledger(ledger: ClassLedger) -> UniformVerdict:
+    """Reference uniform verdict from a full ledger: any winner is locally
+    most, so the candidate is the first locally-most member; it is tested
+    against every distinct rival signature, lexicographically largest
+    N-vector first."""
+    candidate_idx = ledger.locally_most[0]
+    cand_sig = ledger.signatures[candidate_idx]
+    rivals = sorted(
+        ledger.equivalence_classes,
+        key=lambda cls: ledger.signatures[cls[0]].counts,
+        reverse=True,
+    )
+    for cls in rivals:
+        sig = ledger.signatures[cls[0]]
+        if sig.counts == cand_sig.counts:
+            continue
+        res = dominates_on_unit_interval(cand_sig.counts, sig.counts)
+        if not res.dominates:
+            return UniformVerdict(
+                winner=None, candidate=candidate_idx, rival=cls[0], witness=res.witness
+            )
+    return UniformVerdict(winner=candidate_idx, candidate=candidate_idx)
+
+
+def near_zero_refuter(ledger: ClassLedger) -> tuple[int, Optional[int]]:
+    """The N-lexicographically largest member and the first index where its
+    N-vector differs from the locally-most candidate's (None if equal)."""
+    sigs = ledger.signatures
+    best = max(range(len(sigs)), key=lambda i: sigs[i].counts)
+    cand = sigs[ledger.locally_most[0]].counts
+    diff = (i for i, (a, b) in enumerate(zip(sigs[best].counts, cand)) if a != b)
+    return best, next(diff, None)
 
 
 def is_split_subgraph(g: TwoTerminalGraph, kept: Sequence[int]) -> bool:

@@ -17,6 +17,7 @@ from conftest import (
     deletion_contraction_check,
     random_two_terminal,
     relabel_two_terminal,
+    uniform_verdict_by_ledger,
 )
 from splitrel.checks import (
     check_bogdanowicz,
@@ -138,7 +139,7 @@ def test_criterion_01_min_mask_rivals_keep_their_class():
     found = {}
     for (n, m), key in MIN_MASK_RIVALS.items():
         ledger = refine_chain(n, m)
-        verdict = ledger.uniform_verdict()
+        verdict = uniform_verdict_by_ledger(ledger)
         rival_class = next(c for c in ledger.equivalence_classes if verdict.rival in c)
         hits = [i for i in rival_class if canonical_form_by_search(ledger.members[i])[2] == key]
         cand = ledger.signatures[ledger.locally_most[0]].counts

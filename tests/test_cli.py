@@ -1,9 +1,11 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -150,7 +152,7 @@ def test_uniform_check_winner_and_none(capsys):
     assert doc["verdict"] == "none" and "witness" in doc
 
 
-def test_uniform_check_builds_one_ledger(capsys, monkeypatch):
+def test_uniform_check_builds_no_ledger(capsys, monkeypatch):
     built = []
     real = enumeration.refine_chain
 
@@ -159,19 +161,23 @@ def test_uniform_check_builds_one_ledger(capsys, monkeypatch):
         return real(n, m)
 
     monkeypatch.setattr(enumeration, "refine_chain", counted)
-    monkeypatch.setattr(checks, "refine_chain", counted)
+    monkeypatch.setattr(checks, "refine_chain", counted, raising=False)
     code, out = run(capsys, "uniform-check", "6", "6")
     assert code == 0 and out.startswith("NONE")
-    assert built == [(6, 6)]
-    built.clear()
     assert checks.check_thm3().status == "pass"
-    assert built == [(7, 7), (7, 8), (7, 9)]
+    assert built == []
 
 
-def test_uniform_check_deterministic_output(capsys):
-    _, out1 = run(capsys, "uniform-check", "4", "5")
-    _, out2 = run(capsys, "uniform-check", "4", "5")
-    assert out1 == out2
+def test_uniform_check_output_pinned(capsys):
+    # stdout of every class with 2 <= n <= 7, as recorded while the full
+    # ledger still decided the command's verdict and candidate
+    digest = hashlib.sha256()
+    for n in range(2, 8):
+        for m in range(n - 1, comb(n, 2) + 1):
+            code, out = run(capsys, "uniform-check", str(n), str(m))
+            assert code == 0, (n, m)
+            digest.update(out.encode())
+    assert digest.hexdigest() == "4f9ffa404cbb98813ad139a577b74d078ba69eb47e238eb68c1c01b8a2e80f44"
 
 
 def test_verify_exit_codes(capsys):

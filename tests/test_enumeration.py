@@ -23,10 +23,12 @@ from conftest import (
     k_n,
     labeled_connected_count,
     min_degree,
+    near_zero_refuter,
     orbits_by_sweep,
     refine_by_filter,
     relabel,
     relabel_two_terminal,
+    uniform_verdict_by_ledger,
 )
 from splitrel import canon, counting, enumeration
 from splitrel.counting import CoefficientVector, split_coefficients, two_tree_count
@@ -37,7 +39,6 @@ from splitrel.enumeration import (
     balloon_member_index,
     enumerate_graphs,
     enumerate_two_terminal,
-    near_zero_refuter,
     refine_chain,
     refine_members,
     uniform_check,
@@ -448,13 +449,14 @@ def test_uniform_check_six_six_none_with_witness():
     verdict = uniform_check(6, 6)
     assert verdict.winner is None
     ledger = refine_chain(6, 6)
+    assert verdict.candidate == ledger.locally_most[0]
     rival_idx, idx = near_zero_refuter(ledger)
     assert idx == 4  # n - 2
-    assert ledger.signatures[rival_idx].counts > ledger.signatures[ledger.locally_most[0]].counts
+    assert ledger.signatures[rival_idx].counts > ledger.signatures[verdict.candidate].counts
     # the witness is a checkable rational point
     from splitrel.signature import evaluate, sr_polynomial
 
-    cand = ledger.signatures[ledger.locally_most[0]]
+    cand = ledger.signatures[verdict.candidate]
     rv = ledger.signatures[verdict.rival]
     assert evaluate(sr_polynomial(rv), verdict.witness) > evaluate(
         sr_polynomial(cand), verdict.witness
@@ -462,25 +464,28 @@ def test_uniform_check_six_six_none_with_witness():
 
 
 def test_uniform_check_matches_the_full_ledger():
-    # the two-tree shortcut gives the full ledger's winner, rival and witness
+    # winner, candidate, rival and witness are the full ledger's
     for n in range(2, 8):
         for m in range(n - 1, comb(n, 2) + 1):
             got = uniform_check(n, m)
-            want = refine_chain(n, m).uniform_verdict()
+            want = uniform_verdict_by_ledger(refine_chain(n, m))
             assert got == want, (n, m)
 
 
 def test_uniform_check_classifies_only_the_top_two_tree_holders(monkeypatch):
+    # besides the balloon, the graphs holding the top N_{n-2}, and those
+    # holding the balloon's N_{n-2} up to the candidate's, in member order
     n, m = 7, 9
     members = enumerate_two_terminal(n, m)
+    candidate = refine_chain(n, m).locally_most[0]
     trees = [two_tree_count(h) for h in members]
-    top = max(trees)
-    holders = []
-    for h, count in zip(members, trees):
-        if count == top and h.graph not in holders:
-            holders.append(h.graph)
     balloon = two_terminal_balloon(n, m)
-    assert top > two_tree_count(balloon)
+    top, base = max(trees), two_tree_count(balloon)
+    assert top > base
+    held = []
+    for i, (h, count) in enumerate(zip(members, trees)):
+        if (count == top or count == base and i <= candidate) and h.graph not in held:
+            held.append(h.graph)
     seen = []
     real = counting.classify_subsets
 
@@ -491,9 +496,22 @@ def test_uniform_check_classifies_only_the_top_two_tree_holders(monkeypatch):
     monkeypatch.setattr(counting, "classify_subsets", counted)
     monkeypatch.setattr(enumeration, "classify_subsets", counted)
     verdict = uniform_check(n, m)
-    assert verdict.winner is None
-    assert seen == holders + [balloon.graph]
-    assert len(holders) < len(enumerate_graphs(n, m))
+    assert (verdict.winner, verdict.candidate) == (None, candidate)
+    assert seen == [balloon.graph] + held
+    assert len(held) < len(enumerate_graphs(n, m))
+
+
+def test_uniform_check_names_thm1_when_no_member_has_the_balloons_counts(monkeypatch):
+    # a screened class where no member has the balloon's counts breaks thm1
+    real = enumeration.split_coefficients
+
+    def shifted(g):
+        sig = real(g)
+        return CoefficientVector(sig.n, sig.m, sig.counts[:-1] + (sig.counts[-1] + 1,))
+
+    monkeypatch.setattr(enumeration, "split_coefficients", shifted)
+    with pytest.raises(AssertionError, match=r"^thm1 fails: no member of T_\{7,9\}"):
+        uniform_check(7, 9)
 
 
 def test_empty_classes_are_refused_by_name():

@@ -1,7 +1,8 @@
 """Library surface: every public top-level function and class of
 `src/splitrel`, and every public method of those classes, has a caller in
 the library itself or in the benchmark harness.  A route that only tests
-call is test code and belongs in `tests/`."""
+call is test code and belongs in `tests/`; every oracle there has a test
+caller and a name no public route in `src/` shares."""
 
 import ast
 import re
@@ -61,3 +62,33 @@ def test_every_public_route_has_a_library_or_harness_caller():
         if name.rsplit(".", 1)[-1] not in used
     ]
     assert not orphans, f"public routes with no caller outside tests: {orphans}"
+
+
+def test_every_oracle_has_a_test_caller_and_no_library_name():
+    # a route that moves from `src/` to the oracles is moved, not copied
+    tests = ROOT / "tests"
+    oracles = [
+        node.name
+        for node in ast.parse((tests / "conftest.py").read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    ]
+    called = set()
+    for path in tests.glob("test_*.py"):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        aliases = {  # an oracle imported under another name is called by that name
+            alias.asname: alias.name
+            for node in nodes
+            if isinstance(node, ast.ImportFrom) and node.module == "conftest"
+            for alias in node.names
+            if alias.asname
+        }
+        for node in nodes:
+            if isinstance(node, ast.Name):
+                called.add(aliases.get(node.id, node.id))
+            elif isinstance(node, ast.Attribute):
+                called.add(node.attr)
+    routes = {name.rsplit(".", 1)[-1] for _, name in _public_routes()}
+    uncalled = [name for name in oracles if name not in called]
+    shared = [name for name in oracles if name in routes]
+    assert not uncalled, f"oracles no test calls: {uncalled}"
+    assert not shared, f"oracles named like a public route in src/: {shared}"
