@@ -7,19 +7,18 @@ keeps one graph per isomorphism orbit at each edge count, labeled by its
 canonical key (the least leaf of `canon`'s search) and the generators of its
 automorphism group.  A child is searched only if its deleted edge is one of
 its best non-edges by end-degree sum (McKay's cheap-invariant test), once per
-orbit of the parent's group.  Terminal pairs are deduplicated by the orbits
-of that group, so each two-terminal representative is unique up to
-terminal-respecting isomorphism.  Signatures are computed once per underlying
-graph (the subset classification is shared by all its terminal pairs);
-nothing is stored between runs.
+orbit of the parent's group.  A class is walked as its graphs, each with one
+terminal pair per orbit of that group, so each two-terminal representative
+is unique up to terminal-respecting isomorphism; the members are the walk
+flattened, and each graph is classified once for all its pairs.
 
-The uniform verdict has one route, `uniform_check`.  Its candidate is the
-first locally-most member, which by thm1 has the two-terminal balloon's
-counts.  Every member has N_i = 0 for i < n - 2, so a member whose N_{n-2}
-beats the balloon's refutes the class near p = 0; N_{n-2} of every member
-comes from one Gauss-Jordan pass per graph, and when the top one beats the
-balloon's only the graphs that can hold the rival or the candidate are
-classified.
+The uniform verdict has one route, `uniform_check`, which reads the walk and
+builds no members.  Its candidate is the first locally-most member, which by
+thm1 has the balloon's counts.  Every member has N_i = 0 for i < n - 2, so a
+member whose N_{n-2} beats the balloon's refutes the class near p = 0; below
+the dense end every N_{n-2} comes from one Gauss-Jordan pass per graph, and
+when the top one beats the balloon's only the graphs that can hold the rival
+or the candidate are classified.
 
 Conventions: "locally most split reliable" is the per-competitor form (for
 each rival there is a neighborhood of p = 1 where the candidate is at least
@@ -35,7 +34,6 @@ import io
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby
 from math import comb, factorial
 from typing import Optional, Sequence
 
@@ -133,25 +131,25 @@ def enumerate_graphs(n: int, m: int) -> list[SimpleGraph]:
     return [canon.mask_to_graph(n, mask) for mask in reps]
 
 
-def _pair_orbits(n: int, perms: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
-    """One representative pair, the least, per orbit on unordered vertex
-    pairs of the group the permutations `perms` generate."""
-    out, seen = [], 0
-    for k, (s, t) in enumerate(canon.pair_list(n)):
-        if not seen >> k & 1:
-            out.append((s, t))
-            seen |= canon.pair_orbit(n, perms, s, t)
-    return out
+def _class_walk(n: int, m: int) -> list[tuple[SimpleGraph, list[tuple[int, int]]]]:
+    """T_{n,m} as (canonical graph, terminal pairs) in member order: one pair
+    per Aut orbit on vertex pairs, the least in `pair_list` order."""
+    group, walk = _descent(n)[1], []
+    for mask in _graph_orbits(n, m)[0]:
+        pairs, seen = [], 0
+        for k, (s, t) in enumerate(canon.pair_list(n)):
+            if not seen >> k & 1:
+                pairs.append((s, t))
+                seen |= canon.pair_orbit(n, group[mask], s, t)
+        walk.append((canon.mask_to_graph(n, mask), pairs))
+    return walk
 
 
 def enumerate_two_terminal(n: int, m: int) -> list[TwoTerminalGraph]:
     """Representatives of the two-terminal class: each underlying canonical
     graph equipped with one terminal pair per automorphism orbit.  Sorted by
     (underlying canonical mask, pair)."""
-    reps, _, _ = _graph_orbits(n, m)
-    group = _descent(n)[1]
-    graphs = [(canon.mask_to_graph(n, mask), group[mask]) for mask in reps]
-    return [TwoTerminalGraph(g, s, t) for g, perms in graphs for s, t in _pair_orbits(n, perms)]
+    return [TwoTerminalGraph(g, s, t) for g, pairs in _class_walk(n, m) for s, t in pairs]
 
 
 # ---------------------------------------------------------------------------
@@ -254,24 +252,25 @@ def refine_members(signatures: Sequence[CoefficientVector]) -> list[list[int]]:
     return levels
 
 
-def _class_members(n: int, m: int) -> list[TwoTerminalGraph]:
-    """The members of T_{n,m}, refusing an empty class."""
-    members = enumerate_two_terminal(n, m)
-    if not members:
+def _nonempty_walk(n: int, m: int) -> list[tuple[SimpleGraph, list[tuple[int, int]]]]:
+    """The walk of T_{n,m}, refusing an empty class."""
+    walk = _class_walk(n, m)
+    if not walk:
         raise ValueError(
             f"T_{{{n},{m}}} has no members: m = {m} is below n - 1 = {n - 1}, "
             f"the fewest edges of a connected graph on {n} vertices"
         )
-    return members
+    return walk
 
 
 def refine_chain(n: int, m: int) -> ClassLedger:
     """Full class ledger for (n, m): enumerate, classify signatures, refine."""
-    members = _class_members(n, m)
+    members: list[TwoTerminalGraph] = []
     signatures: list[CoefficientVector] = []
-    for g, pairs in groupby(members, key=lambda h: h.graph):  # one classification per graph
+    for g, pairs in _nonempty_walk(n, m):  # one classification per graph
         cls = classify_subsets(g)
-        signatures += [CoefficientVector(n, m, cls.split_counts(h.s, h.t)) for h in pairs]
+        members += [TwoTerminalGraph(g, s, t) for s, t in pairs]
+        signatures += [CoefficientVector(n, m, cls.split_counts(s, t)) for s, t in pairs]
     by_sig: dict[tuple[int, ...], list[int]] = {}
     for i, sig in enumerate(signatures):
         by_sig.setdefault(sig.counts, []).append(i)
@@ -295,32 +294,33 @@ def uniform_check(n: int, m: int) -> UniformVerdict:
     every distinct classified count vector, largest first, and the first it
     does not dominate is the rival.
 
-    A split subgraph keeps at least n - 2 edges, so every member has
-    N_i = 0 for i < n - 2, and by thm1 the candidate has the two-terminal
-    balloon's counts.  For (n, m) in I every member's N_{n-2} is read from
-    one Gauss-Jordan pass per graph (`two_tree_counts`).  If the largest
-    beats the balloon's, the members that hold it beat the candidate near
-    p = 0, so only the graphs holding it are classified, together with the
-    graphs holding the balloon's N_{n-2}, in member order, up to the first
-    member with the balloon's counts: the candidate.  Otherwise every graph
-    is classified.
+    The walk is read with a running member index and no member is built.
+    Every member has N_i = 0 for i < n - 2 (a split subgraph keeps at least
+    n - 2 edges), and by thm1 the candidate has the balloon's counts.  For
+    (n, m) in I below the dense end, m < C(n,2) - n, every N_{n-2} is read
+    from one Gauss-Jordan pass per graph (`two_tree_counts`).  If the top
+    one beats the balloon's, its holders beat the candidate near p = 0, so
+    only their graphs are classified, with the graphs holding the balloon's
+    N_{n-2}, in member order, up to the candidate: the first member with
+    the balloon's counts.  Otherwise every graph is classified.
     """
-    members = _class_members(n, m)
-    groups = [list(run) for _, run in groupby(enumerate(members), key=lambda jh: jh[1].graph)]
+    walk = _nonempty_walk(n, m)
     target = None  # the candidate's counts, once known
-    if in_I(n, m):
-        tables = (two_tree_counts(run[0][1].graph) for run in groups)
-        held = [{table[h.s, h.t] for _, h in run} for run, table in zip(groups, tables)]
+    if in_I(n, m) and m < comb(n, 2) - n:  # skipping the screen moves no verdict
+        tables = (two_tree_counts(g) for g, _ in walk)  # one table per graph
+        held = [{table[st] for st in pairs} for (_, pairs), table in zip(walk, tables)]
         balloon = two_terminal_balloon(n, m)
         top, base = max(map(max, held)), two_tree_count(balloon)
         if top > base:
             target = split_coefficients(balloon).counts
     first: dict[tuple[int, ...], int] = {}  # classified count vector: its first member
-    for k, run in enumerate(groups):
+    j = 0  # the index of the graph's first member
+    for k, (g, pairs) in enumerate(walk):
         if target is None or top in held[k] or base in held[k] and target not in first:
-            cls = classify_subsets(run[0][1].graph)
-            for j, h in run:
-                first.setdefault(cls.split_counts(h.s, h.t), j)
+            cls = classify_subsets(g)
+            for i, (s, t) in enumerate(pairs, j):
+                first.setdefault(cls.split_counts(s, t), i)
+        j += len(pairs)
     if target is None:
         target = max(first, key=lambda c: c[::-1])  # the largest (F_0, ..., F_m)
     elif target not in first:

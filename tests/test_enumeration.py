@@ -34,8 +34,8 @@ from splitrel import canon, counting, enumeration
 from splitrel.counting import CoefficientVector, split_coefficients, two_tree_count
 from splitrel.enumeration import (
     ClassLedger,
+    _class_walk,
     _descent,
-    _pair_orbits,
     balloon_member_index,
     enumerate_graphs,
     enumerate_two_terminal,
@@ -128,9 +128,14 @@ def test_descent_n8_pinned():
 
 def test_uniform_verdicts_n8():
     # the n = 8 table on the descent above: winners exactly at the tree
-    # class and the dense end C(8, 2) - 8 <= m <= C(8, 2)
-    winners = [m for m in range(7, comb(8, 2) + 1) if uniform_check(8, m).winner is not None]
+    # class and the dense end C(8, 2) - 8 <= m <= C(8, 2), and every
+    # verdict's indices and witness as recorded before the class walk
+    verdicts = [(m, uniform_check(8, m)) for m in range(7, comb(8, 2) + 1)]
+    winners = [m for m, v in verdicts if v.winner is not None]
     assert winners == [7, *range(20, 29)]
+    rows = [(m, v.winner, v.candidate, v.rival, v.witness) for m, v in verdicts]
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "38179e562b8b7b779211cb920db860a18441663ca1df65a43391bf9a0d7a1d10"
 
 
 def test_descent_matches_every_child_oracle():
@@ -158,7 +163,7 @@ def test_descent_skips_children_before_search(monkeypatch):
 
 def test_descent_generators_match_a_fresh_search():
     # the generators kept from the descent's search fix each n = 7 key and
-    # give the same pair orbits as a search on the key itself
+    # give the same orbit of every vertex pair as a search on the key itself
     levels, group = _descent(7)
     bits = canon._pair_bits(7)
     for level in levels:
@@ -167,7 +172,9 @@ def test_descent_generators_match_a_fresh_search():
             for perm in group[mask]:
                 assert sum(bits[perm[u]][perm[v]] for u, v in edges) == mask, (mask, perm)
             fresh = canon.stabilizer_perms(7, mask)
-            assert _pair_orbits(7, group[mask]) == _pair_orbits(7, fresh), mask
+            for s, t in canon.pair_list(7):
+                kept = canon.pair_orbit(7, group[mask], s, t)
+                assert kept == canon.pair_orbit(7, fresh, s, t), (mask, s, t)
 
 
 def test_ledger_runs_no_canonical_search(monkeypatch):
@@ -238,19 +245,20 @@ def test_two_terminal_class_totals():
 
 
 def test_pair_orbits_match_relabelings():
-    # Aut(G) on vertex pairs from the search's generators, against the
-    # orbits under every relabeling that fixes the edge mask
+    # the walk's terminal pairs, from the search's generators, against the
+    # least pair per orbit under every relabeling that fixes the edge mask
     for n in range(2, 7):
         perms = list(permutations(range(n)))
         for m in range(n - 1, comb(n, 2) + 1):
-            for g in enumerate_graphs(n, m):
+            walk = _class_walk(n, m)
+            assert [g for g, _ in walk] == enumerate_graphs(n, m)
+            for g, got in walk:
                 mask = graph_mask(g)
                 auts = [p for p in perms if graph_mask(relabel(g, p)) == mask]
                 orbits = {
                     min(tuple(sorted((p[s], p[t]))) for p in auts)
                     for s, t in canon.pair_list(n)
                 }
-                got = _pair_orbits(n, _descent(n)[1][mask])
                 assert got == sorted(orbits), (n, g.edges)
 
 
@@ -499,6 +507,37 @@ def test_uniform_check_classifies_only_the_top_two_tree_holders(monkeypatch):
     assert (verdict.winner, verdict.candidate) == (None, candidate)
     assert seen == [balloon.graph] + held
     assert len(held) < len(enumerate_graphs(n, m))
+
+
+def test_uniform_check_screens_only_below_the_dense_end(monkeypatch):
+    # for m >= C(n,2) - n the balloon's N_{n-2} tops the class, so no
+    # two-tree table is read there; below it the screen runs
+    calls = []
+    real = enumeration.two_tree_counts
+
+    def counted(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(enumeration, "two_tree_counts", counted)
+    dense = [
+        (n, m) for n in range(4, 8) for m in range(max(n - 1, comb(n, 2) - n), comb(n, 2) + 1)
+    ]
+    for n, m in dense + [(8, 20)]:
+        uniform_check(n, m)
+        assert calls == [], (n, m)
+    uniform_check(7, 9)
+    assert calls
+
+
+def test_uniform_check_builds_no_members(monkeypatch):
+    # the verdict reads the class walk; the balloon is built in `families`
+    def refused(*args):
+        raise AssertionError("uniform_check built a member")
+
+    monkeypatch.setattr(enumeration, "TwoTerminalGraph", refused)
+    assert uniform_check(7, 9).winner is None
+    assert uniform_check(7, 14).winner is not None
 
 
 def test_uniform_check_names_thm1_when_no_member_has_the_balloons_counts(monkeypatch):

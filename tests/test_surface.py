@@ -1,8 +1,9 @@
 """Library surface: every public top-level function and class of
 `src/splitrel`, and every public method of those classes, has a caller in
-the library itself or in the benchmark harness.  A route that only tests
-call is test code and belongs in `tests/`; every oracle there has a test
-caller and a name no public route in `src/` shares."""
+the library itself or in the benchmark harness, and every private top-level
+function has a caller in the library.  A route that only tests call is test
+code and belongs in `tests/`; every oracle there has a test caller and a
+name no public route in `src/` shares."""
 
 import ast
 import re
@@ -62,6 +63,25 @@ def test_every_public_route_has_a_library_or_harness_caller():
         if name.rsplit(".", 1)[-1] not in used
     ]
     assert not orphans, f"public routes with no caller outside tests: {orphans}"
+
+
+def test_every_private_function_has_a_library_caller():
+    # a helper folded into another is deleted, not left behind
+    called = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for path in _modules()
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    orphans = [
+        f"{path.name}:{node.name}"
+        for path in _modules()
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and node.name not in called
+    ]
+    assert not orphans, f"private functions with no caller in src/: {orphans}"
 
 
 def test_every_oracle_has_a_test_caller_and_no_library_name():
