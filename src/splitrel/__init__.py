@@ -11,7 +11,6 @@ from .graphs import (
     SimpleGraph,
     TwoTerminalGraph,
     bridges,
-    components,
     contract_edge,
     count_min_separators,
     edge_connectivity,

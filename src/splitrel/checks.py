@@ -25,8 +25,8 @@ from .counting import (
     two_tree_count,
 )
 from .enumeration import (
+    class_member,
     enumerate_graphs,
-    enumerate_two_terminal,
     uniform_check,
     verify_balloon_characterization,
 )
@@ -194,9 +194,8 @@ def check_thm3() -> Report:
         if verdict.winner is not None:
             failures.append({"m": m, "unexpected_winner": verdict.winner})
             continue
-        members = enumerate_two_terminal(7, m)
-        rival = split_coefficients(members[verdict.rival]).counts
-        cand = split_coefficients(members[verdict.candidate]).counts
+        rival = split_coefficients(class_member(7, m, verdict.rival)).counts
+        cand = split_coefficients(class_member(7, m, verdict.candidate)).counts
         diff = evaluate(rival, verdict.witness) - evaluate(cand, verdict.witness)
         entry["witness"] = str(verdict.witness)
         entry["rival_margin_at_witness"] = str(diff)

@@ -46,7 +46,7 @@ from .counting import (
     two_tree_counts,
 )
 from .families import in_I, two_terminal_balloon
-from .graphs import GuardError, SimpleGraph, TwoTerminalGraph, is_bridge, to_json_dict
+from .graphs import GuardError, SimpleGraph, TwoTerminalGraph, _reach, to_json_dict
 from .signature import dominates_on_unit_interval
 
 ENUM_GUARD_N = 8
@@ -101,11 +101,11 @@ def _descent(n: int) -> tuple[tuple[dict[int, int], ...], dict[int, list[tuple[i
                 if gap > 1 or gap == 1 and best & ~(star[u] | star[v]):
                     continue
                 taken |= canon.pair_orbit(n, group[mask], u, v)
-                if is_bridge(adj, u, v):
-                    continue
                 child = adj[:]
                 child[u] ^= 1 << v
                 child[v] ^= 1 << u
+                if not _reach(child, 1 << u) >> v & 1:
+                    continue  # e is a bridge of P
                 key, aut, perms, _ = canon.canonical_group(n, child)
                 if key not in below:
                     below[key], group[key] = aut, perms
@@ -150,6 +150,16 @@ def enumerate_two_terminal(n: int, m: int) -> list[TwoTerminalGraph]:
     graph equipped with one terminal pair per automorphism orbit.  Sorted by
     (underlying canonical mask, pair)."""
     return [TwoTerminalGraph(g, s, t) for g, pairs in _class_walk(n, m) for s, t in pairs]
+
+
+def class_member(n: int, m: int, i: int) -> TwoTerminalGraph:
+    """Member i of `enumerate_two_terminal(n, m)`, the only member built."""
+    if i >= 0:
+        for g, pairs in _class_walk(n, m):
+            if i < len(pairs):
+                return TwoTerminalGraph(g, *pairs[i])
+            i -= len(pairs)
+    raise IndexError(f"T_{{{n},{m}}} has no member {i}")
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,10 @@ sorted lexicographically; edge *indices* into that list are the stable handles
 used by subset operations.  All values are immutable and all functions are
 pure, so everything here is safe to share across workers.
 
-Connectivity, components, bridges, skeletons and farthest vertices all run on
-one representation, a neighbour bitmask per vertex (`adjacency_masks`), and
-one breadth-first closure over it.
+Connectivity, bridges, skeletons and farthest vertices all run on one
+representation, a neighbour bitmask per vertex (`adjacency_masks`), and one
+breadth-first closure over it.  One bottom-up pass over the breadth-first
+tree (`_bridge_tree`) serves both bridges and skeletons.
 """
 
 from __future__ import annotations
@@ -126,28 +127,6 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def components(g: SimpleGraph, kept: Iterable[int]) -> list[list[int]]:
-    """Connected components of the spanning subgraph keeping only `kept` edges.
-
-    Isolated vertices appear as singleton components.  Components are sorted
-    by their smallest vertex.
-    """
-    m = g.m
-    pairs = []
-    for i in kept:
-        if not 0 <= i < m:
-            raise IndexError(f"edge index {i} out of range for m={m}")
-        pairs.append(g.edges[i])
-    adj = adjacency_masks(g.n, pairs)
-    out = []
-    rest = (1 << g.n) - 1
-    while rest:
-        comp = _reach(adj, rest & -rest)
-        out.append(_bits(comp))
-        rest ^= comp
-    return out
-
-
 def is_connected(g: SimpleGraph) -> bool:
     if g.n == 0:
         return False
@@ -185,42 +164,43 @@ def validate(g: TwoTerminalGraph | SimpleGraph) -> list[str]:
     return diags
 
 
-def is_bridge(adj: list[int], u: int, v: int) -> bool:
-    """True iff v is unreachable from u once the edge (u, v) is dropped from
-    the neighbour masks `adj`.  Dropping only the arc u -> v suffices: a
-    search from u that reaches v by another route never needs v -> u."""
-    adj[u] ^= 1 << v
-    cut = not _reach(adj, 1 << u) >> v & 1
-    adj[u] ^= 1 << v
-    return cut
-
-
-def bridges(g: SimpleGraph) -> list[int]:
-    """Indices of bridge edges, ascending, from one bottom-up pass over a
-    breadth-first spanning tree (any other edge closes a cycle with the tree).
+def _bridge_tree(adj: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """One bottom-up pass over the breadth-first spanning tree from vertex 0
+    of the connected graph with neighbour masks `adj`: returns its layers,
+    each vertex's tree parent (-1 at the root) and the mask of the vertices
+    whose edge up to their parent is a bridge.  Every bridge is a tree edge,
+    since any other edge closes a cycle with the tree.
 
     The tree edge from v up to its parent u is a bridge iff u is the only
     neighbour of v's subtree outside it.  A breadth-first edge joins layers
     at most one apart, so no vertex of the subtree below v touches u.
+    """
+    n = len(adj)
+    layers = _bfs_layers(adj, 1) if n else []
+    if not layers or sum(layers) != (1 << n) - 1:
+        raise ValueError("bridges requires a connected graph")
+    parent = [-1] * n
+    subtree = [1 << v for v in range(n)]
+    near = list(adj)  # per vertex, the neighbours of its subtree so far
+    cut = 0
+    for above, layer in reversed(list(zip(layers, layers[1:]))):
+        for v in _bits(layer):
+            u = parent[v] = (adj[v] & above).bit_length() - 1
+            if near[v] & ~subtree[v] == 1 << u:
+                cut |= 1 << v
+            subtree[u] |= subtree[v]
+            near[u] |= near[v]
+    return layers, parent, cut
+
+
+def bridges(g: SimpleGraph) -> list[int]:
+    """Indices of bridge edges, ascending, from one `_bridge_tree` pass.
 
     Precondition: g connected.
     """
-    adj = adjacency_masks(g.n, g.edges)
-    layers = _bfs_layers(adj, 1) if g.n else []
-    if not layers or sum(layers) != (1 << g.n) - 1:
-        raise ValueError("bridges requires a connected graph")
+    _, parent, cut = _bridge_tree(adjacency_masks(g.n, g.edges))
     index = {e: i for i, e in enumerate(g.edges)}
-    subtree = [1 << v for v in range(g.n)]
-    near = adj[:]  # per vertex, the neighbours of its subtree so far
-    out = []
-    for above, layer in reversed(list(zip(layers, layers[1:]))):
-        for v in _bits(layer):
-            u = (adj[v] & above).bit_length() - 1  # v's parent in the tree
-            if near[v] & ~subtree[v] == 1 << u:
-                out.append(index[(u, v) if u < v else (v, u)])
-            subtree[u] |= subtree[v]
-            near[u] |= near[v]
-    return sorted(out)
+    return sorted(index[(min(v, parent[v]), max(v, parent[v]))] for v in _bits(cut))
 
 
 def _min_cuts(g: SimpleGraph) -> tuple[int, int]:
@@ -228,9 +208,9 @@ def _min_cuts(g: SimpleGraph) -> tuple[int, int]:
     Gray-code sweep with vertex 0 fixed, one vertex moved per step."""
     if g.n < 2:
         raise ValueError("edge connectivity needs n >= 2")
-    if not is_connected(g):
-        raise ValueError("edge connectivity requires a connected graph")
     adj = adjacency_masks(g.n, g.edges)
+    if _reach(adj, 1) != (1 << g.n) - 1:
+        raise ValueError("edge connectivity requires a connected graph")
     side = cut = 0
     best, count = g.m + 1, 0
     for i in range(1, 1 << (g.n - 1)):
@@ -296,27 +276,22 @@ def subdivide_edge(g: SimpleGraph, e: int) -> SimpleGraph:
 def skeleton(graph: SimpleGraph) -> tuple[SimpleGraph, tuple[int, ...]]:
     """Contract every bridge; returns the bridgeless quotient and the vertex map.
 
-    Quotient classes are the components of the bridge forest; the result has
-    n - b(G) vertices and m - b(G) edges.  A tree collapses to a single vertex.
-    Precondition: connected.
+    Quotient classes are the components of the bridge forest, numbered by
+    their least vertex, and are read top down from one `_bridge_tree` pass:
+    a vertex joins its parent's class when its edge up is a bridge.  Every
+    other edge joins two classes, since it lies on a cycle, so the result
+    has n - b(G) vertices and m - b(G) edges.  A tree collapses to a single
+    vertex.  Precondition: connected.
     """
-    bridge_idx = bridges(graph)
-    forest = components(graph, bridge_idx)
-    cls = [0] * graph.n
-    for i, comp in enumerate(forest):
-        for v in comp:
-            cls[v] = i
-    vmap = tuple(cls)
-    cut = set(bridge_idx)
-    new_edges = []
-    for i, (u, v) in enumerate(graph.edges):
-        if i in cut:
-            continue
-        x, y = vmap[u], vmap[v]
-        if x == y:
-            raise AssertionError("non-bridge edge inside a bridge-forest class")
-        new_edges.append((min(x, y), max(x, y)))
-    return SimpleGraph(len(forest), tuple(new_edges)), vmap
+    layers, parent, cut = _bridge_tree(adjacency_masks(graph.n, graph.edges))
+    top = list(range(graph.n))  # the shallowest vertex of each vertex's class
+    for layer in layers[1:]:
+        for v in _bits(layer & cut):
+            top[v] = top[parent[v]]
+    number: dict[int, int] = {}  # ascending v meets each class at its least vertex
+    vmap = tuple(number.setdefault(r, len(number)) for r in top)
+    edges = [(vmap[u], vmap[v]) for u, v in graph.edges if vmap[u] != vmap[v]]
+    return SimpleGraph(len(number), tuple(edges)), vmap
 
 
 def skeleton_two_terminal(g: TwoTerminalGraph) -> TwoTerminalGraph:

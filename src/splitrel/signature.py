@@ -183,9 +183,6 @@ def _power_basis(d: Sequence[int]) -> list[int]:
 # Refutation points k/q, in the order their witnesses are reported.
 _PRESAMPLE = [(k, 64) for k in range(1, 64)] + [(1, 1024), (1023, 1024)]
 
-_BERNSTEIN_LIFT = 10
-_LIFT_BINOMIALS = [comb(_BERNSTEIN_LIFT, k) for k in range(_BERNSTEIN_LIFT + 1)]
-
 
 def _scaled_value(d: Sequence[int], k: int, q: int) -> int:
     """q^m times sum_i d_i x^i (1-x)^(m-i) at x = k/q (homogeneous Horner)."""
@@ -196,27 +193,14 @@ def _scaled_value(d: Sequence[int], k: int, q: int) -> int:
     return acc
 
 
-def _lifted(d: Sequence[int]) -> list[int]:
-    """The count vector of the same polynomial over m + _BERNSTEIN_LIFT edges:
-    c_j = sum_i d_i * C(lift, j - i)."""
-    out = [0] * (len(d) + _BERNSTEIN_LIFT)
-    for i, c in enumerate(d):
-        if c:
-            for k, w in enumerate(_LIFT_BINOMIALS):
-                out[i + k] += c * w
-    return out
-
-
 def dominates_on_unit_interval(a: Sequence[int], b: Sequence[int]) -> DominanceVerdict:
     """Decide exactly whether SR_a(p) >= SR_b(p) for all p in [0, 1], where
     a and b are count vectors N_0..N_m of one class.
 
-    On the integer difference d = a - b: d_0 and d_m are the endpoint
-    values; nonnegative coefficients certify, first of d itself and then
-    after degree elevation (which keeps nonnegative coefficients
-    nonnegative, so the first test only skips the lift), and no presample
-    point could refute a certified d; the presample refutes.  What is left
-    goes to Sturm root isolation.
+    On the integer difference d = a - b: nonnegative coefficients certify
+    (no presample point could refute such a d); d_0 and d_m are the
+    endpoint values; the presample refutes.  What is left goes to Sturm
+    root isolation.
     """
     if len(a) != len(b):
         raise ValueError(f"count vectors of different lengths: {len(a)} vs {len(b)}")
@@ -227,8 +211,6 @@ def dominates_on_unit_interval(a: Sequence[int], b: Sequence[int]) -> DominanceV
         return DominanceVerdict(False, Fraction(0))
     if d[-1] < 0:
         return DominanceVerdict(False, Fraction(1))
-    if all(c >= 0 for c in _lifted(d)):
-        return DominanceVerdict(True, None)
     for k, q in _PRESAMPLE:
         if _scaled_value(d, k, q) < 0:
             return DominanceVerdict(False, Fraction(k, q))

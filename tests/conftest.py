@@ -3,7 +3,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from hypothesis import settings, strategies as st
 
@@ -28,10 +28,9 @@ from splitrel.graphs import (
     TwoTerminalGraph,
     _bfs_layers,
     _bits,
+    _reach,
     adjacency_masks,
     bridges,
-    components,
-    is_bridge,
     is_connected,
     skeleton_two_terminal,
 )
@@ -160,6 +159,25 @@ def near_zero_refuter(ledger: ClassLedger) -> tuple[int, Optional[int]]:
     cand = sigs[ledger.locally_most[0]].counts
     diff = (i for i, (a, b) in enumerate(zip(sigs[best].counts, cand)) if a != b)
     return best, next(diff, None)
+
+
+def components(g: SimpleGraph, kept: Iterable[int]) -> list[list[int]]:
+    """Reference components of the spanning subgraph keeping only `kept`
+    edges, one reachability search each: isolated vertices are singletons,
+    and components are sorted by their smallest vertex."""
+    pairs = []
+    for i in kept:
+        if not 0 <= i < g.m:
+            raise IndexError(f"edge index {i} out of range for m={g.m}")
+        pairs.append(g.edges[i])
+    adj = adjacency_masks(g.n, pairs)
+    out = []
+    rest = (1 << g.n) - 1
+    while rest:
+        comp = _reach(adj, rest & -rest)
+        out.append(_bits(comp))
+        rest ^= comp
+    return out
 
 
 def is_split_subgraph(g: TwoTerminalGraph, kept: Sequence[int]) -> bool:
@@ -481,17 +499,15 @@ def min_separators_by_search(g: SimpleGraph) -> tuple[int, int]:
 
 def descent_by_every_child(n: int) -> tuple[dict[int, int], ...]:
     """Reference descent: every representative at level m loses, in turn,
-    every edge that is not a bridge, and each child's key is looked up; per
-    edge count m, {canonical mask: automorphism group size}."""
+    every edge whose deletion leaves it connected, and each child's key is
+    looked up; per edge count m, {canonical mask: automorphism group size}."""
     top = comb(n, 2)
-    pairs = canon.pair_list(n)
     levels: list[dict[int, int]] = [{} for _ in range(top + 1)]
     levels[top] = {(1 << top) - 1: factorial(n)}
     for m in range(top, 0, -1):
         for mask in levels[m]:
-            adj = canon.mask_adjacency(n, mask)
-            for k, (u, v) in enumerate(pairs):
-                if mask >> k & 1 and not is_bridge(adj, u, v):
+            for k in range(top):
+                if mask >> k & 1 and is_connected(canon.mask_to_graph(n, mask ^ 1 << k)):
                     images = canon.orbit_images(n, mask ^ 1 << k)
                     levels[m - 1].setdefault(min(images), images[min(images)])
     return tuple(levels)

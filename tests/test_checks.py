@@ -131,7 +131,7 @@ def test_claim_checks_build_each_piece_once(monkeypatch):
     # class's balloon twice, once inside sr_composition(n, m) and once for
     # the direct count, and the closed forms read each profile once
     skeletons = _count_calls(monkeypatch, "skeleton")
-    bridge_passes = _count_calls(monkeypatch, "bridges")
+    bridge_passes = _count_calls(monkeypatch, "_bridge_tree")
     assert check_prop2(9, 15).status == "pass"
     assert (len(skeletons), len(bridge_passes)) == (2, 2)
     builds = _count_calls(monkeypatch, "two_terminal_balloon")

@@ -168,6 +168,26 @@ def test_uniform_check_builds_no_ledger(capsys, monkeypatch):
     assert built == []
 
 
+def test_uniform_check_builds_only_the_printed_members(capsys, monkeypatch):
+    # the command prints at most two members, and builds only those
+    built = []
+    real = enumeration.TwoTerminalGraph
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(enumeration, "TwoTerminalGraph", counted)
+    for m, head, members in (("9", "NONE", 2), ("14", "WINNER", 1)):
+        built.clear()
+        code, out = run(capsys, "uniform-check", "7", m)
+        assert code == 0 and out.startswith(head)
+        assert len(built) == members, m
+    built.clear()
+    assert checks.check_thm3().status == "pass"
+    assert len(built) == 6  # a rival and a candidate for each of m = 7, 8, 9
+
+
 def test_uniform_check_output_pinned(capsys):
     # stdout of every class with 2 <= n <= 7, as recorded while the full
     # ledger still decided the command's verdict and candidate

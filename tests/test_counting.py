@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 
 from conftest import (
     classify_by_sweep,
+    components,
     connected_graphs,
     cycle_n,
     deletion_contraction_check,
@@ -42,7 +43,6 @@ from splitrel.graphs import (
     SimpleGraph,
     TwoTerminalGraph,
     bridges,
-    components,
     subdivide_edge,
 )
 from splitrel.signature import evaluate, sr_polynomial

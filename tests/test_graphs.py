@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import (
+    components,
     connected_graphs,
     cycle_n,
     degree,
@@ -23,12 +24,11 @@ from conftest import (
     union_find_roots,
 )
 from splitrel.canon import canonical_form_graph, isomorphic
-from splitrel.families import balloon, two_terminal_balloon
+from splitrel.families import balloon, in_I, two_terminal_balloon
 from splitrel.graphs import (
     SimpleGraph,
     TwoTerminalGraph,
     bridges,
-    components,
     contract_edge,
     count_min_separators,
     dumps,
@@ -117,12 +117,64 @@ def test_bridges_match_union_find(g):
     assert bridges(g) == split
 
 
+def _check_skeleton_by_union_find(g):
+    # classes are the union-find components of the bridges, numbered by
+    # least vertex, and the skeleton's edges are the other edges contracted
+    bset = set(bridges(g))
+    roots = union_find_roots(g.n, [g.edges[i] for i in bset])
+    order = sorted(set(roots))
+    skel, vmap = skeleton(g)
+    assert vmap == tuple(order.index(r) for r in roots)
+    contracted = SimpleGraph(
+        len(order),
+        tuple((vmap[u], vmap[v]) for i, (u, v) in enumerate(g.edges) if i not in bset),
+    )
+    assert skel == contracted and skel.m == g.m - len(bset)
+
+
 @given(connected_graphs(max_n=8, max_m=20))
 def test_skeleton_vertex_map_matches_union_find(g):
-    roots = union_find_roots(g.n, [g.edges[i] for i in bridges(g)])
-    order = sorted(set(roots))
-    _, vmap = skeleton(g)
-    assert vmap == tuple(order.index(r) for r in roots)
+    _check_skeleton_by_union_find(g)
+
+
+def test_skeleton_matches_union_find_exhaustively():
+    # every connected graph with n <= 7 and every balloon with n <= 30
+    from splitrel.enumeration import enumerate_graphs
+
+    for n in range(2, 8):
+        for m in range(n - 1, comb(n, 2) + 1):
+            for g in enumerate_graphs(n, m):
+                _check_skeleton_by_union_find(g)
+    for n in range(3, 31):
+        for m in range(n, comb(n, 2) + 1):
+            if in_I(n, m):
+                _check_skeleton_by_union_find(balloon(n, m))
+
+
+def test_skeleton_runs_one_bridge_pass_and_no_reachability_search(monkeypatch):
+    # the bridge forest's classes are read top down from the pass that
+    # found the bridges, with no second search over the forest
+    from splitrel import graphs
+
+    passes = []
+    real = graphs._bridge_tree
+
+    def counted(adj):
+        passes.append(len(adj))
+        return real(adj)
+
+    def refuse(*args):
+        raise AssertionError("skeleton ran a reachability search")
+
+    monkeypatch.setattr(graphs, "_bridge_tree", counted)
+    monkeypatch.setattr(graphs, "_reach", refuse)
+    star = SimpleGraph(6, tuple((0, v) for v in range(1, 6)))
+    cases = [(k_n(8), 8, 28), (balloon(9, 15), 6, 12), (path_n(200), 1, 0), (star, 1, 0)]
+    for g, n, m in cases:
+        passes.clear()
+        skel, vmap = skeleton(g)
+        assert (skel.n, skel.m, passes) == (n, m, [g.n])
+        assert len(vmap) == g.n
 
 
 @given(connected_graphs(max_n=8, max_m=20))
@@ -195,7 +247,6 @@ def test_bridges_run_no_reachability_search(monkeypatch):
     def refuse(*args):
         raise AssertionError("bridges ran a per-edge search")
 
-    monkeypatch.setattr(graphs, "is_bridge", refuse)
     monkeypatch.setattr(graphs, "_reach", refuse)
     assert bridges(k_n(8)) == []
     assert bridges(balloon(9, 15)) == [12, 13, 14]  # the pendant path 5-6-7-8

@@ -262,8 +262,8 @@ def test_sturm_dominance_pinned():
 def difference_vectors(draw):
     """Integer count vectors d with m <= 12.  Half of them carry a squared
     linear factor (u(1-x) - vx)^2 with its double root u/(u+v) inside (0, 1);
-    with a nonnegative cofactor neither the presample nor the Bernstein
-    certificate decides those, so the Sturm path runs."""
+    with a nonnegative cofactor the presample cannot refute those, and the
+    root rules out nonnegative coefficients, so the Sturm path runs."""
     if draw(st.booleans()):
         m = draw(st.integers(1, 12))
         return draw(st.lists(st.integers(-50, 50), min_size=m + 1, max_size=m + 1))
@@ -290,15 +290,15 @@ def test_dominance_matches_sturm_only(d):
 
 @given(st.lists(st.integers(0, 50), min_size=1, max_size=14), st.data())
 def test_coefficientwise_certificate_matches_sturm(d, data):
-    # a - b >= 0 in every count dominates before any lift; Sturm agrees
+    # a - b >= 0 in every count dominates before the Sturm path; Sturm agrees
     b = data.draw(st.lists(st.integers(0, 10**6), min_size=len(d), max_size=len(d)))
     a = [x + y for x, y in zip(b, d)]
 
-    def no_lift(_):
-        raise AssertionError("degree elevation ran on a coefficientwise difference")
+    def no_sturm(_):
+        raise AssertionError("the Sturm path ran on a coefficientwise difference")
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(signature, "_lifted", no_lift)
+        patch.setattr(signature, "_sturm_dominance", no_sturm)
         assert dominates_on_unit_interval(a, b) == DominanceVerdict(True, None)
     assert _sturm_dominance(d) == DominanceVerdict(True, None)
 

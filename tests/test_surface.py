@@ -1,9 +1,10 @@
 """Library surface: every public top-level function and class of
 `src/splitrel`, and every public method of those classes, has a caller in
-the library itself or in the benchmark harness, and every private top-level
-function has a caller in the library.  A route that only tests call is test
-code and belongs in `tests/`; every oracle there has a test caller and a
-name no public route in `src/` shares."""
+the library itself or in the benchmark harness; every private top-level
+function has a caller in the library; every module-level name assigned there
+has a reader in the library or the harness.  A route that only tests
+call is test code and belongs in `tests/`; every oracle there has a test
+caller and a name no public route in `src/` shares."""
 
 import ast
 import re
@@ -82,6 +83,28 @@ def test_every_private_function_has_a_library_caller():
         and node.name not in called
     ]
     assert not orphans, f"private functions with no caller in src/: {orphans}"
+
+
+def test_every_module_constant_has_a_library_or_harness_reader():
+    # a constant whose last reader is deleted goes with it
+    assigned = [
+        (path.name, target.id)
+        for path in _modules()
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name)
+    ]
+    read = _words_in_harness()
+    for path in _modules():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert len(assigned) >= 10
+    unread = [f"{module}:{name}" for module, name in assigned if name not in read]
+    assert not unread, f"module-level names with no reader outside tests: {unread}"
 
 
 def test_every_oracle_has_a_test_caller_and_no_library_name():
