@@ -24,12 +24,7 @@ from .counting import (
     split_coefficients,
     two_tree_count,
 )
-from .enumeration import (
-    class_member,
-    enumerate_graphs,
-    uniform_check,
-    verify_balloon_characterization,
-)
+from .enumeration import enumerate_graphs, refine_chain, uniform_check
 from .families import (
     KIND_NEEDS,
     ThresholdSpec,
@@ -166,12 +161,29 @@ def check_thm1(
     m: Optional[int] = None,
     max_n: int = 7,
 ) -> Report:
-    """Locally-most set equals the balloon's split-equivalence class."""
+    """Locally-most set equals the balloon's split-equivalence class, and each
+    refinement level keeps a subset of the one before.  The balloon's member
+    is its canonical form, since every member is its own."""
     targets = [(n, m)] if n is not None and m is not None else _classes(max_n)
     results = {}
     failures = []
     for nn, mm in targets:
-        res = verify_balloon_characterization(nn, mm)
+        ledger = refine_chain(nn, mm)
+        _, _, key, s, t = canon.canonical_form(two_terminal_balloon(nn, mm))
+        bidx = ledger.members.index(TwoTerminalGraph(canon.mask_to_graph(nn, key), s, t))
+        sig = ledger.signatures[bidx]
+        direct = [i for i, other in enumerate(ledger.signatures) if other.counts == sig.counts]
+        levels = ledger.chain_levels
+        chain_ok = all(set(b) <= set(a) for a, b in zip(levels, levels[1:]))
+        # the locally-most set being the balloon's class makes the early stop
+        # a genuine all-equivalent level that holds the balloon
+        res = {
+            "ok": sorted(ledger.locally_most) == direct and chain_ok,
+            "class_size": len(ledger.locally_most),
+            "balloon_index": bidx,
+            "early_stop_level": ledger.early_stop_level,
+            "shared_f_prefix": list(sig.f_tuple()[:8]),
+        }
         results[f"{nn},{mm}"] = res
         if not res["ok"]:
             failures.append({"n": nn, "m": mm, **res})
@@ -194,8 +206,8 @@ def check_thm3() -> Report:
         if verdict.winner is not None:
             failures.append({"m": m, "unexpected_winner": verdict.winner})
             continue
-        rival = split_coefficients(class_member(7, m, verdict.rival)).counts
-        cand = split_coefficients(class_member(7, m, verdict.candidate)).counts
+        rival = split_coefficients(verdict.members[verdict.rival]).counts
+        cand = split_coefficients(verdict.members[verdict.candidate]).counts
         diff = evaluate(rival, verdict.witness) - evaluate(cand, verdict.witness)
         entry["witness"] = str(verdict.witness)
         entry["rival_margin_at_witness"] = str(diff)

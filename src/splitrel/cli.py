@@ -148,19 +148,8 @@ def _cmd_locally_most(args) -> int:
 
 def _cmd_uniform_check(args) -> int:
     verdict = enumeration.uniform_check(args.n, args.m)
-
-    def member(i: int) -> dict:
-        return graphs.to_json_dict(enumeration.class_member(args.n, args.m, i))
-
-    doc = verdict.to_json_dict()
-    if verdict.winner is not None:
-        doc["winner"] = member(verdict.winner)
-        head = "WINNER"
-    else:
-        doc["rival"] = member(verdict.rival)
-        doc["candidate"] = member(verdict.candidate)
-        head = "NONE"
-    _emit(head + "\n" + json.dumps(doc, indent=2), args.out)
+    head = "NONE" if verdict.winner is None else "WINNER"
+    _emit(head + "\n" + json.dumps(verdict.to_json_dict(), indent=2), args.out)
     return 0
 
 

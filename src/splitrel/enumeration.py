@@ -12,13 +12,13 @@ terminal pair per orbit of that group, so each two-terminal representative
 is unique up to terminal-respecting isomorphism; the members are the walk
 flattened, and each graph is classified once for all its pairs.
 
-The uniform verdict has one route, `uniform_check`, which reads the walk and
-builds no members.  Its candidate is the first locally-most member, which by
-thm1 has the balloon's counts.  Every member has N_i = 0 for i < n - 2, so a
-member whose N_{n-2} beats the balloon's refutes the class near p = 0; below
-the dense end every N_{n-2} comes from one Gauss-Jordan pass per graph, and
-when the top one beats the balloon's only the graphs that can hold the rival
-or the candidate are classified.
+The uniform verdict has one route, `uniform_check`, which reads the walk, and
+the verdict carries the members it names.  Its candidate is the first
+locally-most member, which by thm1 has the balloon's counts.  Every member has
+N_i = 0 for i < n - 2, so a member whose N_{n-2} beats the balloon's refutes
+the class near p = 0; below the dense end every N_{n-2} comes from one
+Gauss-Jordan pass per graph, and when the top one beats the balloon's only the
+graphs that can hold the rival or the candidate are classified.
 
 Conventions: "locally most split reliable" is the per-competitor form (for
 each rival there is a neighborhood of p = 1 where the candidate is at least
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -152,16 +152,6 @@ def enumerate_two_terminal(n: int, m: int) -> list[TwoTerminalGraph]:
     return [TwoTerminalGraph(g, s, t) for g, pairs in _class_walk(n, m) for s, t in pairs]
 
 
-def class_member(n: int, m: int, i: int) -> TwoTerminalGraph:
-    """Member i of `enumerate_two_terminal(n, m)`, the only member built."""
-    if i >= 0:
-        for g, pairs in _class_walk(n, m):
-            if i < len(pairs):
-                return TwoTerminalGraph(g, *pairs[i])
-            i -= len(pairs)
-    raise IndexError(f"T_{{{n},{m}}} has no member {i}")
-
-
 # ---------------------------------------------------------------------------
 # class ledger
 
@@ -170,20 +160,28 @@ class UniformVerdict:
     """Candidate is the index of the first locally-most representative.
     Winner holds it when the candidate dominates the whole class; otherwise
     rival is the first member with the largest counts the candidate does not
-    dominate, with an exact point where the rival is strictly more reliable."""
+    dominate, with an exact point where the rival is strictly more reliable.
+    Members maps each index named here to its member."""
 
     winner: Optional[int]
     candidate: int
     rival: Optional[int] = None
     witness: Optional[Fraction] = None
+    members: dict[int, TwoTerminalGraph] = field(kw_only=True)
 
     def to_json_dict(self) -> dict:
         if self.winner is not None:
-            return {"verdict": "winner", "winner_index": self.winner}
+            return {
+                "verdict": "winner",
+                "winner_index": self.winner,
+                "winner": to_json_dict(self.members[self.winner]),
+            }
         return {
             "verdict": "none",
             "rival_index": self.rival,
             "witness": str(self.witness),
+            "rival": to_json_dict(self.members[self.rival]),
+            "candidate": to_json_dict(self.members[self.candidate]),
         }
 
 
@@ -304,15 +302,16 @@ def uniform_check(n: int, m: int) -> UniformVerdict:
     every distinct classified count vector, largest first, and the first it
     does not dominate is the rival.
 
-    The walk is read with a running member index and no member is built.
-    Every member has N_i = 0 for i < n - 2 (a split subgraph keeps at least
-    n - 2 edges), and by thm1 the candidate has the balloon's counts.  For
-    (n, m) in I below the dense end, m < C(n,2) - n, every N_{n-2} is read
-    from one Gauss-Jordan pass per graph (`two_tree_counts`).  If the top
-    one beats the balloon's, its holders beat the candidate near p = 0, so
-    only their graphs are classified, with the graphs holding the balloon's
-    N_{n-2}, in member order, up to the candidate: the first member with
-    the balloon's counts.  Otherwise every graph is classified.
+    The walk is read with a running member index, and only the members the
+    verdict names are built.  Every member has N_i = 0 for i < n - 2 (a
+    split subgraph keeps at least n - 2 edges), and by thm1 the candidate
+    has the balloon's counts.  For (n, m) in I below the dense end,
+    m < C(n,2) - n, every N_{n-2} is read from one Gauss-Jordan pass per
+    graph (`two_tree_counts`).  If the top one beats the balloon's, its
+    holders beat the candidate near p = 0, so only their graphs are
+    classified, with the graphs holding the balloon's N_{n-2}, in member
+    order, up to the candidate: the first member with the balloon's counts.
+    Otherwise every graph is classified.
     """
     walk = _nonempty_walk(n, m)
     target = None  # the candidate's counts, once known
@@ -323,13 +322,13 @@ def uniform_check(n: int, m: int) -> UniformVerdict:
         top, base = max(map(max, held)), two_tree_count(balloon)
         if top > base:
             target = split_coefficients(balloon).counts
-    first: dict[tuple[int, ...], int] = {}  # classified count vector: its first member
+    first: dict[tuple[int, ...], tuple] = {}  # classified counts: (i, g, s, t) of the first member
     j = 0  # the index of the graph's first member
     for k, (g, pairs) in enumerate(walk):
         if target is None or top in held[k] or base in held[k] and target not in first:
             cls = classify_subsets(g)
             for i, (s, t) in enumerate(pairs, j):
-                first.setdefault(cls.split_counts(s, t), i)
+                first.setdefault(cls.split_counts(s, t), (i, g, s, t))
         j += len(pairs)
     if target is None:
         target = max(first, key=lambda c: c[::-1])  # the largest (F_0, ..., F_m)
@@ -339,44 +338,11 @@ def uniform_check(n: int, m: int) -> UniformVerdict:
     for counts in sorted(first, reverse=True):
         res = dominates_on_unit_interval(target, counts)
         if not res.dominates:
+            rival = first[counts]
+            members = {i: TwoTerminalGraph(g, s, t) for i, g, s, t in (rival, candidate)}
             return UniformVerdict(
-                winner=None, candidate=candidate, rival=first[counts], witness=res.witness
+                winner=None, candidate=candidate[0], rival=rival[0], witness=res.witness,
+                members=members,
             )
-    return UniformVerdict(winner=candidate, candidate=candidate)
-
-
-def balloon_member_index(ledger: ClassLedger) -> int:
-    """Index of the two-terminal balloon's representative in the ledger: its
-    canonical form, which is the member itself."""
-    n, _, key, s, t = canon.canonical_form(two_terminal_balloon(ledger.n, ledger.m))
-    return ledger.members.index(TwoTerminalGraph(canon.mask_to_graph(n, key), s, t))
-
-
-def verify_balloon_characterization(n: int, m: int) -> dict:
-    """Check that the locally-most set is exactly the split-equivalence class
-    of the two-terminal balloon, and that the refinement's early stop was a
-    genuine all-equivalent level."""
-    ledger = refine_chain(n, m)
-    bidx = balloon_member_index(ledger)
-    balloon_sig = ledger.signatures[bidx]
-    direct = [
-        i for i, s in enumerate(ledger.signatures) if s.counts == balloon_sig.counts
-    ]
-    chain_ok = all(
-        set(b) <= set(a) for a, b in zip(ledger.chain_levels, ledger.chain_levels[1:])
-    )
-    final_sigs = {ledger.signatures[i].counts for i in ledger.locally_most}
-    ok = (
-        sorted(ledger.locally_most) == sorted(direct)
-        and bidx in ledger.locally_most
-        and chain_ok
-        and len(final_sigs) == 1
-    )
-    f_tuple = balloon_sig.f_tuple()
-    return {
-        "ok": ok,
-        "class_size": len(ledger.locally_most),
-        "balloon_index": bidx,
-        "early_stop_level": ledger.early_stop_level,
-        "shared_f_prefix": list(f_tuple[: min(len(f_tuple), 8)]),
-    }
+    i, g, s, t = candidate
+    return UniformVerdict(winner=i, candidate=i, members={i: TwoTerminalGraph(g, s, t)})

@@ -5,7 +5,7 @@ subdivision, skeletons, farthest vertices.
 Vertices are 0..n-1.  Edges are unordered pairs stored as (u, v) with u < v,
 sorted lexicographically; edge *indices* into that list are the stable handles
 used by subset operations.  All values are immutable and all functions are
-pure, so everything here is safe to share across workers.
+pure.
 
 Connectivity, bridges, skeletons and farthest vertices all run on one
 representation, a neighbour bitmask per vertex (`adjacency_masks`), and one

@@ -131,7 +131,7 @@ def uniform_verdict_by_ledger(ledger: ClassLedger) -> UniformVerdict:
     """Reference uniform verdict from a full ledger: any winner is locally
     most, so the candidate is the first locally-most member; it is tested
     against every distinct rival signature, lexicographically largest
-    N-vector first."""
+    N-vector first.  The named members are the ledger's."""
     candidate_idx = ledger.locally_most[0]
     cand_sig = ledger.signatures[candidate_idx]
     rivals = sorted(
@@ -145,10 +145,13 @@ def uniform_verdict_by_ledger(ledger: ClassLedger) -> UniformVerdict:
             continue
         res = dominates_on_unit_interval(cand_sig.counts, sig.counts)
         if not res.dominates:
+            named = {i: ledger.members[i] for i in (cls[0], candidate_idx)}
             return UniformVerdict(
-                winner=None, candidate=candidate_idx, rival=cls[0], witness=res.witness
+                winner=None, candidate=candidate_idx, rival=cls[0], witness=res.witness,
+                members=named,
             )
-    return UniformVerdict(winner=candidate_idx, candidate=candidate_idx)
+    named = {candidate_idx: ledger.members[candidate_idx]}
+    return UniformVerdict(winner=candidate_idx, candidate=candidate_idx, members=named)
 
 
 def near_zero_refuter(ledger: ClassLedger) -> tuple[int, Optional[int]]:

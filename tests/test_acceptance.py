@@ -27,6 +27,7 @@ from splitrel.checks import (
     check_prop1,
     check_prop3,
     check_skeleton_characterization,
+    check_thm1,
     check_thm2,
     check_thm3,
 )
@@ -43,7 +44,6 @@ from splitrel.enumeration import (
     enumerate_two_terminal,
     refine_chain,
     uniform_check,
-    verify_balloon_characterization,
 )
 from splitrel.families import closed_form_F_values
 from splitrel.graphs import bridges
@@ -156,7 +156,7 @@ def test_criterion_01_min_mask_rivals_keep_their_class():
 def test_criterion_02_locally_most_is_balloon_class(verdict_table):
     bad = []
     for n, m in I_CLASSES:
-        res = verify_balloon_characterization(n, m)
+        res = check_thm1(n=n, m=m).details["results"][f"{n},{m}"]
         if not res["ok"]:
             bad.append((n, m, res))
     _line(2, not bad, f"locally-most class equals the balloon class for all "

@@ -200,6 +200,35 @@ def test_uniform_check_output_pinned(capsys):
     assert digest.hexdigest() == "4f9ffa404cbb98813ad139a577b74d078ba69eb47e238eb68c1c01b8a2e80f44"
 
 
+def test_uniform_check_n8_output_pinned(capsys):
+    # stdout at n = 8 from a tree path to K_8, recorded while the command
+    # still built its printed members in a second walk of the class
+    digest = hashlib.sha256()
+    for m in (7, 10, 14, 20, 28):
+        code, out = run(capsys, "uniform-check", "8", str(m))
+        assert code == 0, m
+        digest.update(out.encode())
+    assert digest.hexdigest() == "b7016a71f6124ef0ab8e8f1165d04218fde25ccfef685579cf73e03bb085abeb"
+
+
+def test_uniform_check_and_thm3_walk_each_class_once(capsys, monkeypatch):
+    walks = []
+    real = enumeration._class_walk
+
+    def counted(n, m):
+        walks.append((n, m))
+        return real(n, m)
+
+    monkeypatch.setattr(enumeration, "_class_walk", counted)
+    for m in ("9", "14"):
+        walks.clear()
+        code, _ = run(capsys, "uniform-check", "7", m)
+        assert code == 0 and walks == [(7, int(m))]
+    walks.clear()
+    assert checks.check_thm3().status == "pass"
+    assert walks == [(7, 7), (7, 8), (7, 9)]
+
+
 def test_verify_exit_codes(capsys):
     code, out = run(capsys, "verify", "bogdanowicz", "--max-n", "6")
     assert code == 0

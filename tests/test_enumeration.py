@@ -31,18 +31,17 @@ from conftest import (
     uniform_verdict_by_ledger,
 )
 from splitrel import canon, counting, enumeration
+from splitrel.checks import check_thm1
 from splitrel.counting import CoefficientVector, split_coefficients, two_tree_count
 from splitrel.enumeration import (
     ClassLedger,
     _class_walk,
     _descent,
-    balloon_member_index,
     enumerate_graphs,
     enumerate_two_terminal,
     refine_chain,
     refine_members,
     uniform_check,
-    verify_balloon_characterization,
 )
 from splitrel.families import two_terminal_balloon, variant
 from splitrel.graphs import (
@@ -179,8 +178,8 @@ def test_descent_generators_match_a_fresh_search():
 
 def test_ledger_runs_no_canonical_search(monkeypatch):
     # with the descent warm, pair orbits come from the kept generators and
-    # the CSV reads each member's key from its own edges; finding the
-    # balloon's member takes the balloon's one search
+    # the CSV reads each member's key from its own edges; thm1's check finds
+    # the balloon's member with the balloon's one search
     _descent(7)
     calls = []
     search = canon._search
@@ -195,7 +194,7 @@ def test_ledger_runs_no_canonical_search(monkeypatch):
     assert ledger.to_csv()
     assert enumerate_two_terminal(7, 10)
     assert calls == []
-    index = balloon_member_index(ledger)
+    index = check_thm1(n=7, m=14).details["results"]["7,14"]["balloon_index"]
     assert len(calls) == 1
     assert canonical_form_by_search(ledger.members[index]) == canonical_form_by_search(
         two_terminal_balloon(7, 14)
@@ -443,7 +442,7 @@ def test_ledger_stores_only_the_chain():
 
 def test_verify_balloon_characterization_small():
     for n, m in [(4, 4), (4, 5), (5, 6), (6, 6), (7, 21)]:
-        res = verify_balloon_characterization(n, m)
+        res = check_thm1(n=n, m=m).details["results"][f"{n},{m}"]
         assert res["ok"], (n, m, res)
 
 
@@ -472,7 +471,8 @@ def test_uniform_check_six_six_none_with_witness():
 
 
 def test_uniform_check_matches_the_full_ledger():
-    # winner, candidate, rival and witness are the full ledger's
+    # winner, candidate, rival, witness and the named members are the full
+    # ledger's
     for n in range(2, 8):
         for m in range(n - 1, comb(n, 2) + 1):
             got = uniform_check(n, m)
@@ -530,14 +530,24 @@ def test_uniform_check_screens_only_below_the_dense_end(monkeypatch):
     assert calls
 
 
-def test_uniform_check_builds_no_members(monkeypatch):
-    # the verdict reads the class walk; the balloon is built in `families`
-    def refused(*args):
-        raise AssertionError("uniform_check built a member")
+def test_uniform_check_builds_only_the_members_it_names(monkeypatch):
+    # the verdict reads the class walk and builds its rival and candidate,
+    # or its winner; the balloon is built in `families`
+    built = []
+    real = enumeration.TwoTerminalGraph
 
-    monkeypatch.setattr(enumeration, "TwoTerminalGraph", refused)
-    assert uniform_check(7, 9).winner is None
-    assert uniform_check(7, 14).winner is not None
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(enumeration, "TwoTerminalGraph", counted)
+    verdict = uniform_check(7, 9)
+    assert verdict.winner is None and len(built) == 2
+    assert sorted(verdict.members) == sorted([verdict.rival, verdict.candidate])
+    built.clear()
+    verdict = uniform_check(7, 14)
+    assert verdict.winner is not None and len(built) == 1
+    assert list(verdict.members) == [verdict.winner]
 
 
 def test_uniform_check_names_thm1_when_no_member_has_the_balloons_counts(monkeypatch):
@@ -575,7 +585,8 @@ def test_balloon_always_among_locally_most():
     for n in range(4, 7):
         for m in range(n, comb(n, 2) + 1):
             ledger = refine_chain(n, m)
-            assert balloon_member_index(ledger) in ledger.locally_most, (n, m)
+            index = check_thm1(n=n, m=m).details["results"][f"{n},{m}"]["balloon_index"]
+            assert index in ledger.locally_most, (n, m)
 
 
 def test_ledger_serialization_round_trip():
