@@ -8,6 +8,11 @@ evaluation at k/q is an integer sum over q^m, and the dominance decision on
 [0, 1] runs on integer difference vectors down to its Sturm fallback.
 `Fraction` appears only for rational points.  No floating point anywhere.
 
+The Sturm fallback reads a count vector d as the power-basis polynomial
+D(x) = sum_i d_i x^i in x = p/(1-p): on (0, 1), SR_d(p) = (1-p)^m D(x), and
+p -> x is increasing onto (0, oo), so SR_d and D share signs, and roots with
+their multiplicities; p = 1 is x = oo, where D has the sign of d_m.
+
 The paper's near-0 and near-1 orders are plain tuple order on `counts` (N)
 and on `f_tuple()` (F); the first index where two N-vectors differ is the
 near-zero witness.
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 from typing import Optional, Sequence
 
 from .counting import CoefficientVector
@@ -94,9 +99,10 @@ def _pseudo_rem(f: list[int], g: list[int]) -> tuple[list[int], int]:
 
 
 def _sturm_chain(f: list[int]) -> list[list[int]]:
-    """Sturm chain of an integer polynomial f of degree >= 1: f, f' and the
-    negated pseudo-remainders, down to gcd(f, f').  At a point where f does
-    not vanish, its sign variations count the distinct real roots of f.
+    """Sturm chain of an integer polynomial f: f, f' and the negated
+    pseudo-remainders, down to gcd(f, f').  At a point where f does not
+    vanish, its sign variations count the distinct real roots of f.  A
+    constant f has the zero polynomial [] as f', which counts no roots.
 
     Each element is a positive rational multiple of the textbook chain entry,
     which leaves all sign variations intact; the lc^steps scaling introduced
@@ -114,26 +120,15 @@ def _sturm_chain(f: list[int]) -> list[list[int]]:
     return chain
 
 
-def _sign_at(p: list[int], x: Fraction) -> int:
-    """Sign of p(x) by homogeneous integer Horner (no rational arithmetic)."""
-    num, den = x.numerator, x.denominator
-    acc = 0
-    dp = 1
-    for c in reversed(p):
-        acc = acc * num + c * dp
-        dp *= den
-    return (acc > 0) - (acc < 0)
-
-
-def _variations(signs: Sequence[int]) -> int:
-    nz = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(nz, nz[1:]) if a * b < 0)
+def _variations(values: Sequence[int]) -> int:
+    signs = [v > 0 for v in values if v]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
 def _count_roots(chain: list[list[int]], a: Fraction, b: Fraction) -> int:
-    """Distinct roots in the open interval (a, b); endpoints must not be roots."""
-    va = _variations([_sign_at(p, a) for p in chain])
-    vb = _variations([_sign_at(p, b) for p in chain])
+    """Distinct roots in the open p-interval (a, b); endpoints must not be roots."""
+    va = _variations([_scaled_value(c, a.numerator, a.denominator) for c in chain])
+    vb = _variations([_scaled_value(c, b.numerator, b.denominator) for c in chain])
     return va - vb
 
 
@@ -142,19 +137,22 @@ def _nonroot_split(f: list[int], d: int, a: Fraction, b: Fraction) -> Fraction:
     fewer than d distinct roots."""
     for k in range(1, 2 * d + 3):
         x = a + (b - a) * Fraction(k, 2 * d + 3)
-        if _sign_at(f, x) != 0:
+        if _scaled_value(f, x.numerator, x.denominator):
             return x
     raise AssertionError("no non-root split point found")
 
 
 def _isolate(f: list[int], chain: list[list[int]], count: int) -> list[tuple[Fraction, Fraction]]:
-    """Ascending intervals inside (0, 1) that each hold one of its `count`
-    distinct roots of f and end neither at 0 nor at 1.
+    """Ascending p-intervals inside (0, 1) that each hold one of the `count`
+    distinct roots there of f, read in x = p/(1-p), and end neither at 0 nor
+    at 1.  The splits run from a work list, not by recursion: a root near 1
+    can take thousands of splits to keep its interval off 1.
 
-    The splits run from a work list, not by recursion: a root near 1 can take
-    thousands of splits to keep its interval off 1."""
-    # chain[-1] is gcd(f, f'): f has len(f) - len(chain[-1]) distinct complex roots
-    d = len(f) - len(chain[-1]) + 1
+    The grid leaves out f's root x = -1 (p = oo), if any, so every split and
+    witness is the one that SR_f expanded in powers of p would give."""
+    # chain[-1] is gcd(f, f'): f has len(f) - len(chain[-1]) distinct complex
+    # roots, x = -1 among them exactly when f(-1) = 0
+    d = len(f) - len(chain[-1]) + 1 - (sum(f[::2]) == sum(f[1::2]))
     out, todo = [], [(Fraction(0), Fraction(1), count)]
     while todo:
         a, b, count = todo.pop()
@@ -167,25 +165,13 @@ def _isolate(f: list[int], chain: list[list[int]], count: int) -> list[tuple[Fra
     return out
 
 
-def _power_basis(d: Sequence[int]) -> list[int]:
-    """sum_i d_i x^i (1-x)^(m-i) expanded into the power basis, as integers
-    (lowest degree first, no trailing zeros)."""
-    m = len(d) - 1
-    out = [0] * (m + 1)
-    for i, c in enumerate(d):
-        if c:
-            rest = m - i
-            for k in range(rest + 1):
-                out[i + k] += c * comb(rest, k) * (-1) ** k
-    return _istrip(out)
-
-
 # Refutation points k/q, in the order their witnesses are reported.
 _PRESAMPLE = [(k, 64) for k in range(1, 64)] + [(1, 1024), (1023, 1024)]
 
 
 def _scaled_value(d: Sequence[int], k: int, q: int) -> int:
-    """q^m times sum_i d_i x^i (1-x)^(m-i) at x = k/q (homogeneous Horner)."""
+    """q^m times sum_i d_i p^i (1-p)^(m-i) at p = k/q (homogeneous Horner):
+    (q-k)^m D(k/(q-k)) for D(x) = sum_i d_i x^i when k < q, and q^m d_m at 1."""
     acc, rest, rest_pow = 0, q - k, 1
     for c in reversed(d):
         acc = acc * k + c * rest_pow
@@ -219,17 +205,15 @@ def dominates_on_unit_interval(a: Sequence[int], b: Sequence[int]) -> DominanceV
 
 def _sturm_dominance(d: Sequence[int]) -> DominanceVerdict:
     """Complete decision of SR_d(p) >= 0 on [0, 1] for an integer difference
-    vector d: Sturm isolation of the real roots in (0, 1) of its power-basis
-    expansion, with exact sign evaluations between consecutive roots.
+    vector d: Sturm isolation of the real roots in (0, 1) of SR_d, with exact
+    sign evaluations between consecutive roots.
 
     A zero first or last count is a factor p or (1 - p), positive on (0, 1),
-    so the zero end counts are stripped first and e has no root at 0 or 1."""
+    so the zero end counts are stripped first.  The stripped vector e is read
+    in x = p/(1-p), with no root at x = 0 or x = oo; the split grid leaves out
+    its root x = -1, if any (see `_isolate`)."""
     nonzero = [i for i, c in enumerate(d) if c]
-    e = _power_basis(d[nonzero[0] : nonzero[-1] + 1]) if nonzero else []
-    if _ideg(e) <= 0:
-        if not e or e[0] >= 0:
-            return DominanceVerdict(True, None)
-        return DominanceVerdict(False, Fraction(1, 2))
+    e = d[nonzero[0] : nonzero[-1] + 1] if nonzero else []
     chain = _sturm_chain(e)
     intervals = _isolate(e, chain, _count_roots(chain, Fraction(0), Fraction(1)))
     samples: list[Fraction] = []
@@ -241,6 +225,6 @@ def _sturm_dominance(d: Sequence[int]) -> DominanceVerdict:
             samples.append(hi if hi == lo2 else (hi + lo2) / 2)
         samples.append(intervals[-1][1])
     for x in samples:
-        if _sign_at(e, x) < 0:
+        if _scaled_value(e, x.numerator, x.denominator) < 0:
             return DominanceVerdict(False, x)
     return DominanceVerdict(True, None)

@@ -17,7 +17,6 @@ from splitrel.graphs import SimpleGraph, TwoTerminalGraph
 from splitrel.signature import (
     DominanceVerdict,
     SplitSignature,
-    _power_basis,
     _sturm_dominance,
     dominates_on_unit_interval,
     evaluate,
@@ -49,21 +48,30 @@ def test_f_view():
     assert sig.f_value(0) == 0  # full graph is connected, never split
 
 
+SPOT_POINTS = [Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(5, 7), Fraction(1)]
+
+
 def test_sr_polynomial_triangle():
     sig = SplitSignature(3, 3, (0, 2, 0, 0))
+    # 2 p (1-p)^2 = 2p - 4p^2 + 2p^3
     assert sr_polynomial(sig) == (0, 2, 0, 0)
-    assert _power_basis(sig.counts) == [0, 2, -4, 2]
+    for p in SPOT_POINTS:
+        assert evaluate(sig.counts, p) == sr_value(sig.counts, p) == 2 * p - 4 * p**2 + 2 * p**3
 
 
 def test_sr_polynomial_square():
     sig = SplitSignature(4, 4, (0, 0, 4, 0, 0))
-    # 4 p^2 (1-p)^2
+    # 4 p^2 (1-p)^2 = 4p^2 - 8p^3 + 4p^4
     assert sr_polynomial(sig) == (0, 0, 4, 0, 0)
-    assert _power_basis(sig.counts) == [0, 0, 4, -8, 4]
+    for p in SPOT_POINTS:
+        assert evaluate(sig.counts, p) == sr_value(sig.counts, p) == 4 * p**2 - 8 * p**3 + 4 * p**4
 
 
 def test_sr_polynomial_zero():
-    assert _power_basis(SplitSignature(3, 3, (0, 0, 0, 0)).counts) == []
+    sig = SplitSignature(3, 3, (0, 0, 0, 0))
+    assert sr_polynomial(sig) == (0, 0, 0, 0)
+    for p in SPOT_POINTS:
+        assert evaluate(sig.counts, p) == sr_value(sig.counts, p) == 0
 
 
 def test_evaluate():
@@ -193,6 +201,36 @@ def test_dominance_touching_interior_root(monkeypatch):
     # the expansion itself, and its crossing witness is pinned
     v = sturm_only((-32, 144, -162), zero)
     assert (v.dominates, v.witness) == (False, Fraction(13, 49))
+
+
+def test_sturm_runs_on_the_stripped_count_vector(monkeypatch):
+    # the chain is built on the count vector with its zero end counts
+    # stripped, read as a polynomial in x = p/(1-p): no second expansion
+    args, sturm_chain = [], signature._sturm_chain
+
+    def recording(f):
+        args.append(list(f))
+        return sturm_chain(f)
+
+    monkeypatch.setattr(signature, "_sturm_chain", recording)
+    cases = {
+        (-32, 144, -162): (False, Fraction(13, 49)),
+        (0, 0, 1, -4, 4, 0): (True, None),
+        (0, -2, 7, 0): (False, Fraction(1, 7)),
+        # a single nonzero count: SR is a constant sign times p^i (1-p)^(m-i)
+        (0, 3, 0): (True, None),
+        (0, -3, 0): (False, Fraction(1, 2)),
+        # a constant SR, and its x-polynomials 1 + x and -(1 + x)^2 have the root
+    # x = -1; the verdicts and witnesses are the ones the p-expansion gave
+        (1, 1): (True, None),
+        (-1, -2, -1): (False, Fraction(1, 2)),
+    }
+    for d, pinned in cases.items():
+        v = _sturm_dominance(list(d))
+        assert (v.dominates, v.witness) == pinned, d
+        nonzero = [i for i, c in enumerate(d) if c]
+        assert args.pop() == list(d[nonzero[0] : nonzero[-1] + 1])
+        assert not args
 
 
 def test_sturm_isolates_a_root_near_one():

@@ -2,9 +2,10 @@
 `src/splitrel`, and every public method of those classes, has a caller in
 the library itself or in the benchmark harness; every private top-level
 function has a caller in the library; every module-level name assigned there
-has a reader in the library or the harness.  A route that only tests
-call is test code and belongs in `tests/`; every oracle there has a test
-caller and a name no public route in `src/` shares."""
+has a reader in the library or the harness; every imported name is read in
+its module.  A route that only tests call is test code and belongs in
+`tests/`; every oracle there has a test caller and a name no public route in
+`src/` shares."""
 
 import ast
 import re
@@ -135,3 +136,24 @@ def test_every_oracle_has_a_test_caller_and_no_library_name():
     shared = [name for name in oracles if name in routes]
     assert not uncalled, f"oracles no test calls: {uncalled}"
     assert not shared, f"oracles named like a public route in src/: {shared}"
+
+
+def test_every_import_is_read_in_its_module():
+    # an import whose last reader is deleted goes with it
+    unread = []
+    for path in _modules():
+        tree = ast.parse(path.read_text())
+        imported = [
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+            for alias in node.names
+        ]
+        read = {
+            node.id
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        unread += [f"{path.name}:{name}" for name in imported if name not in read]
+    assert not unread, f"imported names never read in their module: {unread}"
