@@ -20,6 +20,7 @@ from typing import Optional
 
 from . import canon
 from .counting import (
+    check_coeff_guard,
     spanning_tree_count,
     split_coefficients,
     two_tree_count,
@@ -438,6 +439,7 @@ def check_remark4(max_n: int = 12) -> Report:
 def check_composition(max_n: int = 8) -> Report:
     """Bridge/skeleton factorization of the balloon's count vector equals the
     directly computed one on every bridged class in range."""
+    check_coeff_guard(max_n)  # refused before any class is classified
     failures = []
     checked = 0
     for n, m in _classes(max_n, in_I1):
@@ -452,6 +454,7 @@ def check_composition(max_n: int = 8) -> Report:
 def check_closed_forms(max_n: int = 8) -> Report:
     """Structured failed-edge counts of the balloon match the computed signature
     at every index they cover."""
+    check_coeff_guard(max_n)  # refused before any class is classified
     failures = []
     checked = 0
     for n, m in _classes(max_n, in_I1):

@@ -4,12 +4,11 @@ as integer-exact Laplacian minors (one pivot-free determinant each, since a
 Laplacian minor is positive semidefinite; independent of the recurrence),
 the two-disjoint-trees counts of every terminal pair from one Gauss-Jordan
 pass, and a seed-stable Monte Carlo estimator.  It compares uniform bits with
-p's binary expansion (no rejection); dyadic p keep the rejection sampler's
-seeded stream.
+p's binary expansion (no rejection).
 
 Everything on the exact side is integer/rational arithmetic only.  The
-coefficient vectors have one route, guarded to n <= 16; the tests check it
-against an exhaustive sweep of all 2^m edge subsets.
+coefficient vectors have one route, guarded to n <= COEFF_GUARD_N = 16; the
+tests check it against an exhaustive sweep of all 2^m edge subsets.
 """
 
 from __future__ import annotations
@@ -114,6 +113,18 @@ class SubsetClassification:
         return _unpack(sums[a] + sums[b] - 2 * sums[a | b], self.m)
 
 
+COEFF_GUARD_N = 16
+
+
+def check_coeff_guard(n: int) -> None:
+    """Refuse a subset classification on more than COEFF_GUARD_N vertices."""
+    if n > COEFF_GUARD_N:
+        raise GuardError(
+            "subset classification is meant for desk-scale graphs "
+            f"(n <= {COEFF_GUARD_N}), got n={n}"
+        )
+
+
 def classify_subsets(g: SimpleGraph) -> SubsetClassification:
     """Classify every edge subset of g by component structure.
 
@@ -140,10 +151,7 @@ def classify_subsets(g: SimpleGraph) -> SubsetClassification:
     coefficients.
     """
     n, m = g.n, g.m
-    if n > 16:
-        raise GuardError(
-            f"subset classification is meant for desk-scale graphs (n <= 16), got n={n}"
-        )
+    check_coeff_guard(n)
     width = m + 1
     binomial = [1]  # binomial[e] packs C(e, 0..e), that is (1 + x)^e at x = 2^width
     for _ in range(m):
@@ -321,10 +329,7 @@ class RandomSource:
     U >= p.  So p = 0 and p = 1 draw nothing, and a dyadic p = a/2^k draws k
     planes unless every lane leaves the tie sooner, which a block of T lanes
     does with probability (1 - 2^(1-k))^T per edge.  No floating point enters
-    the sampling.  Earlier versions drew one 32-bit word per flag; later ones
-    drew a k-bit x < b per lane by rejection, k planes per round, which at a
-    dyadic p gives these planes and flags whenever some lane stays tied to
-    the last digit.  Seeded estimates at other p differ from both.
+    the sampling.
     """
 
     seed: int

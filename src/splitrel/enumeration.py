@@ -3,9 +3,9 @@ desk scale, the lexicographic refinement chain over failed-edge counts, and
 the uniform-winner decision.
 
 Generation descends from K_n by deleting one non-bridge edge at a time and
-keeps one graph per isomorphism orbit at each edge count, labeled by its
-canonical key (the least leaf of `canon`'s search) and the generators of its
-automorphism group.  A child is searched only if its deleted edge is one of
+keeps one record per isomorphism orbit at each edge count: its canonical key
+(the least leaf of `canon`'s search), |Aut| and the generators of Aut, each
+level sorted by key.  A child is searched only if its deleted edge is one of
 its best non-edges by end-degree sum (McKay's cheap-invariant test), once per
 orbit of the parent's group.  A class is walked as its graphs, each with one
 terminal pair per orbit of that group, so each two-terminal representative
@@ -52,18 +52,15 @@ from .signature import dominates_on_unit_interval
 ENUM_GUARD_N = 8
 
 
-def _check_enum_guard(n: int) -> None:
-    if n < 2:
-        raise ValueError("enumeration needs n >= 2")
-    if n > ENUM_GUARD_N:
-        raise GuardError(f"class enumeration guarded to n <= {ENUM_GUARD_N}, got n={n}")
+# A class record: (canonical mask, |Aut|, generators of Aut), one per
+# isomorphism class of connected graphs.
+Record = tuple[int, int, list[tuple[int, ...]]]
 
 
 @lru_cache(maxsize=None)
-def _descent(n: int) -> tuple[tuple[dict[int, int], ...], dict[int, list[tuple[int, ...]]]]:
-    """Per edge count m, {canonical mask: automorphism group size} over the
-    connected graphs on n vertices, by edge-deletion descent from K_n, and
-    beside them {canonical mask: generators of its automorphism group}.
+def _descent(n: int) -> tuple[tuple[Record, ...], ...]:
+    """Per edge count m, the class records of the connected graphs on n
+    vertices, sorted by canonical mask, by edge-deletion descent from K_n.
 
     A representative P at level m keeps the child P - e, searched by
     `canon.canonical_group`, when e is not a bridge, is a best non-edge of
@@ -78,12 +75,12 @@ def _descent(n: int) -> tuple[tuple[dict[int, int], ...], dict[int, list[tuple[i
     size = comb(n, 2)
     pairs = canon.pair_list(n)
     star = [sum(1 << k for k, p in enumerate(pairs) if v in p) for v in range(n)]  # pairs at v
-    levels: list[dict[int, int]] = [{} for _ in range(size + 1)]
+    levels: list[tuple[Record, ...]] = [()] * (size + 1)
     key, aut, perms, _ = canon.canonical_group(n, [(1 << n) - 1 ^ 1 << v for v in range(n)])
-    levels[size], group = {key: aut}, {key: perms}
+    levels[size] = ((key, aut, perms),)
     for m in range(size, 0, -1):
-        below = levels[m - 1]
-        for mask in levels[m]:
+        below: dict[int, Record] = {}
+        for mask, _, gens in levels[m]:
             adj = canon.mask_adjacency(n, mask)
             deg = [a.bit_count() for a in adj]
             top, best = 0, 0  # P's best non-edge score (0 for K_n), and those non-edges
@@ -100,7 +97,7 @@ def _descent(n: int) -> tuple[tuple[dict[int, int], ...], dict[int, list[tuple[i
                 gap = top + 2 - deg[u] - deg[v]  # does a best non-edge of P beat e in P - e?
                 if gap > 1 or gap == 1 and best & ~(star[u] | star[v]):
                     continue
-                taken |= canon.pair_orbit(n, group[mask], u, v)
+                taken |= canon.pair_orbit(n, gens, u, v)
                 child = adj[:]
                 child[u] ^= 1 << v
                 child[v] ^= 1 << u
@@ -108,39 +105,39 @@ def _descent(n: int) -> tuple[tuple[dict[int, int], ...], dict[int, list[tuple[i
                     continue  # e is a bridge of P
                 key, aut, perms, _ = canon.canonical_group(n, child)
                 if key not in below:
-                    below[key], group[key] = aut, perms
-    return tuple(levels), group
+                    below[key] = (key, aut, perms)
+        levels[m - 1] = tuple(sorted(below.values()))  # the masks are distinct
+    return tuple(levels)
 
 
-def _graph_orbits(n: int, m: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """(canonical masks, automorphism group sizes, labeled connected count);
-    the labeled count is the sum of n!/|Aut| by orbit-stabilizer."""
-    _check_enum_guard(n)
+def _level(n: int, m: int) -> tuple[Record, ...]:
+    """The class records of the connected graphs with n vertices and m edges,
+    sorted by canonical mask."""
+    if n < 2:
+        raise ValueError("enumeration needs n >= 2")
+    if n > ENUM_GUARD_N:
+        raise GuardError(f"class enumeration guarded to n <= {ENUM_GUARD_N}, got n={n}")
     if not 0 <= m <= comb(n, 2):
         raise ValueError(f"no graphs with n={n}, m={m}")
-    level = _descent(n)[0][m]
-    reps = tuple(sorted(level))
-    auts = tuple(level[mask] for mask in reps)
-    return reps, auts, sum(factorial(n) // a for a in auts)
+    return _descent(n)[m]
 
 
 def enumerate_graphs(n: int, m: int) -> list[SimpleGraph]:
     """One canonically labeled representative per isomorphism class of
     connected graphs with n vertices and m edges, sorted by canonical key."""
-    reps, _, _ = _graph_orbits(n, m)
-    return [canon.mask_to_graph(n, mask) for mask in reps]
+    return [canon.mask_to_graph(n, mask) for mask, _, _ in _level(n, m)]
 
 
 def _class_walk(n: int, m: int) -> list[tuple[SimpleGraph, list[tuple[int, int]]]]:
     """T_{n,m} as (canonical graph, terminal pairs) in member order: one pair
     per Aut orbit on vertex pairs, the least in `pair_list` order."""
-    group, walk = _descent(n)[1], []
-    for mask in _graph_orbits(n, m)[0]:
+    walk = []
+    for mask, _, gens in _level(n, m):
         pairs, seen = [], 0
         for k, (s, t) in enumerate(canon.pair_list(n)):
             if not seen >> k & 1:
                 pairs.append((s, t))
-                seen |= canon.pair_orbit(n, group[mask], s, t)
+                seen |= canon.pair_orbit(n, gens, s, t)
         walk.append((canon.mask_to_graph(n, mask), pairs))
     return walk
 
@@ -287,9 +284,9 @@ def refine_chain(n: int, m: int) -> ClassLedger:
         m=m,
         members=members,
         signatures=signatures,
-        equivalence_classes=sorted(by_sig.values(), key=lambda c: c[0]),
+        equivalence_classes=list(by_sig.values()),  # in first-member order
         chain_levels=refine_members(signatures),
-        labeled_connected=_graph_orbits(n, m)[2],
+        labeled_connected=sum(factorial(n) // a for _, a, _ in _level(n, m)),  # orbit-stabilizer
     )
 
 

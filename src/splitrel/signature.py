@@ -59,19 +59,11 @@ class DominanceVerdict:
     witness: Optional[Fraction]  # rational point with a(p) < b(p), when crossing
 
 
-def _ideg(p: list[int]) -> int:
-    return len(p) - 1
-
-
 def _istrip(p: list[int]) -> list[int]:
     q = p[:]
     while q and q[-1] == 0:
         q.pop()
     return q
-
-
-def _ideriv(p: list[int]) -> list[int]:
-    return _istrip([i * c for i, c in enumerate(p)][1:])
 
 
 def _iprimitive(p: list[int]) -> list[int]:
@@ -81,42 +73,32 @@ def _iprimitive(p: list[int]) -> list[int]:
     return [v // g for v in p] if g > 1 else p[:]
 
 
-def _pseudo_rem(f: list[int], g: list[int]) -> tuple[list[int], int]:
-    """Scaled remainder: returns (lc(g)^steps * rem(f, g), steps) over the integers."""
-    f = f[:]
-    dg = _ideg(g)
-    lc = g[-1]
-    steps = 0
-    while f and _ideg(f) >= dg:
-        steps += 1
-        shift = _ideg(f) - dg
-        lead = f[-1]
-        f = [c * lc for c in f]
+def _pseudo_rem(f: list[int], g: list[int]) -> list[int]:
+    """A positive multiple of rem(f, g) over the integers: each division step
+    scales f by |lc(g)| before it cancels f's leading term."""
+    f, lc = f[:], g[-1]
+    while f and len(f) >= len(g):
+        shift = len(f) - len(g)
+        lead = f[-1] if lc > 0 else -f[-1]
+        f = [c * abs(lc) for c in f]
         for i, gc in enumerate(g):
             f[i + shift] -= lead * gc
         f = _istrip(f)
-    return f, steps
+    return f
 
 
 def _sturm_chain(f: list[int]) -> list[list[int]]:
     """Sturm chain of an integer polynomial f: f, f' and the negated
-    pseudo-remainders, down to gcd(f, f').  At a point where f does not
-    vanish, its sign variations count the distinct real roots of f.  A
-    constant f has the zero polynomial [] as f', which counts no roots.
-
-    Each element is a positive rational multiple of the textbook chain entry,
-    which leaves all sign variations intact; the lc^steps scaling introduced
-    by pseudo-division is compensated by its sign.
-    """
-    chain = [_iprimitive(f), _iprimitive(_ideriv(f))]
-    while _ideg(chain[-1]) > 0:
-        rem, steps = _pseudo_rem(chain[-2], chain[-1])
+    remainders, down to gcd(f, f'), each a positive multiple of the textbook
+    entry (which leaves every sign variation intact).  At a point where f
+    does not vanish, its sign variations count the distinct real roots of f.
+    A constant f has the zero polynomial [] as f', which counts no roots."""
+    chain = [_iprimitive(f), _iprimitive(_istrip([i * c for i, c in enumerate(f)][1:]))]
+    while len(chain[-1]) > 1:
+        rem = _pseudo_rem(chain[-2], chain[-1])
         if not rem:
             break
-        lc = chain[-1][-1]
-        sign = 1 if (lc > 0 or steps % 2 == 0) else -1
-        nxt = [-c * sign for c in rem]
-        chain.append(_iprimitive(nxt))
+        chain.append(_iprimitive([-c for c in rem]))
     return chain
 
 

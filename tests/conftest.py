@@ -15,7 +15,7 @@ from splitrel.counting import (
     _laplacian_minor,
     spanning_tree_count,
 )
-from splitrel.enumeration import ClassLedger, UniformVerdict, _graph_orbits
+from splitrel.enumeration import ClassLedger, UniformVerdict, _level
 from splitrel.families import (
     _apply_variant,
     _eligible_edges,
@@ -349,11 +349,11 @@ def deletion_contraction_check(g: SimpleGraph, e: int) -> bool:
 def labeled_connected_count(n: int, m: int) -> int:
     """Number of labeled connected graphs: the sum of n!/|Aut| over the class
     representatives (orbit-stabilizer)."""
-    return _graph_orbits(n, m)[2]
+    return sum(factorial(n) // aut for _, aut, _ in _level(n, m))
 
 
 def automorphism_count(n: int, m: int) -> list[int]:
-    return list(_graph_orbits(n, m)[1])
+    return [aut for _, aut, _ in _level(n, m)]
 
 
 def balloon_by_recursion(n: int, m: int) -> SimpleGraph:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import splitrel
-from splitrel import checks, enumeration
+from splitrel import checks, counting, enumeration, families
 from splitrel.cli import main
 from splitrel.families import balloon
 from splitrel.graphs import to_json_dict
@@ -271,6 +271,22 @@ def test_guard_exit_code(capsys, tmp_path):
     path.write_text(json.dumps({"n": 17, "edges": edges, "terminals": [0, 16]}))
     assert main(["sr-coeffs", str(path)]) == 2
     assert "n=17" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["closed_forms", "composition"])
+def test_verify_refuses_max_n_above_the_coefficient_guard_first(capsys, monkeypatch, target):
+    # a --max-n above the subset guard is refused before any balloon is
+    # classified, with the guard's exit code and message
+    def refuse(*args):
+        raise AssertionError("classified a graph before the guard refused")
+
+    monkeypatch.setattr(counting, "classify_subsets", refuse)
+    monkeypatch.setattr(families, "classify_subsets", refuse)
+    assert main(["verify", target, "--max-n", str(counting.COEFF_GUARD_N + 1)]) == 2
+    assert capsys.readouterr().err == (
+        "guard refusal: subset classification is meant for desk-scale graphs "
+        "(n <= 16), got n=17\n"
+    )
 
 
 @pytest.mark.parametrize(

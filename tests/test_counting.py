@@ -16,6 +16,7 @@ from conftest import (
     connected_graphs,
     cycle_n,
     deletion_contraction_check,
+    is_split_subgraph,
     k_n,
     path_n,
     random_connected_graph,
@@ -36,7 +37,7 @@ from splitrel.counting import (
     two_tree_count,
     two_tree_counts,
 )
-from splitrel.enumeration import enumerate_graphs
+from splitrel.enumeration import enumerate_graphs, enumerate_two_terminal
 from splitrel.families import balloon, bogdanowicz_tree_count, ThresholdSpec, two_terminal_balloon
 from splitrel.graphs import (
     GuardError,
@@ -152,6 +153,27 @@ def test_connected_coefficients():
 def test_sweep_guard():
     with pytest.raises(GuardError, match="n=17"):
         split_coefficients(TwoTerminalGraph(path_n(17), 0, 16))
+
+
+def test_f1_counts_the_bridges_that_separate_the_terminals():
+    # F_1 = N_{m-1}: deleting one edge leaves a split subgraph exactly when
+    # the edge is a bridge whose deletion separates s from t
+    def separating(g):
+        m = g.graph.m
+        return sum(is_split_subgraph(g, [j for j in range(m) if j != i]) for i in bridges(g.graph))
+
+    members = [
+        g
+        for n in range(2, 7)
+        for m in range(n - 1, comb(n, 2) + 1)
+        for g in enumerate_two_terminal(n, m)
+    ]
+    assert len(members) == 997
+    rng = random.Random(11)
+    for n in range(7, 10):
+        members += [random_two_terminal(rng, n, rng.randint(n - 1, 2 * n)) for _ in range(12)]
+    for g in members:
+        assert split_coefficients(g).f_value(1) == separating(g), g
 
 
 def test_spanning_tree_cayley():

@@ -96,22 +96,29 @@ def test_descent_runs_on_edge_masks(monkeypatch):
 
     monkeypatch.setattr(canon, "mask_to_graph", refuse)
     monkeypatch.setattr(graphs, "bridges", refuse)
-    levels, _ = _descent.__wrapped__(6)
+    levels = _descent.__wrapped__(6)
     monkeypatch.undo()
     oracle = orbits_by_sweep(6)
     for m, level in enumerate(levels):
         reps, auts, _ = oracle[m]
         got = {
             canonical_form_by_search(canon.mask_to_graph(6, mask))[2]: aut
-            for mask, aut in level.items()
+            for mask, aut, _ in level
         }
         assert len(got) == len(level) and got == dict(zip(reps, auts)), m
+
+
+def _aut_view(level):
+    """A descent level as (canonical mask, |Aut|) pairs, once the level is
+    seen to hold distinct masks in ascending order."""
+    assert [mask for mask, _, _ in level] == sorted({mask for mask, _, _ in level})
+    return [(mask, aut) for mask, aut, _ in level]
 
 
 def test_descent_n7_pinned():
     # representatives and |Aut| of every n = 7 level, as recorded from the
     # search on edge lists; the search on neighbour masks must not move them
-    levels = [(m, sorted(level.items())) for m, level in enumerate(_descent(7)[0])]
+    levels = [(m, _aut_view(level)) for m, level in enumerate(_descent(7))]
     digest = hashlib.sha256(repr(levels).encode()).hexdigest()
     assert digest == "a00d1ea9d71c8e357273e830acba5e4da7a6e7717bfc4c35ad8e86680ee83133"
 
@@ -120,7 +127,7 @@ def test_descent_n8_pinned():
     # the n = 8 levels as the descent that searched every child passing the
     # end-degree test recorded them; pruning by Aut(P) edge orbits must not
     # move them
-    levels = [(m, sorted(level.items())) for m, level in enumerate(_descent(8)[0])]
+    levels = [(m, _aut_view(level)) for m, level in enumerate(_descent(8))]
     digest = hashlib.sha256(repr(levels).encode()).hexdigest()
     assert digest == "0a025fcd86f3c86ce70c1e1d4f623838bd186b2e0768ee18d0377de47bc655da"
 
@@ -141,7 +148,8 @@ def test_descent_matches_every_child_oracle():
     # skipping the children whose deleted edge is not a best non-edge loses
     # no class and moves no key or |Aut|
     for n in range(2, 8):
-        assert _descent.__wrapped__(n)[0] == descent_by_every_child(n), n
+        levels = tuple(dict(_aut_view(level)) for level in _descent.__wrapped__(n))
+        assert levels == descent_by_every_child(n), n
 
 
 def test_descent_skips_children_before_search(monkeypatch):
@@ -163,16 +171,15 @@ def test_descent_skips_children_before_search(monkeypatch):
 def test_descent_generators_match_a_fresh_search():
     # the generators kept from the descent's search fix each n = 7 key and
     # give the same orbit of every vertex pair as a search on the key itself
-    levels, group = _descent(7)
     bits = canon._pair_bits(7)
-    for level in levels:
-        for mask in level:
+    for level in _descent(7):
+        for mask, _, gens in level:
             edges = [p for k, p in enumerate(canon.pair_list(7)) if mask >> k & 1]
-            for perm in group[mask]:
+            for perm in gens:
                 assert sum(bits[perm[u]][perm[v]] for u, v in edges) == mask, (mask, perm)
             fresh = canon.stabilizer_perms(7, mask)
             for s, t in canon.pair_list(7):
-                kept = canon.pair_orbit(7, group[mask], s, t)
+                kept = canon.pair_orbit(7, gens, s, t)
                 assert kept == canon.pair_orbit(7, fresh, s, t), (mask, s, t)
 
 
@@ -478,6 +485,25 @@ def test_uniform_check_matches_the_full_ledger():
             got = uniform_check(n, m)
             want = uniform_verdict_by_ledger(refine_chain(n, m))
             assert got == want, (n, m)
+
+
+def test_dense_end_members_lie_below_the_balloon_coefficientwise():
+    # for C(n,2) - n <= m, every distinct member count vector is at most the
+    # two-terminal balloon's at every index, so the balloon's member
+    # dominates by coefficients; this is why uniform_check skips its N_{n-2}
+    # screen there
+    graphs = vectors = 0
+    for n in range(4, 9):
+        for m in range(max(n, comb(n, 2) - n), comb(n, 2) + 1):
+            top = split_coefficients(two_terminal_balloon(n, m)).counts
+            walk, seen = _class_walk(n, m), set()
+            for g, pairs in walk:
+                cls = counting.classify_subsets(g)
+                seen |= {cls.split_counts(s, t) for s, t in pairs}
+            assert all(a <= b for counts in seen for a, b in zip(counts, top)), (n, m)
+            graphs += len(walk)
+            vectors += len(seen)
+    assert (graphs, vectors) == (652, 8051)
 
 
 def test_uniform_check_classifies_only_the_top_two_tree_holders(monkeypatch):
