@@ -25,7 +25,7 @@ from .counting import (
     split_coefficients,
     two_tree_count,
 )
-from .enumeration import enumerate_graphs, refine_chain, uniform_check
+from .enumeration import _check_enum_guard, enumerate_graphs, refine_chain, uniform_check
 from .families import (
     KIND_NEEDS,
     ThresholdSpec,
@@ -74,18 +74,24 @@ class Report:
 
 
 def _classes(max_n: int, pred=in_I) -> list[tuple[int, int]]:
-    return [
+    """The classes (n, m) with n <= max_n that satisfy pred; a range with no
+    class is refused, so that no check passes with nothing checked."""
+    classes = [
         (n, m)
         for n in range(4, max_n + 1)
         for m in range(n, comb(n, 2) + 1)
         if pred(n, m)
     ]
+    if not classes:
+        raise ValueError(f"no class with n <= {max_n} satisfies {pred.__name__}: nothing to check")
+    return classes
 
 
 def check_prop1(max_n: int = 7) -> Report:
     """Bridge maximum: the minimal-k closed form equals brute force over the
     enumerated classes (n <= max_n) and the balloon's bridge count (n <= 12);
     the printed radical expression is compared and its mismatches surfaced."""
+    _check_enum_guard(max_n)  # refused before any class is enumerated
     failures = []
     for n, m in _classes(max_n):
         brute = max(len(bridges(g)) for g in enumerate_graphs(n, m))
@@ -115,6 +121,7 @@ def check_prop1(max_n: int = 7) -> Report:
 def check_prop3(max_n: int = 7) -> Report:
     """Edge-connectivity minimum matches the closed form; on the dense range
     the minimizer is unique and is the balloon."""
+    _check_enum_guard(max_n)  # refused before any class is enumerated
     failures = []
     for n, m in _classes(max_n):
         graphs = enumerate_graphs(n, m)
@@ -134,6 +141,7 @@ def check_skeleton_characterization(max_n: int = 7) -> Report:
     """A graph attains the bridge maximum iff its skeleton lands in the dense
     range (exhaustive check of both directions; the triangle skeleton counts
     as dense, which is the m = n case)."""
+    _check_enum_guard(max_n)  # refused before any class is enumerated
     failures = []
     for n, m in _classes(max_n):
         target = max_bridges(n, m)
@@ -149,6 +157,7 @@ def check_skeleton_characterization(max_n: int = 7) -> Report:
 
 def check_thm2(max_n: int = 7) -> Report:
     """Spanning-tree minimum over each class is attained by the balloon."""
+    _check_enum_guard(max_n)  # refused before any class is enumerated
     failures = []
     for n, m in _classes(max_n):
         brute = min(spanning_tree_count(g) for g in enumerate_graphs(n, m))
@@ -165,6 +174,7 @@ def check_thm1(
     """Locally-most set equals the balloon's split-equivalence class, and each
     refinement level keeps a subset of the one before.  The balloon's member
     is its canonical form, since every member is its own."""
+    _check_enum_guard(max_n)  # refused before any class is enumerated
     targets = [(n, m)] if n is not None and m is not None else _classes(max_n)
     results = {}
     failures = []

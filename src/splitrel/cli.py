@@ -21,13 +21,6 @@ from . import checks, counting, enumeration, families, graphs, signature
 from .graphs import GuardError
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
 def _load_graph(path: str):
     text = sys.stdin.read() if path == "-" else Path(path).read_text()
     g = graphs.loads(text)
@@ -63,127 +56,90 @@ def _coeff_csv(vec: counting.CoefficientVector) -> str:
     return buf.getvalue()
 
 
-def _cmd_construct(args) -> int:
-    if args.command == "balloon":
-        g = families.balloon(args.n, args.m)
-    elif args.command == "two-terminal-balloon":
-        g = families.two_terminal_balloon(args.n, args.m)
-    elif args.command == "variant":
-        g = families.variant(args.kind, args.n, args.m)
-    else:  # threshold
-        g = families.threshold_graph(families.ThresholdSpec(args.n, tuple(args.degrees)))
-    _emit(graphs.dumps(g, "text" if args.format == "text" else "json"), args.out)
-    return 0
+def _cmd_construct(args) -> str:
+    return graphs.dumps(args.build(args), args.format)
 
 
-def _cmd_sr_coeffs(args) -> int:
+def _cmd_sr_coeffs(args) -> str:
     g = _require_two_terminal(_load_graph(args.graph))
     vec = counting.split_coefficients(g)
-    if args.format == "csv":
-        _emit(_coeff_csv(vec), args.out)
-    else:
-        _emit(json.dumps(vec.to_json_dict(), indent=2), args.out)
-    return 0
+    return _coeff_csv(vec) if args.format == "csv" else json.dumps(vec.to_json_dict(), indent=2)
 
 
-def _cmd_sr_eval(args) -> int:
+def _cmd_sr_eval(args) -> str:
     g = _require_two_terminal(_load_graph(args.graph))
     counts = counting.split_coefficients(g).counts
     value = signature.evaluate(counts, _rational(args.p))
-    _emit(json.dumps({"p": args.p, "value": str(value)}), args.out)
-    return 0
+    return json.dumps({"p": args.p, "value": str(value)})
 
 
-def _cmd_trees(args) -> int:
+def _cmd_trees(args) -> str:
     g = _load_graph(args.graph)
     base = g.graph if isinstance(g, graphs.TwoTerminalGraph) else g
-    _emit(json.dumps({"spanning_trees": str(counting.spanning_tree_count(base))}), args.out)
-    return 0
+    return json.dumps({"spanning_trees": str(counting.spanning_tree_count(base))})
 
 
-def _cmd_t2(args) -> int:
+def _cmd_t2(args) -> str:
     g = _require_two_terminal(_load_graph(args.graph))
-    _emit(json.dumps({"two_tree_splits": str(counting.two_tree_count(g))}), args.out)
-    return 0
+    return json.dumps({"two_tree_splits": str(counting.two_tree_count(g))})
 
 
-def _cmd_enumerate(args) -> int:
-    if args.two_terminal:
-        docs = [graphs.to_json_dict(g) for g in enumeration.enumerate_two_terminal(args.n, args.m)]
-    else:
-        docs = [graphs.to_json_dict(g) for g in enumeration.enumerate_graphs(args.n, args.m)]
-    _emit(json.dumps({"n": args.n, "m": args.m, "count": len(docs), "graphs": docs}, indent=2), args.out)
-    return 0
+def _cmd_enumerate(args) -> str:
+    walk = enumeration.enumerate_two_terminal if args.two_terminal else enumeration.enumerate_graphs
+    docs = [graphs.to_json_dict(g) for g in walk(args.n, args.m)]
+    return json.dumps({"n": args.n, "m": args.m, "count": len(docs), "graphs": docs}, indent=2)
 
 
-def _cmd_refine(args) -> int:
+def _cmd_refine(args) -> str:
     ledger = enumeration.refine_chain(args.n, args.m)
-    if args.format == "csv":
-        _emit(ledger.to_csv(), args.out)
-    else:
-        _emit(json.dumps(ledger.to_json_dict(), indent=2), args.out)
-    return 0
+    return ledger.to_csv() if args.format == "csv" else json.dumps(ledger.to_json_dict(), indent=2)
 
 
-def _cmd_locally_most(args) -> int:
+def _cmd_locally_most(args) -> str:
     ledger = enumeration.refine_chain(args.n, args.m)
     docs = [graphs.to_json_dict(ledger.members[i]) for i in ledger.locally_most]
     sig = ledger.signatures[ledger.locally_most[0]]
-    _emit(
-        json.dumps(
-            {
-                "n": args.n,
-                "m": args.m,
-                "class_size": len(docs),
-                "early_stop_level": ledger.early_stop_level,
-                "f_tuple": [str(x) for x in sig.f_tuple()],
-                "graphs": docs,
-            },
-            indent=2,
-        ),
-        args.out,
+    return json.dumps(
+        {
+            "n": args.n,
+            "m": args.m,
+            "class_size": len(docs),
+            "early_stop_level": ledger.early_stop_level,
+            "f_tuple": [str(x) for x in sig.f_tuple()],
+            "graphs": docs,
+        },
+        indent=2,
     )
-    return 0
 
 
-def _cmd_uniform_check(args) -> int:
+def _cmd_uniform_check(args) -> str:
     verdict = enumeration.uniform_check(args.n, args.m)
     head = "NONE" if verdict.winner is None else "WINNER"
-    _emit(head + "\n" + json.dumps(verdict.to_json_dict(), indent=2), args.out)
-    return 0
+    return head + "\n" + json.dumps(verdict.to_json_dict(), indent=2)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, int]:
     report = checks.run_target(
         args.target,
         {"n": args.n, "m": args.m, "max_n": args.max_n},
     )
-    _emit(json.dumps(report.to_json_dict(), indent=2), args.out)
-    return 3 if report.failed else 0
+    return json.dumps(report.to_json_dict(), indent=2), 3 if report.failed else 0
 
 
-def _cmd_mc(args) -> int:
+def _cmd_mc(args) -> str:
     g = _require_two_terminal(_load_graph(args.graph))
     est, err = counting.monte_carlo_sr(
         g, _rational(args.p), args.trials, counting.RandomSource(args.seed)
     )
-    _emit(
-        json.dumps(
-            {
-                "p": args.p,
-                "trials": args.trials,
-                "seed": args.seed,
-                "estimate": est,
-                "std_error": err,
-            }
-        ),
-        args.out,
+    return json.dumps(
+        {
+            "p": args.p,
+            "trials": args.trials,
+            "seed": args.seed,
+            "estimate": est,
+            "std_error": err,
+        }
     )
-    return 0
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--out", help="write the result to this path instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,73 +149,66 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    for name, extra in (
-        ("balloon", ()),
-        ("two-terminal-balloon", ()),
-        ("variant", ("kind",)),
+    for name, build in (
+        ("balloon", lambda a: families.balloon(a.n, a.m)),
+        ("two-terminal-balloon", lambda a: families.two_terminal_balloon(a.n, a.m)),
+        ("variant", lambda a: families.variant(a.kind, a.n, a.m)),
     ):
         p = sub.add_parser(name, help=f"construct the {name.replace('-', ' ')} graph")
-        if "kind" in extra:
+        if name == "variant":
             p.add_argument("kind", type=int, choices=(0, 1, 2))
         p.add_argument("n", type=int)
         p.add_argument("m", type=int)
         p.add_argument("--format", choices=("json", "text"), default="json")
-        _add_common(p)
-        p.set_defaults(func=_cmd_construct)
+        p.set_defaults(func=_cmd_construct, build=build)
 
     p = sub.add_parser("threshold", help="construct a threshold graph from its degree list")
     p.add_argument("n", type=int)
     p.add_argument("degrees", type=int, nargs="*")
     p.add_argument("--format", choices=("json", "text"), default="json")
-    _add_common(p)
-    p.set_defaults(func=_cmd_construct)
+    p.set_defaults(
+        func=_cmd_construct,
+        build=lambda a: families.threshold_graph(families.ThresholdSpec(a.n, tuple(a.degrees))),
+    )
 
     p = sub.add_parser("sr-coeffs", help="exact split coefficient vectors of a graph file")
     p.add_argument("graph")
     p.add_argument("--format", choices=("json", "csv"), default="csv")
-    _add_common(p)
     p.set_defaults(func=_cmd_sr_coeffs)
 
     p = sub.add_parser("sr-eval", help="evaluate the split reliability at a rational point")
     p.add_argument("graph")
     p.add_argument("p", help="rational like 1/2 or 0.25")
-    _add_common(p)
     p.set_defaults(func=_cmd_sr_eval)
 
     p = sub.add_parser("trees", help="exact spanning tree count")
     p.add_argument("graph")
-    _add_common(p)
     p.set_defaults(func=_cmd_trees)
 
     p = sub.add_parser("t2", help="count split subgraphs that are two disjoint trees")
     p.add_argument("graph")
-    _add_common(p)
     p.set_defaults(func=_cmd_t2)
 
     p = sub.add_parser("enumerate", help="canonical representatives of a class")
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
     p.add_argument("--two-terminal", action="store_true")
-    _add_common(p)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("refine", help="full class ledger with the refinement chain")
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    _add_common(p)
     p.set_defaults(func=_cmd_refine)
 
     p = sub.add_parser("locally-most", help="the locally most split reliable class")
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
-    _add_common(p)
     p.set_defaults(func=_cmd_locally_most)
 
     p = sub.add_parser("uniform-check", help="decide existence of a uniform winner")
     p.add_argument("n", type=int)
     p.add_argument("m", type=int)
-    _add_common(p)
     p.set_defaults(func=_cmd_uniform_check)
 
     p = sub.add_parser("verify", help="run a named claim verification, JSON report out")
@@ -267,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--max-n", type=int, dest="max_n")
-    _add_common(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("mc-estimate", help="seeded Monte Carlo split-reliability estimate")
@@ -275,9 +223,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("p", help="rational like 1/2 or 0.25")
     p.add_argument("--trials", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
     p.set_defaults(func=_cmd_mc)
 
+    for p in sub.choices.values():  # each parser's last argument
+        p.add_argument("--out", help="write the result to this path instead of stdout")
     return ap
 
 
@@ -290,7 +239,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # (2 is reserved for guard refusals), while --help style exits stay 0
         return 0 if exc.code in (0, None) else 1
     try:
-        return args.func(args)
+        result = args.func(args)  # the text to write, with verify's exit code
+        text, code = result if isinstance(result, tuple) else (result, 0)
+        if args.out:
+            Path(args.out).write_text(text)
+        else:
+            sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        return code
     except GuardError as exc:
         print(f"guard refusal: {exc}", file=sys.stderr)
         return 2

@@ -110,13 +110,18 @@ def _descent(n: int) -> tuple[tuple[Record, ...], ...]:
     return tuple(levels)
 
 
+def _check_enum_guard(n: int) -> None:
+    """Refuse a class enumeration on more than ENUM_GUARD_N vertices."""
+    if n > ENUM_GUARD_N:
+        raise GuardError(f"class enumeration guarded to n <= {ENUM_GUARD_N}, got n={n}")
+
+
 def _level(n: int, m: int) -> tuple[Record, ...]:
     """The class records of the connected graphs with n vertices and m edges,
     sorted by canonical mask."""
     if n < 2:
         raise ValueError("enumeration needs n >= 2")
-    if n > ENUM_GUARD_N:
-        raise GuardError(f"class enumeration guarded to n <= {ENUM_GUARD_N}, got n={n}")
+    _check_enum_guard(n)
     if not 0 <= m <= comb(n, 2):
         raise ValueError(f"no graphs with n={n}, m={m}")
     return _descent(n)[m]

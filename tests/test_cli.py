@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, formats, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -12,7 +13,7 @@ import pytest
 
 import splitrel
 from splitrel import checks, counting, enumeration, families
-from splitrel.cli import main
+from splitrel.cli import build_parser, main
 from splitrel.families import balloon
 from splitrel.graphs import to_json_dict
 
@@ -287,6 +288,117 @@ def test_verify_refuses_max_n_above_the_coefficient_guard_first(capsys, monkeypa
         "guard refusal: subset classification is meant for desk-scale graphs "
         "(n <= 16), got n=17\n"
     )
+
+
+@pytest.mark.parametrize(
+    "target", ["prop1", "prop3", "thm1", "thm2", "skeleton_characterization"]
+)
+def test_verify_refuses_max_n_above_the_enumeration_guard_first(capsys, monkeypatch, target):
+    # a --max-n above the enumeration guard is refused before any class is
+    # enumerated, with the guard's exit code and message
+    def refuse(*args):
+        raise AssertionError("enumerated a class before the guard refused")
+
+    monkeypatch.setattr(enumeration, "_descent", refuse)
+    monkeypatch.setattr(checks, "enumerate_graphs", refuse)
+    monkeypatch.setattr(checks, "refine_chain", refuse)
+    assert main(["verify", target, "--max-n", str(enumeration.ENUM_GUARD_N + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "guard refusal: class enumeration guarded to n <= 8, got n=9\n"
+
+
+@pytest.mark.parametrize(
+    "target, max_n",
+    [
+        # each range's first class: n = 4 for I, I0 and I1, n = 6 for the
+        # nonexistence range
+        ("prop1", 3),
+        ("prop3", 3),
+        ("prop3", 2),
+        ("skeleton_characterization", 3),
+        ("thm1", 3),
+        ("thm2", 3),
+        ("remark2", 3),
+        ("remark3", 3),
+        ("remark3", 0),
+        ("remark4", 5),
+        ("composition", 3),
+        ("closed_forms", 3),
+    ],
+)
+def test_verify_refuses_a_range_with_no_class(capsys, target, max_n):
+    # a pass with nothing checked would be vacuous: exit 1, one line
+    assert main(["verify", target, "--max-n", str(max_n)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: no class with n <= {max_n} satisfies ")
+    assert len(captured.err.splitlines()) == 1
+
+
+OUTPUT_ARGVS = [
+    ("balloon", "6", "9"),
+    ("balloon", "5", "7", "--format", "text"),
+    ("two-terminal-balloon", "6", "9"),
+    ("variant", "2", "7", "8"),
+    ("threshold", "6", "2"),
+    ("sr-coeffs", "{graph}"),
+    ("sr-coeffs", "{graph}", "--format", "json"),
+    ("sr-eval", "{graph}", "1/3"),
+    ("trees", "{graph}"),
+    ("t2", "{graph}"),
+    ("enumerate", "4", "4", "--two-terminal"),
+    ("refine", "4", "5"),
+    ("refine", "4", "5", "--format", "csv"),
+    ("locally-most", "5", "6"),
+    ("uniform-check", "6", "8"),
+    ("verify", "remark4"),
+    ("mc-estimate", "{graph}", "1/2", "--trials", "2000", "--seed", "3"),
+]
+
+
+def test_output_cases_cover_every_subcommand():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {argv[0] for argv in OUTPUT_ARGVS} == set(sub.choices)
+
+
+@pytest.mark.parametrize("argv", OUTPUT_ARGVS, ids=" ".join)
+def test_out_file_holds_the_stdout_text(capsys, tmp_path, k3_file, argv):
+    # one output path: --out gets the text stdout shows, without the newline
+    # that stdout appends to text that lacks one, and the same exit code
+    argv = [a.format(graph=k3_file) for a in argv]
+    code, out = run(capsys, *argv)
+    path = tmp_path / "out"
+    assert main(argv + ["--out", str(path)]) == code == 0
+    assert capsys.readouterr() == ("", "")
+    text = path.read_bytes().decode()  # csv rows end in \r\n
+    assert out == (text if text.endswith("\n") else text + "\n")
+
+
+def test_failed_verify_writes_its_report_and_exits_3(capsys, monkeypatch, tmp_path):
+    failing = (lambda: checks.Report("remark4", "fail", {"failures": [1]}), [()])
+    monkeypatch.setitem(checks.VERIFY_TARGETS, "remark4", failing)
+    code, out = run(capsys, "verify", "remark4")
+    assert code == 3 and json.loads(out)["status"] == "fail"
+    path = tmp_path / "report.json"
+    assert main(["verify", "remark4", "--out", str(path)]) == 3
+    assert path.read_text() + "\n" == out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("balloon", "5", "6", "--out", "{tmp}/missing-dir/out.json"),
+        ("balloon", "5", "6", "--out", "{tmp}"),  # a directory
+        ("trees", "{tmp}/missing.json"),
+    ],
+)
+def test_unwritable_out_or_missing_graph_file_is_one_error_line(capsys, tmp_path, argv):
+    # bad input, found while the command runs: exit 1, one line
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
 
 
 @pytest.mark.parametrize(

@@ -3,9 +3,9 @@
 the library itself or in the benchmark harness; every private top-level
 function has a caller in the library; every module-level name assigned there
 has a reader in the library or the harness; every imported name is read in
-its module.  A route that only tests call is test code and belongs in
-`tests/`; every oracle there has a test caller and a name no public route in
-`src/` shares."""
+its module; and only the CLI's `main` writes output.  A route that only
+tests call is test code and belongs in `tests/`; every oracle there has a
+test caller and a name no public route in `src/` shares."""
 
 import ast
 import re
@@ -157,3 +157,17 @@ def test_every_import_is_read_in_its_module():
         }
         unread += [f"{path.name}:{name}" for name in imported if name not in read]
     assert not unread, f"imported names never read in their module: {unread}"
+
+
+def test_only_main_writes_cli_output():
+    # every handler returns its text, and `main` writes it once, to stdout or --out
+    writes = [
+        f"{func.name}:{call.lineno}"
+        for func in ast.walk(ast.parse((PACKAGE / "cli.py").read_text()))
+        if isinstance(func, ast.FunctionDef) and func.name != "main"
+        for call in ast.walk(func)
+        if isinstance(call, ast.Call)
+        and getattr(call.func, "id", getattr(call.func, "attr", None))
+        in ("_emit", "print", "write", "write_text", "write_bytes")
+    ]
+    assert not writes, f"functions other than main that write output: {writes}"
