@@ -51,6 +51,7 @@ from .graphs import (
     SimpleGraph,
     TwoTerminalGraph,
     bridges,
+    check_cut_guard,
     count_min_separators,
     edge_connectivity,
     skeleton,
@@ -73,9 +74,19 @@ class Report:
         return self.status == "fail"
 
 
-def _classes(max_n: int, pred=in_I) -> list[tuple[int, int]]:
-    """The classes (n, m) with n <= max_n that satisfy pred; a range with no
-    class is refused, so that no check passes with nothing checked."""
+def _report(claim: str, failures: list, **details) -> Report:
+    """A pass/fail report: "fail" exactly when there are failures, and the
+    details lead with them."""
+    return Report(claim, "fail" if failures else "pass", {"failures": failures, **details})
+
+
+def _classes(max_n: int, pred=in_I, guard=None) -> list[tuple[int, int]]:
+    """The classes (n, m) with n <= max_n that satisfy pred.  `guard`, the
+    size guard of the route the check runs, refuses an out-of-guard max_n
+    before anything is listed; a range with no class is refused, so that no
+    check passes with nothing checked."""
+    if guard is not None:
+        guard(max_n)
     classes = [
         (n, m)
         for n in range(4, max_n + 1)
@@ -91,9 +102,8 @@ def check_prop1(max_n: int = 7) -> Report:
     """Bridge maximum: the minimal-k closed form equals brute force over the
     enumerated classes (n <= max_n) and the balloon's bridge count (n <= 12);
     the printed radical expression is compared and its mismatches surfaced."""
-    _check_enum_guard(max_n)  # refused before any class is enumerated
     failures = []
-    for n, m in _classes(max_n):
+    for n, m in _classes(max_n, guard=_check_enum_guard):
         brute = max(len(bridges(g)) for g in enumerate_graphs(n, m))
         if brute != max_bridges(n, m):
             failures.append({"n": n, "m": m, "brute": brute, "closed": max_bridges(n, m)})
@@ -121,9 +131,8 @@ def check_prop1(max_n: int = 7) -> Report:
 def check_prop3(max_n: int = 7) -> Report:
     """Edge-connectivity minimum matches the closed form; on the dense range
     the minimizer is unique and is the balloon."""
-    _check_enum_guard(max_n)  # refused before any class is enumerated
     failures = []
-    for n, m in _classes(max_n):
+    for n, m in _classes(max_n, guard=_check_enum_guard):
         graphs = enumerate_graphs(n, m)
         lam = [edge_connectivity(g) for g in graphs]
         best = min(lam)
@@ -134,36 +143,32 @@ def check_prop3(max_n: int = 7) -> Report:
             minimizers = [g for g, l in zip(graphs, lam) if l == best]
             if len(minimizers) != 1 or not canon.isomorphic(minimizers[0], balloon(n, m)):
                 failures.append({"n": n, "m": m, "nonunique_minimizer": len(minimizers)})
-    return Report("prop3", "fail" if failures else "pass", {"failures": failures})
+    return _report("prop3", failures)
 
 
 def check_skeleton_characterization(max_n: int = 7) -> Report:
     """A graph attains the bridge maximum iff its skeleton lands in the dense
     range (exhaustive check of both directions; the triangle skeleton counts
     as dense, which is the m = n case)."""
-    _check_enum_guard(max_n)  # refused before any class is enumerated
     failures = []
-    for n, m in _classes(max_n):
+    for n, m in _classes(max_n, guard=_check_enum_guard):
         target = max_bridges(n, m)
         for g in enumerate_graphs(n, m):
             sk, _ = skeleton(g)
             # the bridge forest has b edges, so the skeleton has n - b vertices
             if (g.n - sk.n == target) != in_dense_extended(sk.n, sk.m):
                 failures.append({"n": n, "m": m, "edges": list(g.edges)})
-    return Report(
-        "skeleton_characterization", "fail" if failures else "pass", {"failures": failures}
-    )
+    return _report("skeleton_characterization", failures)
 
 
 def check_thm2(max_n: int = 7) -> Report:
     """Spanning-tree minimum over each class is attained by the balloon."""
-    _check_enum_guard(max_n)  # refused before any class is enumerated
     failures = []
-    for n, m in _classes(max_n):
+    for n, m in _classes(max_n, guard=_check_enum_guard):
         brute = min(spanning_tree_count(g) for g in enumerate_graphs(n, m))
         if brute != spanning_tree_count(balloon(n, m)):
             failures.append({"n": n, "m": m, "brute": brute})
-    return Report("thm2", "fail" if failures else "pass", {"failures": failures})
+    return _report("thm2", failures)
 
 
 def check_thm1(
@@ -174,8 +179,8 @@ def check_thm1(
     """Locally-most set equals the balloon's split-equivalence class, and each
     refinement level keeps a subset of the one before.  The balloon's member
     is its canonical form, since every member is its own."""
-    _check_enum_guard(max_n)  # refused before any class is enumerated
-    targets = [(n, m)] if n is not None and m is not None else _classes(max_n)
+    given = n is not None and m is not None  # refine_chain guards a given class
+    targets = [(n, m)] if given else _classes(max_n, guard=_check_enum_guard)
     results = {}
     failures = []
     for nn, mm in targets:
@@ -198,11 +203,7 @@ def check_thm1(
         results[f"{nn},{mm}"] = res
         if not res["ok"]:
             failures.append({"n": nn, "m": mm, **res})
-    return Report(
-        "thm1",
-        "fail" if failures else "pass",
-        {"failures": failures, "classes_checked": len(targets), "results": results},
-    )
+    return _report("thm1", failures, classes_checked=len(targets), results=results)
 
 
 def check_thm3() -> Report:
@@ -227,7 +228,7 @@ def check_thm3() -> Report:
         if diff <= 0 or idx != 5:
             failures.append({"m": m, **entry})
         details[str(m)] = entry
-    return Report("thm3", "fail" if failures else "pass", {"failures": failures, **details})
+    return _report("thm3", failures, **details)
 
 
 def check_prop2(n: int, m: int) -> Report:
@@ -407,7 +408,7 @@ def check_remark2(max_n: int = 7) -> Report:
     """Minimum-separator counts on dense balloons: n at the complete graph,
     2 one edge below, 1 otherwise."""
     failures = []
-    for n, m in _classes(max_n, in_I0):
+    for n, m in _classes(max_n, in_I0, guard=check_cut_guard):
         g = balloon(n, m)
         s = count_min_separators(g)
         if m == comb(n, 2):
@@ -418,7 +419,7 @@ def check_remark2(max_n: int = 7) -> Report:
             want = 1
         if s != want:
             failures.append({"n": n, "m": m, "count": s, "expected": want})
-    return Report("remark2", "fail" if failures else "pass", {"failures": failures})
+    return _report("remark2", failures)
 
 
 def check_remark3(max_n: int = 8) -> Report:
@@ -430,7 +431,7 @@ def check_remark3(max_n: int = 8) -> Report:
         for i, edge in enumerate(skel.graph.edges):
             if two_tree_count(_delete_edge(skel, i)) <= 0:
                 failures.append({"n": n, "m": m, "edge": list(edge)})
-    return Report("remark3", "fail" if failures else "pass", {"failures": failures})
+    return _report("remark3", failures)
 
 
 def check_remark4(max_n: int = 12) -> Report:
@@ -441,48 +442,41 @@ def check_remark4(max_n: int = 12) -> Report:
         for n, m in classes
         if max_bridges(n, m) < 3
     ]
-    return Report(
-        "remark4", "fail" if failures else "pass", {"failures": failures, "checked": len(classes)}
-    )
+    return _report("remark4", failures, checked=len(classes))
 
 
 def check_composition(max_n: int = 8) -> Report:
     """Bridge/skeleton factorization of the balloon's count vector equals the
     directly computed one on every bridged class in range."""
-    check_coeff_guard(max_n)  # refused before any class is classified
+    classes = _classes(max_n, in_I1, guard=check_coeff_guard)
     failures = []
-    checked = 0
-    for n, m in _classes(max_n, in_I1):
-        checked += 1
+    for n, m in classes:
         if sr_composition(n, m) != split_coefficients(two_terminal_balloon(n, m)).counts:
             failures.append({"n": n, "m": m})
-    return Report(
-        "composition", "fail" if failures else "pass", {"failures": failures, "checked": checked}
-    )
+    return _report("composition", failures, checked=len(classes))
 
 
 def check_closed_forms(max_n: int = 8) -> Report:
     """Structured failed-edge counts of the balloon match the computed signature
     at every index they cover."""
-    check_coeff_guard(max_n)  # refused before any class is classified
     failures = []
     checked = 0
-    for n, m in _classes(max_n, in_I1):
+    for n, m in _classes(max_n, in_I1, guard=check_coeff_guard):
         sig = split_coefficients(two_terminal_balloon(n, m))
         for i, closed in enumerate(closed_form_F_values(n, m), 1):
             checked += 1
             if closed != sig.f_value(i):
                 failures.append({"n": n, "m": m, "i": i, "closed": closed, "swept": sig.f_value(i)})
-    return Report(
-        "closed_forms", "fail" if failures else "pass",
-        {"failures": failures, "values_checked": checked},
-    )
+    return _report("closed_forms", failures, values_checked=checked)
 
 
 def check_bogdanowicz(max_n: int = 10) -> Report:
     """Threshold-graph tree product formula vs the matrix-tree determinant,
     exhaustively over nonincreasing degree lists with at most 4 independent
-    vertices, plus the complete-graph special case up to n = 12."""
+    vertices, plus the complete-graph special case up to n = 12.  A max_n
+    below 2 leaves the exhaustive sweep empty and is refused."""
+    if max_n < 2:
+        raise ValueError(f"no threshold graph with 2 <= n <= {max_n}: nothing to check")
     failures = []
     checked = 0
     for n in range(2, max_n + 1):
@@ -496,10 +490,7 @@ def check_bogdanowicz(max_n: int = 10) -> Report:
         checked += 1
         if bogdanowicz_tree_count(ThresholdSpec(n, ())) != n ** (n - 2):
             failures.append({"n": n, "degrees": []})
-    return Report(
-        "bogdanowicz", "fail" if failures else "pass",
-        {"failures": failures, "specs_checked": checked},
-    )
+    return _report("bogdanowicz", failures, specs_checked=checked)
 
 
 # target -> (check, the argument sets it accepts); each argument set is

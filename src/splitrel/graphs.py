@@ -203,11 +203,22 @@ def bridges(g: SimpleGraph) -> list[int]:
     return sorted(index[(min(v, parent[v]), max(v, parent[v]))] for v in _bits(cut))
 
 
+CUT_GUARD_N = 20  # a sweep visits 2^(n-1) bipartitions
+
+
+def check_cut_guard(n: int) -> None:
+    """Refuse a minimum-cut sweep on more than CUT_GUARD_N vertices."""
+    if n > CUT_GUARD_N:
+        raise GuardError(f"minimum-cut sweep guarded to n <= {CUT_GUARD_N}, got n={n}")
+
+
 def _min_cuts(g: SimpleGraph) -> tuple[int, int]:
     """(lambda, number of vertex bipartitions whose cut has lambda edges): a
-    Gray-code sweep with vertex 0 fixed, one vertex moved per step."""
+    Gray-code sweep with vertex 0 fixed, one vertex moved per step, guarded
+    to n <= CUT_GUARD_N."""
     if g.n < 2:
         raise ValueError("edge connectivity needs n >= 2")
+    check_cut_guard(g.n)
     adj = adjacency_masks(g.n, g.edges)
     if _reach(adj, 1) != (1 << g.n) - 1:
         raise ValueError("edge connectivity requires a connected graph")

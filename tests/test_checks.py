@@ -244,3 +244,11 @@ def test_claim_outputs_pinned():
     ]
     digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
     assert digest == "b971c864c63c4b581b68fd18bdd63b3144b4fba5e1fd4159e64d46e4c172886f"
+
+
+def test_thm1_outputs_pinned():
+    # thm1's report on two classes outside the nonexistence range and one in
+    # it, as recorded before the pass/fail reports were built by one rule
+    out = [check_thm1(n=n, m=m).to_json_dict() for n, m in [(6, 8), (7, 9), (7, 14)]]
+    digest = hashlib.sha256(json.dumps(out).encode()).hexdigest()
+    assert digest == "c4da0876102a1e1e6ad0ad26b3b84d24fc9064de6b4dc502255c0bb81118fa42"

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import splitrel
-from splitrel import checks, counting, enumeration, families
+from splitrel import checks, counting, enumeration, families, graphs
 from splitrel.cli import build_parser, main
 from splitrel.families import balloon
 from splitrel.graphs import to_json_dict
@@ -290,6 +290,20 @@ def test_verify_refuses_max_n_above_the_coefficient_guard_first(capsys, monkeypa
     )
 
 
+def test_verify_refuses_max_n_above_the_cut_guard_first(capsys, monkeypatch):
+    # a --max-n above the cut-sweep guard is refused before any balloon is
+    # built or swept, with the guard's exit code and message
+    def refuse(*args):
+        raise AssertionError("built or swept a balloon before the guard refused")
+
+    monkeypatch.setattr(graphs, "_min_cuts", refuse)
+    monkeypatch.setattr(checks, "balloon", refuse)
+    assert main(["verify", "remark2", "--max-n", str(graphs.CUT_GUARD_N + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "guard refusal: minimum-cut sweep guarded to n <= 20, got n=21\n"
+
+
 @pytest.mark.parametrize(
     "target", ["prop1", "prop3", "thm1", "thm2", "skeleton_characterization"]
 )
@@ -334,6 +348,20 @@ def test_verify_refuses_a_range_with_no_class(capsys, target, max_n):
     assert captured.out == ""
     assert captured.err.startswith(f"error: no class with n <= {max_n} satisfies ")
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("max_n", [1, 0, -3])
+def test_verify_bogdanowicz_refuses_a_range_with_no_threshold_graph(capsys, monkeypatch, max_n):
+    # its exhaustive sweep starts at n = 2, so a lower --max-n would pass on
+    # the fixed complete-graph specs alone: exit 1, one line, no work
+    def refuse(*args):
+        raise AssertionError("counted trees before the range was refused")
+
+    monkeypatch.setattr(checks, "bogdanowicz_tree_count", refuse)
+    assert main(["verify", "bogdanowicz", "--max-n", str(max_n)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: no threshold graph with 2 <= n <= {max_n}: nothing to check\n"
 
 
 OUTPUT_ARGVS = [

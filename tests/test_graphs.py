@@ -26,6 +26,8 @@ from conftest import (
 from splitrel.canon import canonical_form_graph, isomorphic
 from splitrel.families import balloon, in_I, two_terminal_balloon
 from splitrel.graphs import (
+    CUT_GUARD_N,
+    GuardError,
     SimpleGraph,
     TwoTerminalGraph,
     bridges,
@@ -298,6 +300,15 @@ def test_dense_range_connectivity_equals_min_degree():
                 continue
             for g in enumerate_graphs(n, m):
                 assert edge_connectivity(g) == min_degree(g)
+
+
+def test_cut_sweep_refuses_above_its_guard():
+    # the 2^(n-1) sweep is refused before it starts, even on a path
+    g = path_n(CUT_GUARD_N + 1)
+    for route in (edge_connectivity, count_min_separators):
+        with pytest.raises(GuardError, match=f"guarded to n <= {CUT_GUARD_N}, got n=21"):
+            route(g)
+    assert edge_connectivity(path_n(CUT_GUARD_N)) == 1
 
 
 def test_count_min_separators():

@@ -171,3 +171,44 @@ def test_only_main_writes_cli_output():
         in ("_emit", "print", "write", "write_text", "write_bytes")
     ]
     assert not writes, f"functions other than main that write output: {writes}"
+
+
+
+def _top_level_calls(tree: ast.Module):
+    """(enclosing top-level function, call node) for every call in a module."""
+    for func in tree.body:
+        if isinstance(func, ast.FunctionDef):
+            for call in ast.walk(func):
+                if isinstance(call, ast.Call):
+                    yield func.name, call
+
+
+def test_only_report_and_the_exempt_checks_build_a_report():
+    # the pass/fail rule is written once, in `_report`; prop1, prop2 and the
+    # lemmas may report a discrepancy or keep their own detail keys
+    exempt = {"_report", "check_prop1", "check_prop2", "check_lemma13", "check_lemma14",
+              "check_lemma15"}
+    builders = [
+        f"{name}:{call.lineno}"
+        for name, call in _top_level_calls(ast.parse((PACKAGE / "checks.py").read_text()))
+        if getattr(call.func, "id", None) == "Report" and name not in exempt
+    ]
+    assert not builders, f"reports built outside `_report`: {builders}"
+
+
+def test_size_guards_are_only_passed_to_the_class_range():
+    # the guard-before-range order is written once, in `_classes`
+    guards = {"_check_enum_guard", "check_coeff_guard", "check_cut_guard"}
+    tree = ast.parse((PACKAGE / "checks.py").read_text())
+    passed = {
+        id(arg)
+        for _, call in _top_level_calls(tree)
+        if getattr(call.func, "id", None) == "_classes"
+        for arg in [*call.args, *(kw.value for kw in call.keywords)]
+    }
+    uses = [
+        node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id in guards
+    ]
+    stray = [f"{node.id}:{node.lineno}" for node in uses if id(node) not in passed]
+    assert len(uses) >= 3
+    assert not stray, f"size guards used other than as an argument of `_classes`: {stray}"
